@@ -4,8 +4,8 @@ The package has three layers.  An exact symbolic layer (``clifford``,
 ``liealg``) realizes words with two-by-two blocks as matrices, computes
 closed-form commutators, and reduces them to Clifford multivectors.  A
 numeric layer (``specfun``, ``manifold``, ``graphdirac``) provides kernel
-normalizers and moment integrals, two model manifolds, and the assembly of
-weighted star graphs into operators.  The estimator layer (``estimators``,
+normalizers and moment integrals, two model manifolds, and the star weights
+with the graph operator they define.  The estimator layer (``estimators``,
 ``cli``) runs seeded convergence experiments with quadrature oracles.
 """
 
@@ -44,14 +44,12 @@ from .estimators import (
 )
 from .graphdirac import (
     LambdaWeights,
-    StarGraph,
     WeightedGraphDirac,
+    anchor_rows,
     assemble_dirac,
     laplace_lambda,
     pf_bound_report,
-    spectral_radius,
-    star_graphs_from_samples,
-    vmf_weight,
+    star_weights,
 )
 from .liealg import (
     DiagonalObservable,

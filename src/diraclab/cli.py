@@ -28,6 +28,7 @@ from .clifford import Multivector, mv_mul
 from .errors import ConfigError, DiracLabError, InvalidArgumentError, NumericFailureError
 from .estimators import (
     ARTIFACT_VERSION,
+    CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
     RunConfig,
     convergence_run,
@@ -35,8 +36,9 @@ from .estimators import (
     hbar_schedule,
     linear_coordinate_function,
     s_jn,
+    table_texts,
 )
-from .graphdirac import assemble_dirac, pf_bound_report, star_graphs_from_samples
+from .graphdirac import assemble_dirac, pf_bound_report
 from .liealg import (
     DiagonalObservable,
     TensorElement,
@@ -208,6 +210,13 @@ def _resolve_seed(args, layer: dict) -> int:
     return DEFAULT_MASTER_SEED
 
 
+def _resolve_sign(args, layer: dict) -> int:
+    cli = getattr(args, "sign", None)
+    if cli is not None:
+        return _parse_sign(cli)
+    return layer.get("sign", 1)
+
+
 def _resolve_out(args, layer: dict) -> str:
     return _resolve(args, layer, "out", "out")
 
@@ -220,14 +229,6 @@ def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_text(out_dir: str, name: str, text: str) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -238,13 +239,9 @@ def _write_json(out_dir: str, name: str, obj) -> None:
 
 
 def _write_table(out_dir: str, stem: str, columns, rows) -> None:
-    csv_lines = [",".join(columns)]
-    dat_lines = ["# " + " ".join(columns)]
-    for row in rows:
-        csv_lines.append(",".join(_fmt(row[c]) for c in columns))
-        dat_lines.append(" ".join(_fmt(row[c]) for c in columns))
-    _write_text(out_dir, stem + ".csv", "\n".join(csv_lines) + "\n")
-    _write_text(out_dir, stem + ".dat", "\n".join(dat_lines) + "\n")
+    csv_text, dat_text = table_texts(columns, rows)
+    _write_text(out_dir, stem + ".csv", csv_text)
+    _write_text(out_dir, stem + ".dat", dat_text)
 
 
 def _write_manifest(out_dir: str, subcommand: str, config: dict) -> None:
@@ -417,8 +414,7 @@ def _cmd_specfun(args) -> int:
     seed = _resolve_seed(args, layer)
     out_dir = _resolve_out(args, layer)
     t_grid = _resolve(args, layer, "t_grid", (0.2, 0.1, 0.05, 0.02))
-    sign = _resolve(args, layer, "sign", None)
-    sigma = _parse_sign(sign) if isinstance(sign, str) else (sign if sign is not None else 1)
+    sigma = _resolve_sign(args, layer)
     dim = _resolve(args, layer, "dim", 3)
     if dim < 3:
         raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
@@ -635,11 +631,6 @@ def _cmd_geometry_check(args) -> int:
 def _resolve_run_config(args, layer: dict, mode: str) -> RunConfig:
     if layer.get("mode") not in (None, mode):
         raise ConfigError(f"config mode {layer['mode']!r} does not match subcommand {mode!r}")
-    sign = getattr(args, "sign", None)
-    if sign is None:
-        sigma = layer.get("sign", 1)
-    else:
-        sigma = _parse_sign(sign)
     family = getattr(args, "family", None)
     if family is None:
         family_check = layer.get("family_check", False)
@@ -654,7 +645,7 @@ def _resolve_run_config(args, layer: dict, mode: str) -> RunConfig:
             n_grid=tuple(_resolve(args, layer, "n_grid", (1000, 10000, 100000))),
             repeats=_resolve(args, layer, "repeats", 50),
             master_seed=_resolve_seed(args, layer),
-            sigma=sigma,
+            sigma=_resolve_sign(args, layer),
             test_function=_resolve(args, layer, "test_function", "auto"),
             delta_u=_resolve(args, layer, "delta_u", None),
             lambda_power=_resolve(args, layer, "lambda_power", 1),
@@ -676,8 +667,7 @@ def _dump_operators(args, cfg: RunConfig, dump_dir: str) -> None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n_idx, 0]))
         copies = min(4, n)
         pts = sample_uniform_batch(m, fp, rng, copies * slots).reshape(copies, slots, -1)
-        graphs = star_graphs_from_samples(pts)
-        dirac = assemble_dirac(graphs, m, fp, hbar, sigma=cfg.sigma)
+        dirac = assemble_dirac(pts, m, fp, hbar, sigma=cfg.sigma)
         dirac.export_matrix_market(os.path.join(dump_dir, f"dirac_n{n}.mtx"))
 
 
@@ -705,8 +695,7 @@ def _cmd_converge(args, mode: str) -> int:
         "hoeffding_eps": cfg.hoeffding_eps,
     }
     _write_manifest(out_dir, f"{mode}-converge", config)
-    _write_text(out_dir, "report.csv", report.to_csv_text())
-    _write_text(out_dir, "report.dat", report.to_dat_text())
+    _write_table(out_dir, "report", CSV_COLUMNS, report.rows)
     _write_text(out_dir, "report.json", report.to_json_text())
     _write_timing(out_dir, report.wall_time_s)
     if getattr(args, "dump_operators", None):
@@ -734,8 +723,7 @@ def _cmd_bound_report(args) -> int:
     hbar_grid = tuple(_resolve(args, layer, "hbar_grid", (1.0, 0.5, 0.1, 0.05)))
     n_copies = _resolve(args, layer, "n_copies", 30)
     grad_sup = _resolve(args, layer, "grad_sup", 1.0)
-    sign = getattr(args, "sign", None)
-    sigma = _parse_sign(sign) if sign is not None else layer.get("sign", 1)
+    sigma = _resolve_sign(args, layer)
     if n_copies < 1:
         raise ConfigError(f"n_copies must be >= 1, got {n_copies}")
     t0 = time.perf_counter()
@@ -744,18 +732,13 @@ def _cmd_bound_report(args) -> int:
     a = linear_coordinate_function(m, fp, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     slots = m.d + 1
-    pts = sample_uniform_batch(m, fp, rng, n_copies * slots).reshape(n_copies, slots, -1)
-    graphs = star_graphs_from_samples(pts)
+    pts = sample_uniform_batch(m, fp, rng, n_copies * slots)
+    # One value per vertex id: the base point, then the leaves in sampling order.
+    a_values = a.evaluate(np.vstack([fp.point, pts]))
+    stars = pts.reshape(n_copies, slots, -1)
     rows = []
     for idx, hbar in enumerate(hbar_grid):
-        dirac = assemble_dirac(graphs, m, fp, float(hbar), sigma=sigma)
-        point_by_id = {dirac.base_id: fp.point}
-        for graph in graphs:
-            for gid, point in zip(graph.neighbour_ids, graph.points):
-                point_by_id[gid] = point
-        a_values = np.array(
-            [float(a.evaluate(point_by_id[vid])) for vid in dirac.vertex_ids]
-        )
+        dirac = assemble_dirac(stars, m, fp, float(hbar), sigma=sigma)
         report = pf_bound_report(dirac, a_values, grad_sup)
         rows.append(
             {

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .clifford import Multivector
-from .errors import InvalidArgumentError, OutOfNeighbourhoodError
-from .graphdirac import LambdaWeights, laplace_lambda
+from .errors import InvalidArgumentError
+from .graphdirac import LambdaWeights, anchor_rows, laplace_lambda, star_weights
 from .liealg import MAT_Y, TensorElement, psi_map_to_clifford
 from .manifold import (
     FramedPoint,
@@ -61,6 +61,7 @@ __all__ = [
     "RunConfig",
     "ConvergenceReport",
     "convergence_run",
+    "table_texts",
 ]
 
 DEFAULT_MASTER_SEED = 20260816
@@ -284,17 +285,6 @@ def resolve_test_function(m: ManifoldModel, fp: FramedPoint, mode: str, name: st
     raise InvalidArgumentError(f"unknown test function {name!r}")
 
 
-def _anchor_rows(fp: FramedPoint, lam: LambdaWeights) -> np.ndarray:
-    """Log-coordinate anchor directions, one row per graph slot: e_1..e_d, s_extra."""
-    return np.vstack([np.eye(fp.d), fp.frame @ lam.s_extra])
-
-
-def _check_inside(logc: np.ndarray, fp: FramedPoint) -> None:
-    radii = np.sqrt(np.sum(logc * logc, axis=-1))
-    if np.any(radii >= fp.delta_u):
-        raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
-
-
 def s_jn(
     m: ManifoldModel,
     samples,
@@ -311,18 +301,11 @@ def s_jn(
     """
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise InvalidArgumentError(f"samples must be a non-empty 2-d array, got {pts.shape}")
     n = pts.shape[0]
-    logc = log_coords(m, fp, pts)
-    _check_inside(logc, fp)
-    lcd = log_c_d(m.d, 1.0 / hbar)
-    w = np.exp(lcd + sigma * logc[:, j - 1] / hbar)
+    w = star_weights(log_coords(m, fp, pts), np.eye(m.d)[j - 1], fp, hbar, sigma)
     da = np.asarray(a.evaluate(pts), dtype=float) - float(a.evaluate(fp.point))
     vol = neighbourhood_volume(m, fp)
     return vol * float(np.sum(w * da)) / (n * hbar)
@@ -351,12 +334,7 @@ def _weights_and_differences(m, samples, a, fp, hbar, sigma, lam):
         raise InvalidArgumentError(
             f"samples must have shape (n, {m.d + 1}, {m.embedding_dim}), got {pts.shape}"
         )
-    logc = log_coords(m, fp, pts)
-    _check_inside(logc, fp)
-    anchors = _anchor_rows(fp, lam)
-    proj = np.einsum("nsd,sd->ns", logc, anchors)
-    lcd = log_c_d(m.d, 1.0 / hbar)
-    w = np.exp(lcd + sigma * proj / hbar)
+    w = star_weights(log_coords(m, fp, pts), anchor_rows(fp, lam), fp, hbar, sigma)
     da = np.asarray(a.evaluate(pts), dtype=float) - float(a.evaluate(fp.point))
     return w, da
 
@@ -377,10 +355,6 @@ def dirac_estimate(
     the word calculus, reduced to a grade-1 multivector, and rescaled by the
     neighbourhood volume; its components equal s_jn on each column.
     """
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
     if lam is None:
         lam = laplace_lambda(fp.frame)
     w, da = _weights_and_differences(m, samples, a, fp, hbar, sigma, lam)
@@ -422,10 +396,6 @@ def laplace_estimate(
     """
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
     if lam is None:
         lam = laplace_lambda(fp.frame)
     w, da = _weights_and_differences(m, samples, a, fp, hbar, sigma, lam)
@@ -449,7 +419,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, rule, make_kernel, a):
     if rule is None:
         rule = QuadratureRule()
     lam = laplace_lambda(fp.frame)
-    anchors = _anchor_rows(fp, lam)
+    anchors = anchor_rows(fp, lam)
     a0 = float(a.evaluate(fp.point))
 
     def evaluate(level: int):
@@ -575,10 +545,23 @@ class RunConfig:
             )
 
 
-def _float_repr(v) -> str:
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def table_texts(columns, rows) -> tuple:
+    """CSV and whitespace-separated (.dat) text of one table of row dicts.
+
+    Floats are written with repr, so they round-trip exactly; bools as 1/0.
+    """
+    cells = [[_cell(row[c]) for c in columns] for row in rows]
+    csv_lines = [",".join(columns)] + [",".join(r) for r in cells]
+    dat_lines = ["# " + " ".join(columns)] + [" ".join(r) for r in cells]
+    return "\n".join(csv_lines) + "\n", "\n".join(dat_lines) + "\n"
 
 
 @dataclass
@@ -593,18 +576,6 @@ class ConvergenceReport:
     rows: list
     family_rows: list = field(default_factory=list)
     wall_time_s: float | None = None
-
-    def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_float_repr(row[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def to_dat_text(self) -> str:
-        lines = ["# " + " ".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(" ".join(_float_repr(row[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
         payload = {

@@ -1,13 +1,19 @@
-"""Weighted star graphs and their graph Dirac operators.
+"""The weighted star graph of a sample batch and its graph Dirac operator.
 
-A batch of sampled star graphs (one base vertex, d+1 sampled neighbours per
-copy) is assembled into a single weighted operator on the union graph.  The
-operator is realized over a two-block vertex space,
+Every sampled point is joined to the same base vertex, so a batch of star
+copies (d+1 sampled neighbours each) is a single star: base vertex id 0 and
+leaf ids 1..N, where copy k, slot j gets id 1 + k*(d+1) + j.  Each leaf
+carries one concentration weight (``star_weights``, the only place the
+weights are computed).  The operator is realized over a two-block vertex
+space,
 
     D = (i/hbar) [[0, B], [-B^T, 0]],
 
-with B carrying the concentration weights on base-to-neighbour edges.  D is
-Hermitian and anticommutes with the block grading gamma = diag(+1, -1).
+with B holding the leaf weights in the base vertex's row.  D is Hermitian
+and anticommutes with the block grading gamma = diag(+1, -1).  Since B has
+rank one, the commutator [D, a] with a diagonal observable has rank two and
+spectral radius ||w * (a_leaf - a_base)||_2 / hbar; the bound report uses
+that closed form and no dense matrix is ever built.
 """
 
 from __future__ import annotations
@@ -27,65 +33,14 @@ from .manifold import FramedPoint, ManifoldModel, log_coords
 from .specfun import log_c_d
 
 __all__ = [
-    "StarGraph",
-    "star_graphs_from_samples",
     "LambdaWeights",
     "laplace_lambda",
-    "vmf_weight",
+    "anchor_rows",
+    "star_weights",
     "WeightedGraphDirac",
     "assemble_dirac",
-    "spectral_radius",
     "pf_bound_report",
 ]
-
-
-@dataclass(frozen=True)
-class StarGraph:
-    """One sampled star: a shared base vertex and d+1 neighbour vertices.
-
-    ``points`` holds the neighbour sample locations, row per neighbour, in
-    embedding coordinates.  Vertex ids are global across the union graph.
-    """
-
-    copy_index: int
-    base_id: int
-    neighbour_ids: tuple
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = tuple(int(i) for i in self.neighbour_ids)
-        object.__setattr__(self, "neighbour_ids", ids)
-        if len(set(ids)) != len(ids):
-            raise InvalidGraphError(f"duplicate neighbour ids in copy {self.copy_index}")
-        if self.base_id in ids:
-            raise InvalidGraphError("base vertex cannot be its own neighbour")
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[0] != len(ids):
-            raise InvalidGraphError(
-                f"points must have one row per neighbour, got shape {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidGraphError("neighbour points must be finite")
-
-
-def star_graphs_from_samples(samples: np.ndarray, base_id: int = 0) -> list:
-    """Wrap a (n_copies, d+1, embedding_dim) sample array as StarGraph copies.
-
-    Neighbour ids are assigned contiguously: copy k, slot j (0-based) gets
-    id base_id + 1 + k*(d+1) + j.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 3:
-        raise InvalidGraphError(f"samples must be 3-d, got shape {arr.shape}")
-    n, slots, _ = arr.shape
-    graphs = []
-    for k in range(n):
-        ids = tuple(base_id + 1 + k * slots + j for j in range(slots))
-        graphs.append(
-            StarGraph(copy_index=k, base_id=base_id, neighbour_ids=ids, points=arr[k])
-        )
-    return graphs
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,251 +73,88 @@ def laplace_lambda(frame: np.ndarray) -> LambdaWeights:
     return LambdaWeights(lams=lams, s_extra=-u / norm_u)
 
 
-def vmf_weight(
-    m: ManifoldModel,
-    fp: FramedPoint,
-    x,
-    j: int,
-    hbar: float,
-    sigma: int = -1,
-    lam: LambdaWeights | None = None,
-) -> float:
-    """Concentration weight of a sampled point against anchor direction j.
+def anchor_rows(fp: FramedPoint, lam: LambdaWeights) -> np.ndarray:
+    """Log-coordinate anchor directions, one row per star slot: e_1..e_d, s_extra."""
+    return np.vstack([np.eye(fp.d), fp.frame @ lam.s_extra])
 
-    w = exp( log_c_d(d, 1/hbar) + sigma <log_p x, s_j> / hbar ), with s_j the
-    j-th frame direction for j in 1..d and the extra Laplace anchor for
-    j = d+1 (which requires ``lam``).  The point must lie strictly inside the
-    neighbourhood of fp.
+
+def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
+    """Concentration weights exp(log C_d(1/hbar) + sigma <v, s> / hbar).
+
+    ``logc`` holds log coordinates v of the samples, shape (..., d); ``anchors``
+    holds the matching anchor directions s and broadcasts against it.  Every
+    sample must lie strictly inside the neighbourhood of fp.
     """
-    d = fp.d
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool) or not (1 <= j <= d + 1):
-        raise InvalidArgumentError(f"anchor index must lie in 1..{d + 1}, got {j!r}")
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    v = log_coords(m, fp, np.asarray(x, dtype=float))
-    if float(np.linalg.norm(v)) >= fp.delta_u:
-        raise OutOfNeighbourhoodError("sample lies outside the neighbourhood of the base point")
-    if j <= d:
-        proj = float(v[j - 1])
-    else:
-        if lam is None:
-            raise InvalidArgumentError("anchor index d+1 requires LambdaWeights")
-        proj = float(v @ (fp.frame @ lam.s_extra))
-    return math.exp(log_c_d(d, 1.0 / hbar) + sigma * proj / hbar)
-
-
-_DENSE_LIMIT = 512
+    if np.any(np.sqrt(np.sum(logc * logc, axis=-1)) >= fp.delta_u):
+        raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
+    proj = np.einsum("...d,...d->...", logc, anchors)
+    return np.exp(log_c_d(fp.d, 1.0 / hbar) + sigma * proj / hbar)
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraphDirac:
-    """Assembled graph Dirac operator over the union of star copies.
+    """Graph Dirac operator of one weighted star.
 
-    ``weights`` maps (base_id, neighbour_id) to the positive edge weight.
-    ``vertex_ids`` is the sorted tuple of all vertex ids; matrix rows and
-    columns follow this order within each of the two grading blocks.
+    ``weights[g - 1]`` is the weight of the edge from the base vertex (id 0)
+    to leaf g.  Vertex ids double as row and column indices within each of
+    the two grading blocks.
     """
 
     hbar: float
-    d: int
-    base_id: int
-    vertex_ids: tuple
-    weights: dict
-    copies: tuple
+    weights: np.ndarray
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-    def _index(self) -> dict:
-        return {vid: k for k, vid in enumerate(self.vertex_ids)}
-
-    def _edge_block(self) -> np.ndarray:
-        idx = self._index()
-        n = self.n_vertices
-        b = np.zeros((n, n))
-        for (i, g), w in sorted(self.weights.items()):
-            b[idx[i], idx[g]] = w
-        return b
-
-    def matrix(self) -> np.ndarray:
-        """Dense realization, (2V, 2V) complex.  Limited to V <= 512 for diagnostics."""
-        n = self.n_vertices
-        if n > _DENSE_LIMIT:
-            raise InvalidArgumentError(
-                f"dense realization is limited to {_DENSE_LIMIT} vertices, got {n}"
-            )
-        b = self._edge_block()
-        z = np.zeros_like(b)
-        top = np.hstack([z, b])
-        bot = np.hstack([-b.T, z])
-        return (1j / self.hbar) * np.vstack([top, bot]).astype(complex)
-
-    def gamma(self) -> np.ndarray:
-        """Block grading diag(+1, ..., +1, -1, ..., -1) matching matrix()."""
-        n = self.n_vertices
-        return np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-
-    def copy_matrix(self, k: int) -> np.ndarray:
-        """Dense operator of copy k alone: base vertex plus its d+1 neighbours."""
-        if not (0 <= k < len(self.copies)):
-            raise InvalidArgumentError(f"copy index {k} out of range")
-        graph = self.copies[k]
-        slots = len(graph.neighbour_ids)
-        b = np.zeros((slots + 1, slots + 1))
-        for col, gid in enumerate(graph.neighbour_ids):
-            b[0, col + 1] = self.weights[(self.base_id, gid)]
-        z = np.zeros_like(b)
-        top = np.hstack([z, b])
-        bot = np.hstack([-b.T, z])
-        return (1j / self.hbar) * np.vstack([top, bot]).astype(complex)
+        return self.weights.size + 1
 
     def export_matrix_market(self, path) -> None:
-        """Write the sparse union operator in MatrixMarket coordinate format."""
-        idx = self._index()
+        """Write the operator in MatrixMarket coordinate format, row-major order."""
         n = self.n_vertices
-        entries = []
-        for (i, g), w in sorted(self.weights.items()):
-            val = w / self.hbar
-            entries.append((idx[i] + 1, n + idx[g] + 1, 0.0, val))
-            entries.append((n + idx[g] + 1, idx[i] + 1, 0.0, -val))
-        entries.sort()
+        vals = [float(w) / self.hbar for w in self.weights]
         lines = ["%%MatrixMarket matrix coordinate complex general"]
-        lines.append(f"{2 * n} {2 * n} {len(entries)}")
-        for row, col, re, im in entries:
-            lines.append(f"{row} {col} {re!r} {im!r}")
+        lines.append(f"{2 * n} {2 * n} {2 * len(vals)}")
+        lines.extend(f"1 {n + g} 0.0 {v!r}" for g, v in enumerate(vals, start=2))
+        lines.extend(f"{n + g} 1 0.0 {-v!r}" for g, v in enumerate(vals, start=2))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
 def assemble_dirac(
-    graphs,
+    samples,
     m: ManifoldModel,
     fp: FramedPoint,
     hbar: float,
     sigma: int = -1,
     lam: LambdaWeights | None = None,
 ) -> WeightedGraphDirac:
-    """Weight every star copy and assemble the union graph Dirac operator.
+    """Weight a (n_copies, d+1, embedding_dim) sample array as one star.
 
-    Copy k's slot j edge (base, id_kj) gets weight vmf_weight(..., j+1, ...).
-    All copies must share the base id and have exactly d+1 neighbours; ids
-    must be globally distinct.
+    Slot j of every copy is weighted against anchor j (``anchor_rows``).
     """
-    graphs = list(graphs)
-    if not graphs:
-        raise InvalidGraphError("need at least one star copy")
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    d = fp.d
-    base = graphs[0].base_id
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 3 or pts.shape[0] < 1 or pts.shape[1:] != (fp.d + 1, m.embedding_dim):
+        raise InvalidGraphError(
+            f"samples must have shape (n, {fp.d + 1}, {m.embedding_dim}), got {pts.shape}"
+        )
+    if not np.all(np.isfinite(pts)):
+        raise InvalidGraphError("sample points must be finite")
     if lam is None:
         lam = laplace_lambda(fp.frame)
-    anchors = np.vstack([np.eye(d), fp.frame @ lam.s_extra])
-    lcd = log_c_d(d, 1.0 / hbar)
-    seen = {base}
-    weights = {}
-    all_ids = [base]
-    for graph in graphs:
-        if graph.base_id != base:
-            raise InvalidGraphError("all copies must share the base vertex id")
-        if len(graph.neighbour_ids) != d + 1:
-            raise InvalidGraphError(
-                f"copy {graph.copy_index} has {len(graph.neighbour_ids)} neighbours, "
-                f"expected {d + 1}"
-            )
-        for gid in graph.neighbour_ids:
-            if gid in seen:
-                raise InvalidGraphError(f"vertex id {gid} appears in more than one copy")
-            seen.add(gid)
-        v = log_coords(m, fp, graph.points)
-        radii = np.linalg.norm(v, axis=-1)
-        if np.any(radii >= fp.delta_u):
-            raise OutOfNeighbourhoodError(
-                f"copy {graph.copy_index} has samples outside the neighbourhood"
-            )
-        proj = np.sum(v * anchors, axis=1)
-        w = np.exp(lcd + sigma * proj / hbar)
-        for gid, wij in zip(graph.neighbour_ids, w):
-            weights[(base, gid)] = float(wij)
-        all_ids.extend(graph.neighbour_ids)
-    return WeightedGraphDirac(
-        hbar=float(hbar),
-        d=d,
-        base_id=base,
-        vertex_ids=tuple(sorted(all_ids)),
-        weights=weights,
-        copies=tuple(graphs),
-    )
-
-
-def spectral_radius(
-    mat, tol: float = 1e-8, max_iter: int = 20000, seed: int = 0
-) -> float:
-    """Largest eigenvalue modulus of a square matrix by power iteration.
-
-    The estimate is the growth factor |A v_k|.  Because the per-step change
-    understates the remaining error when the spectral gap is small, stopping
-    uses a geometric-tail bound: with successive changes contracting by q,
-    the outstanding change is about delta * q / (1 - q), and the iteration
-    stops once that bound stays below ``tol`` relative for three consecutive
-    steps.  Non-convergence raises NumericFailureError with the best estimate.
-    """
-    a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(np.asarray(a, complex).imag)):
-        raise InvalidArgumentError("matrix entries must be finite")
-    n = a.shape[0]
-    if n == 0:
-        raise InvalidArgumentError("matrix must be non-empty")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = None
-    delta_prev = None
-    stable = 0
-    for _ in range(max_iter):
-        w = a @ v
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = w / est
-        if prev is not None:
-            delta = abs(est - prev)
-            noise = 64.0 * np.finfo(float).eps * max(est, 1e-300)
-            if delta <= noise:
-                tail = 0.0
-            elif delta_prev is None or delta_prev <= delta:
-                tail = math.inf
-            else:
-                q = delta / delta_prev
-                tail = delta * q / (1.0 - q)
-            if tail <= tol * max(est, 1e-300):
-                stable += 1
-                if stable >= 3:
-                    return est
-            else:
-                stable = 0
-            delta_prev = delta
-        prev = est
-    raise NumericFailureError(
-        f"power iteration did not stabilize to {tol:g} in {max_iter} steps",
-        best=prev,
-        diagnostics={"iterations": max_iter},
-    )
+    w = star_weights(log_coords(m, fp, pts), anchor_rows(fp, lam), fp, hbar, sigma)
+    return WeightedGraphDirac(hbar=float(hbar), weights=w.ravel())
 
 
 def pf_bound_report(dirac: WeightedGraphDirac, a_values, grad_sup: float) -> dict:
-    """Commutator norm of the assembled operator against a vertex observable.
+    """Commutator norm of the star operator against a vertex observable.
 
-    ``a_values`` holds one observable value per vertex (in vertex_ids order);
-    the observable acts diagonally on both grading blocks.  Returns the
-    spectral radius of [D, a] and its ratio to the gradient sup bound.
+    ``a_values`` holds one observable value per vertex (base first, then the
+    leaves by id); the observable acts diagonally on both grading blocks.
+    Returns the spectral radius of [D, a], in closed form, and its ratio to
+    the gradient sup bound.
     """
     vals = np.asarray(a_values, dtype=float)
     if vals.shape != (dirac.n_vertices,):
@@ -373,10 +165,7 @@ def pf_bound_report(dirac: WeightedGraphDirac, a_values, grad_sup: float) -> dic
         raise InvalidArgumentError("observable values must be finite")
     if not (math.isfinite(grad_sup) and grad_sup > 0.0):
         raise InvalidArgumentError(f"gradient bound must be finite and > 0, got {grad_sup!r}")
-    d_mat = dirac.matrix()
-    a_full = np.concatenate([vals, vals])
-    comm = d_mat * a_full[None, :] - a_full[:, None] * d_mat
-    rho = spectral_radius(comm)
+    rho = float(np.linalg.norm(dirac.weights * (vals[1:] - vals[0]))) / dirac.hbar
     if not math.isfinite(rho):
         raise NumericFailureError("commutator spectral radius is not finite", best=rho)
     return {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -215,3 +216,20 @@ def test_bound_report_manifest_regeneration(tmp_path, capsys):
     capsys.readouterr()
     for name in ("bound_report.csv", "bound_report.json", "manifest.json"):
         assert read(first / name) == read(second / name)
+
+
+def test_bound_report_scales_past_a_thousand_copies(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert run_cli(["bound-report", "--n-copies", "1000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "bound_report.json").read_text())["rows"]
+    assert len(rows) == 4
+    assert all(math.isfinite(row["rho"]) and math.isfinite(row["bound_ratio"]) for row in rows)
+
+
+def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
+    code = run_cli([
+        "dirac-converge", *SMALL, "--test-function", "nope", "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "unknown test function" in capsys.readouterr().err

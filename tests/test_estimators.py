@@ -30,6 +30,7 @@ from diraclab import (
     squared_radius_function,
     validate_test_function,
 )
+from diraclab.estimators import CSV_COLUMNS, table_texts
 
 
 def star_samples(m, fp, n, seed=0):
@@ -297,16 +298,15 @@ def test_convergence_run_is_deterministic_and_thread_independent():
     threaded = convergence_run(small_config(threads=3))
     assert base.to_json_text() == again.to_json_text()
     assert base.to_json_text() == threaded.to_json_text()
-    assert base.to_csv_text() == threaded.to_csv_text()
+    assert table_texts(CSV_COLUMNS, base.rows) == table_texts(CSV_COLUMNS, threaded.rows)
 
 
 def test_report_serialization_shapes():
     report = convergence_run(small_config(n_grid=(50,), repeats=2))
-    csv_text = report.to_csv_text()
+    csv_text, dat_text = table_texts(CSV_COLUMNS, report.rows)
     lines = csv_text.splitlines()
     assert lines[0].startswith("mode,manifold,d,alpha,n,hbar,j,")
     assert len(lines) == 1 + len(report.rows)
-    dat_text = report.to_dat_text()
     assert dat_text.startswith("# mode manifold")
     json_text = report.to_json_text()
     assert json_text.endswith("\n")

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from diraclab import (
     InvalidArgumentError,
     OutOfInjectivityError,
+    SamplingFailureError,
     default_base_point,
     default_frame,
     exp_map,
@@ -206,6 +207,30 @@ def test_sample_single_matches_batch_stream(manifold):
     one = sample_uniform(manifold, fp, np.random.default_rng(99))
     first = sample_uniform_batch(manifold, fp, np.random.default_rng(99), 1)[0]
     assert_allclose(one, first)
+
+
+class OnesGenerator:
+    """Generator stand-in whose uniform draws are all 1.0: every proposal lands
+    on the neighbourhood boundary, where the sphere's acceptance test fails."""
+
+    def __init__(self):
+        self.uniform_draws = 0
+
+    def standard_normal(self, shape):
+        return np.ones(shape)
+
+    def random(self, size):
+        self.uniform_draws += 1
+        return np.ones(size)
+
+
+def test_sphere_sampler_exhaustion_raises():
+    m = make_manifold("sphere", 2)
+    rng = OnesGenerator()
+    with pytest.raises(SamplingFailureError):
+        sample_uniform_batch(m, framed_point(m), rng, 10)
+    # Two uniform draws (radius, acceptance) per round, 512 rounds.
+    assert rng.uniform_draws == 2 * 512
 
 
 def test_flat_sampler_second_moment():
