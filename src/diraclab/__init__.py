@@ -24,7 +24,6 @@ from .errors import (
 from .estimators import (
     DEFAULT_MASTER_SEED,
     ConvergenceReport,
-    DiracEstimate,
     RunConfig,
     TestFunction,
     convergence_run,
@@ -75,6 +74,7 @@ from .manifold import (
     ManifoldModel,
     default_base_point,
     default_frame,
+    exp_axis,
     exp_map,
     framed_point,
     jacobi_expansion_check,
@@ -82,6 +82,7 @@ from .manifold import (
     log_map,
     make_manifold,
     neighbourhood_volume,
+    sample_log_coords,
     sample_uniform,
     sample_uniform_batch,
     vol_density,

@@ -4,7 +4,8 @@ Every subcommand resolves its configuration from (highest precedence first)
 command-line flags, a key=value config file or a previously written manifest,
 the DIRACLAB_SEED environment variable (seed only), and built-in defaults.
 The resolved configuration is echoed to ``manifest.json``; re-running from a
-manifest reproduces every output byte for byte.  Wall time goes to a separate
+manifest reproduces every output byte for byte.  Wall time (for the
+convergence runs also per-stage seconds and counters) goes to a separate
 ``timing.json``, which is informational and excluded from that contract, as
 are the execution-only settings (output directory, thread count).
 
@@ -38,17 +39,19 @@ from .estimators import (
     s_jn,
     table_texts,
 )
-from .graphdirac import assemble_dirac, pf_bound_report
+from .graphdirac import anchor_rows, assemble_dirac, laplace_lambda, pf_bound_report, star_weights
 from .liealg import (
     DiagonalObservable,
     TensorElement,
     MAT_J,
+    MAT_Y,
     build_w,
     commutator_closed_form,
     commutator_concrete,
     dirac_from_w,
     double_commutator_closed_form,
     laplacian_closed_form,
+    psi_map_to_clifford,
     psi_reduce,
     realize_commutator_edges,
 )
@@ -56,10 +59,10 @@ from .manifold import (
     exp_map,
     framed_point,
     jacobi_expansion_check,
-    log_coords,
     log_map,
     make_manifold,
-    sample_uniform_batch,
+    neighbourhood_volume,
+    sample_log_coords,
     vol_density,
 )
 from .specfun import lemma_abc, vmf_moments
@@ -277,6 +280,18 @@ def _random_operator(rng, n_pairs: int, hbar: float):
     return dirac_from_w(w_op, hbar)
 
 
+def _word_path_components(m, fp, a, v, hbar: float) -> list:
+    """Frame-derivative estimate through the word calculus: the averaged
+    commutator element of the star samples ``v`` (log coordinates, shape
+    (n, d+1, d)), reduced to a grade-1 multivector and rescaled by Vol/hbar."""
+    w = star_weights(v, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, 1)
+    coeff = (w * (a.evaluate(v) - a.evaluate(np.zeros(m.d)))).mean(axis=0)
+    terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(m.d + 1)}
+    mv, _factor = psi_map_to_clifford(TensorElement((m.d + 3) // 2, terms), m.d, hbar)
+    scaled = mv.scale(neighbourhood_volume(m, fp) / hbar)
+    return [scaled.component(1 << k) for k in range(m.d)]
+
+
 def _algebra_rows(seed: int) -> list:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     rows = []
@@ -366,13 +381,14 @@ def _algebra_rows(seed: int) -> list:
     fp = framed_point(m)
     a = linear_coordinate_function(m, fp, 1)
     rng2 = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    pts = sample_uniform_batch(m, fp, rng2, 64 * 3).reshape(64, 3, 2)
+    v = sample_log_coords(m, fp, rng2, 64 * 3).reshape(64, 3, 2)
     hbar = 0.25
-    est = dirac_estimate(m, pts, a, fp, hbar)
+    word = _word_path_components(m, fp, a, v, hbar)
+    est = dirac_estimate(m, v, a, fp, hbar)
     err = 0.0
     for j in (1, 2):
-        direct = s_jn(m, pts[:, j - 1, :], a, fp, j, hbar)
-        err = max(err, abs(float(est.components[j - 1]) - direct))
+        direct = s_jn(m, v[:, j - 1, :], a, fp, j, hbar)
+        err = max(err, abs(word[j - 1] - direct), abs(word[j - 1] - float(est[j - 1])))
     rows.append(
         {
             "check": "estimator-word-path-vs-direct",
@@ -576,8 +592,7 @@ def _geometry_rows(seed: int, dim: int):
             )
 
         n_samples = 20000
-        pts = sample_uniform_batch(m, fp, rng, n_samples)
-        sample_r = np.linalg.norm(log_coords(m, fp, pts), axis=1)
+        sample_r = np.linalg.norm(sample_log_coords(m, fp, rng, n_samples), axis=1)
         grid_r, grid_cdf = _radial_cdf_grid(m, fp)
         n_bins = 20
         edges = np.interp(np.linspace(0.0, 1.0, n_bins + 1), grid_cdf, grid_r)
@@ -666,8 +681,8 @@ def _dump_operators(args, cfg: RunConfig, dump_dir: str) -> None:
         hbar = hbar_schedule(n, cfg.alpha)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n_idx, 0]))
         copies = min(4, n)
-        pts = sample_uniform_batch(m, fp, rng, copies * slots).reshape(copies, slots, -1)
-        dirac = assemble_dirac(pts, m, fp, hbar, sigma=cfg.sigma)
+        v = sample_log_coords(m, fp, rng, copies * slots).reshape(copies, slots, m.d)
+        dirac = assemble_dirac(v, m, fp, hbar, sigma=cfg.sigma)
         dirac.export_matrix_market(os.path.join(dump_dir, f"dirac_n{n}.mtx"))
 
 
@@ -675,9 +690,7 @@ def _cmd_converge(args, mode: str) -> int:
     layer = _file_layer(args, f"{mode}-converge")
     out_dir = _resolve_out(args, layer)
     cfg = _resolve_run_config(args, layer, mode)
-    t0 = time.perf_counter()
     report = convergence_run(cfg)
-    report.wall_time_s = time.perf_counter() - t0
     _ensure_dir(out_dir)
     config = {
         "mode": mode,
@@ -697,7 +710,7 @@ def _cmd_converge(args, mode: str) -> int:
     _write_manifest(out_dir, f"{mode}-converge", config)
     _write_table(out_dir, "report", CSV_COLUMNS, report.rows)
     _write_text(out_dir, "report.json", report.to_json_text())
-    _write_timing(out_dir, report.wall_time_s)
+    _write_json(out_dir, "timing.json", report.timing)
     if getattr(args, "dump_operators", None):
         _dump_operators(args, cfg, args.dump_operators)
     for row in report.rows:
@@ -732,10 +745,10 @@ def _cmd_bound_report(args) -> int:
     a = linear_coordinate_function(m, fp, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     slots = m.d + 1
-    pts = sample_uniform_batch(m, fp, rng, n_copies * slots)
+    v = sample_log_coords(m, fp, rng, n_copies * slots)
     # One value per vertex id: the base point, then the leaves in sampling order.
-    a_values = a.evaluate(np.vstack([fp.point, pts]))
-    stars = pts.reshape(n_copies, slots, -1)
+    a_values = a.evaluate(np.vstack([np.zeros(m.d), v]))
+    stars = v.reshape(n_copies, slots, m.d)
     rows = []
     for idx, hbar in enumerate(hbar_grid):
         dirac = assemble_dirac(stars, m, fp, float(hbar), sigma=sigma)

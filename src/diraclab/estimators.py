@@ -1,10 +1,13 @@
 """Monte Carlo estimators for frame derivatives and the Laplacian, with oracles.
 
 The estimators average concentration-weighted differences of a test function
-over sampled star graphs.  The frame-derivative estimator is assembled through
-the word calculus (averaged commutator element, reduced to a grade-1
-multivector); the direct column formula ``s_jn`` must agree with it to
-rounding, and tests hold both routes against each other.
+over sampled star graphs.  Samples are frame log coordinates at the base
+point, shape (..., d), as ``sample_log_coords`` draws them; test functions
+are evaluated on the same coordinates, so nothing is mapped into the
+embedding and back.  The frame-derivative estimate is the weighted mean of
+each anchor column; it equals the column formula ``s_jn`` and the grade-1
+image of the averaged commutator element in the word calculus, which the
+``estimator-word-path-vs-direct`` row of ``algebra-check`` holds to 1e-12.
 
 Normalization: the samples are uniform on the neighbourhood, so the sample
 mean estimates (1/Vol) times the kernel integral; every estimator multiplies
@@ -19,23 +22,21 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import json
+import time
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .clifford import Multivector
 from .errors import InvalidArgumentError
 from .graphdirac import LambdaWeights, anchor_rows, laplace_lambda, star_weights
-from .liealg import MAT_Y, TensorElement, psi_map_to_clifford
 from .manifold import (
     FramedPoint,
     ManifoldModel,
-    exp_map,
+    exp_axis,
     framed_point,
-    log_coords,
     make_manifold,
     neighbourhood_volume,
-    sample_uniform_batch,
+    sample_log_coords,
     vol_density,
 )
 from .specfun import QuadratureRule, _adaptive, log_c_d
@@ -53,7 +54,6 @@ __all__ = [
     "polynomial_family",
     "resolve_test_function",
     "s_jn",
-    "DiracEstimate",
     "dirac_estimate",
     "laplace_estimate",
     "dirac_expectation_oracle",
@@ -115,7 +115,8 @@ def hoeffding_bound(n: int, eps: float, alpha: float, d: int) -> float:
 class TestFunction:
     """A scalar observable with its frame derivatives and Laplacian at the base point.
 
-    ``evaluate`` maps point arrays (..., embedding_dim) to values (...).
+    ``evaluate`` maps frame log coordinates (..., d) at the base point to
+    values (...); the base point itself is the zero vector.
     ``frame_derivatives[j-1]`` is e_j(a) at the base point; ``laplacian_at_base``
     is the Laplace-Beltrami value there.
     """
@@ -138,13 +139,13 @@ def validate_test_function(
     Returns the residuals; raises InvalidArgumentError when any relative
     residual exceeds ``tol``.
     """
-    base = float(a.evaluate(fp.point))
+    base = float(a.evaluate(np.zeros(m.d)))
     deriv_res = []
     lap_fd = 0.0
     for j in range(m.d):
-        step = h * fp.frame[j]
-        up = float(a.evaluate(exp_map(m, fp.point, step)))
-        down = float(a.evaluate(exp_map(m, fp.point, -step)))
+        step = h * np.eye(m.d)[j]
+        up = float(a.evaluate(step))
+        down = float(a.evaluate(-step))
         fd = (up - down) / (2.0 * h)
         declared = float(a.frame_derivatives[j])
         deriv_res.append(abs(fd - declared) / max(1.0, abs(declared)))
@@ -166,8 +167,8 @@ def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> Tes
     derivs = np.zeros(m.d)
     derivs[j - 1] = 1.0
 
-    def evaluate(points):
-        return log_coords(m, fp, points)[..., j - 1]
+    def evaluate(v):
+        return np.asarray(v, dtype=float)[..., j - 1]
 
     return TestFunction(
         name=f"linear-x{j}",
@@ -180,9 +181,9 @@ def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> Tes
 def squared_radius_function(m: ManifoldModel, fp: FramedPoint) -> TestFunction:
     """a(x) = |log_p x|^2.  Gradient 0 at p; Laplacian 2d there."""
 
-    def evaluate(points):
-        v = log_coords(m, fp, points)
-        return np.sum(v * v, axis=-1)
+    def evaluate(v):
+        v = np.asarray(v, dtype=float)
+        return np.einsum("...d,...d->...", v, v)
 
     return TestFunction(
         name="squared-radius",
@@ -196,7 +197,8 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
     """a(x) = x[axis] in embedding coordinates.
 
     On the sphere: e_j(a)(p) = <e_j, u>, Laplacian -d <p, u> (u the axis
-    direction); flat space is the linear case with zero Laplacian.
+    direction); flat space is the linear case with zero Laplacian.  The only
+    shipped function that embeds, through the one column ``exp_axis`` forms.
     """
     if not (0 <= axis < m.embedding_dim):
         raise InvalidArgumentError(
@@ -208,8 +210,8 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
     else:
         lap = 0.0
 
-    def evaluate(points):
-        return np.asarray(points, dtype=float)[..., axis]
+    def evaluate(v):
+        return exp_axis(m, fp, v, axis)
 
     return TestFunction(
         name=f"embedding-x{axis + 1}",
@@ -231,8 +233,8 @@ def _polynomial(m: ManifoldModel, fp: FramedPoint, name: str, terms) -> TestFunc
         elif (p1, p2) == (2, 0) or (p1, p2) == (0, 2):
             lap += 2.0 * coeff
 
-    def evaluate(points, _terms=tuple(terms)):
-        v = log_coords(m, fp, points)
+    def evaluate(v, _terms=tuple(terms)):
+        v = np.asarray(v, dtype=float)
         out = np.zeros(v.shape[:-1])
         for coeff, (p1, p2) in _terms:
             out = out + coeff * v[..., 0] ** p1 * v[..., 1] ** p2
@@ -285,6 +287,19 @@ def resolve_test_function(m: ManifoldModel, fp: FramedPoint, mode: str, name: st
     raise InvalidArgumentError(f"unknown test function {name!r}")
 
 
+def _coords(samples, tail: tuple) -> np.ndarray:
+    """Sample log coordinates as a float array of shape (n, *tail), n >= 1."""
+    v = np.asarray(samples, dtype=float)
+    if v.shape[1:] != tail or v.shape[0] < 1:
+        raise InvalidArgumentError(f"samples must have shape (n >= 1, *{tail}), got {v.shape}")
+    return v
+
+
+def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray) -> np.ndarray:
+    """a(x) - a(p) at log coordinates v."""
+    return np.asarray(a.evaluate(v), dtype=float) - float(a.evaluate(np.zeros(m.d)))
+
+
 def s_jn(
     m: ManifoldModel,
     samples,
@@ -296,86 +311,47 @@ def s_jn(
 ) -> float:
     """Direct frame-derivative estimator from the j-th neighbour column.
 
+    ``samples`` holds the log coordinates (n, d) of the column's points.
     s_jn = (Vol(U_p) / (n hbar)) sum_k w_kj (a(x_k) - a(p)), with w the
     concentration weight against the j-th frame anchor.
     """
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InvalidArgumentError(f"samples must be a non-empty 2-d array, got {pts.shape}")
-    n = pts.shape[0]
-    w = star_weights(log_coords(m, fp, pts), np.eye(m.d)[j - 1], fp, hbar, sigma)
-    da = np.asarray(a.evaluate(pts), dtype=float) - float(a.evaluate(fp.point))
-    vol = neighbourhood_volume(m, fp)
-    return vol * float(np.sum(w * da)) / (n * hbar)
+    v = _coords(samples, (m.d,))
+    w = star_weights(v, np.eye(m.d)[j - 1], fp, hbar, sigma)
+    return neighbourhood_volume(m, fp) * float(np.sum(w * _centered(m, a, v))) / (len(v) * hbar)
 
 
-@dataclass(frozen=True)
-class DiracEstimate:
-    """Frame-derivative estimate assembled through the word calculus.
-
-    ``multivector`` is grade-1 with component j equal to the column estimator
-    s_jn; ``factor`` is the residual anti-Hermitian unit i carried by the
-    commutator realization.
-    """
-
-    multivector: Multivector
-    factor: complex
-    components: np.ndarray
-    hbar: float
-    n_copies: int
-
-
-def _weights_and_differences(m, samples, a, fp, hbar, sigma, lam):
-    """Shared core: weight matrix (n, d+1) and centered values (n, d+1)."""
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 3 or pts.shape[1] != m.d + 1 or pts.shape[0] < 1:
-        raise InvalidArgumentError(
-            f"samples must have shape (n, {m.d + 1}, {m.embedding_dim}), got {pts.shape}"
-        )
-    w = star_weights(log_coords(m, fp, pts), anchor_rows(fp, lam), fp, hbar, sigma)
-    da = np.asarray(a.evaluate(pts), dtype=float) - float(a.evaluate(fp.point))
-    return w, da
+def _star(m, samples, fp, hbar, sigma, lam):
+    """Star samples (n, d+1, d), their weights (n, d+1) against the anchors, and lam."""
+    v = _coords(samples, (m.d + 1, m.d))
+    if lam is None:
+        lam = laplace_lambda(fp.frame)
+    return v, star_weights(v, anchor_rows(fp, lam), fp, hbar, sigma), lam
 
 
 def dirac_estimate(
     m: ManifoldModel,
     samples,
-    a: TestFunction,
+    a,
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
     lam: LambdaWeights | None = None,
-) -> DiracEstimate:
+) -> np.ndarray:
     """Estimate the frame gradient of ``a`` at the base point from star samples.
 
-    ``samples`` has shape (n, d+1, embedding_dim): n star copies, one sampled
-    neighbour per anchor slot.  The averaged commutator element is built in
-    the word calculus, reduced to a grade-1 multivector, and rescaled by the
-    neighbourhood volume; its components equal s_jn on each column.
+    ``samples`` has shape (n, d+1, d): n star copies, the log coordinates of
+    one sampled neighbour per anchor slot.  Component j is the weighted mean
+    of column j rescaled by Vol(U_p) / hbar, i.e. s_jn on that column.
+    ``a`` is one test function, giving the (d,) components, or a sequence of
+    them, giving one row per function; the weights are computed once.
     """
-    if lam is None:
-        lam = laplace_lambda(fp.frame)
-    w, da = _weights_and_differences(m, samples, a, fp, hbar, sigma, lam)
-    n = w.shape[0]
-    coeff = (w * da).mean(axis=0)
-    n_pairs = (m.d + 3) // 2
-    terms = {}
-    for slot in range(m.d + 1):
-        terms[((1, 2 + slot),)] = (1j / hbar) * coeff[slot] * MAT_Y
-    element = TensorElement(n_pairs, terms)
-    mv, _factor = psi_map_to_clifford(element, m.d, hbar)
-    vol = neighbourhood_volume(m, fp)
-    scaled = mv.scale(vol / hbar)
-    components = np.array([scaled.component(1 << k) for k in range(m.d)])
-    return DiracEstimate(
-        multivector=scaled,
-        factor=1j,
-        components=components,
-        hbar=float(hbar),
-        n_copies=n,
-    )
+    v, w, _ = _star(m, samples, fp, hbar, sigma, lam)
+    funcs = [a] if isinstance(a, TestFunction) else list(a)
+    scale = neighbourhood_volume(m, fp) / hbar
+    comps = np.array([(w * _centered(m, f, v)).mean(axis=0)[: m.d] * scale for f in funcs])
+    return comps[0] if isinstance(a, TestFunction) else comps
 
 
 def laplace_estimate(
@@ -390,37 +366,34 @@ def laplace_estimate(
 ) -> float:
     """Estimate the Laplacian of ``a`` at the base point from star samples.
 
+    ``samples`` are star log coordinates as for ``dirac_estimate``.
     Omega_n = (Vol(U_p) / (n hbar^2)) sum_k sum_j lambda_j^p w_kj (a(x_kj) - a(p)),
     with one shared normalizer inside the weights and the averaging weights
     lambda summing to 1 (``lambda_power`` selects first or second power).
     """
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    if lam is None:
-        lam = laplace_lambda(fp.frame)
-    w, da = _weights_and_differences(m, samples, a, fp, hbar, sigma, lam)
-    n = w.shape[0]
+    v, w, lam = _star(m, samples, fp, hbar, sigma, lam)
     lamvec = lam.lams**lambda_power
-    total = float(np.sum((w * da) @ lamvec))
-    vol = neighbourhood_volume(m, fp)
-    return vol * total / (n * hbar * hbar)
+    total = float(np.sum((w * _centered(m, a, v)) @ lamvec))
+    return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
 
 
-def _oracle_quadrature(m, fp, hbar, sigma, rule, make_kernel, a):
+def _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a):
     """Adaptive polar quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball.
 
-    ``make_kernel(proj_matrix)`` maps anchor projections (nodes, d+1) to the
-    kernel values; the caller folds in its own anchor weights and prefactors.
-    Only d = 2 is supported; higher dimensions would need a product rule over
-    the sphere of directions.
+    The kernel is the anchor kernels exp(log C_d + sigma <v, s_j> / hbar)
+    combined with the weights ``mix`` (d+1); the caller applies its own
+    prefactor.  Only d = 2 is supported; higher dimensions would need a
+    product rule over the sphere of directions.
     """
     if m.d != 2:
         raise InvalidArgumentError("quadrature oracles are implemented for d = 2 only")
     if rule is None:
         rule = QuadratureRule()
-    lam = laplace_lambda(fp.frame)
-    anchors = anchor_rows(fp, lam)
-    a0 = float(a.evaluate(fp.point))
+    anchors = anchor_rows(fp, laplace_lambda(fp.frame))
+    beta = 1.0 / hbar
+    lcd = log_c_d(m.d, beta)
 
     def evaluate(level: int):
         r, wr = rule.radial_nodes(level, 0.0, fp.delta_u)
@@ -430,12 +403,10 @@ def _oracle_quadrature(m, fp, hbar, sigma, rule, make_kernel, a):
         wphi = math.pi * wx
         cs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         v = r[:, None, None] * cs[None, :, :]
-        emb = v @ fp.frame
-        pts = exp_map(m, fp.point, emb)
-        da = np.asarray(a.evaluate(pts), dtype=float) - a0
-        dens = vol_density(m, fp.point, emb)
+        da = _centered(m, a, v)
+        dens = vol_density(m, fp.point, v)
         proj = np.einsum("rpd,sd->rps", v, anchors)
-        kern = make_kernel(proj)
+        kern = np.exp(lcd + sigma * beta * proj) @ mix
         vals = kern * da * dens * r[:, None]
         total = np.einsum("rp,r,p->", vals, wr, wphi)
         return np.array([total])
@@ -455,13 +426,8 @@ def dirac_expectation_oracle(
     """Exact expectation of s_jn at fixed hbar, by quadrature (d = 2)."""
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
-    beta = 1.0 / hbar
-    lcd = log_c_d(m.d, beta)
-
-    def make_kernel(proj):
-        return np.exp(lcd + sigma * beta * proj[..., j - 1])
-
-    return _oracle_quadrature(m, fp, hbar, sigma, rule, make_kernel, a) / hbar
+    mix = np.eye(m.d + 1)[j - 1]
+    return _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a) / hbar
 
 
 def laplace_expectation_oracle(
@@ -476,15 +442,8 @@ def laplace_expectation_oracle(
     """Exact expectation of the Laplace estimator at fixed hbar, by quadrature (d = 2)."""
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    beta = 1.0 / hbar
-    lcd = log_c_d(m.d, beta)
-    lam = laplace_lambda(fp.frame)
-    lamvec = lam.lams**lambda_power
-
-    def make_kernel(proj):
-        return np.exp(lcd + sigma * beta * proj) @ lamvec
-
-    return _oracle_quadrature(m, fp, hbar, sigma, rule, make_kernel, a) / (hbar * hbar)
+    mix = laplace_lambda(fp.frame).lams**lambda_power
+    return _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a) / (hbar * hbar)
 
 
 @dataclass(frozen=True)
@@ -568,14 +527,19 @@ def table_texts(columns, rows) -> tuple:
 class ConvergenceReport:
     """Rows of a convergence experiment plus its resolved metadata.
 
-    ``wall_time_s`` is informational only and is deliberately left out of
-    every serialization, so regenerated reports are byte-identical.
+    ``timing`` (wall seconds, per-stage seconds and counters, see
+    ``convergence_run``) is informational only and is deliberately left out
+    of every serialization, so regenerated reports are byte-identical.
     """
 
     metadata: dict
     rows: list
     family_rows: list = field(default_factory=list)
-    wall_time_s: float | None = None
+    timing: dict = field(default_factory=dict)
+
+    @property
+    def wall_time_s(self) -> float | None:
+        return self.timing.get("wall_time_s")
 
     def to_json_text(self) -> str:
         payload = {
@@ -619,7 +583,13 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     own generator from SeedSequence([master_seed, n_index, repeat_index]), so
     results do not depend on scheduling or thread count.  An empty n grid
     yields an empty report.
+
+    ``report.timing`` holds the run's wall seconds, the seconds spent in each
+    stage (``sampling`` and ``estimation`` summed over repeats, and worker
+    threads when there are several; ``oracles`` for the quadrature oracles)
+    and counters: sample points drawn, repeats, oracle calls.
     """
+    t_start = time.perf_counter()
     m = make_manifold(cfg.manifold, cfg.dim)
     fp = framed_point(m, delta_u=cfg.delta_u)
     a = resolve_test_function(m, fp, cfg.mode, cfg.test_function)
@@ -635,95 +605,71 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.master_seed, n_idx, rep])
         )
-        pts = sample_uniform_batch(m, fp, rng, n * slots).reshape(n, slots, m.embedding_dim)
+        t0 = time.perf_counter()
+        v = sample_log_coords(m, fp, rng, n * slots).reshape(n, slots, m.d)
+        t1 = time.perf_counter()
         if cfg.mode == "dirac":
-            est = dirac_estimate(m, pts, a, fp, hbar, sigma=cfg.sigma, lam=lam)
-            fam = (
-                np.array(
-                    [
-                        dirac_estimate(m, pts, f, fp, hbar, sigma=cfg.sigma, lam=lam).components
-                        for f in family
-                    ]
-                )
-                if family
-                else None
+            # One weight computation serves the test function and the family.
+            est = dirac_estimate(m, v, [a, *family], fp, hbar, sigma=cfg.sigma, lam=lam)
+        else:
+            value = laplace_estimate(
+                m, v, a, fp, hbar, sigma=cfg.sigma, lam=lam, lambda_power=cfg.lambda_power
             )
-            return est.components, fam
-        value = laplace_estimate(
-            m, pts, a, fp, hbar, sigma=cfg.sigma, lam=lam, lambda_power=cfg.lambda_power
-        )
-        return np.array([value]), None
+            est = np.array([[value]])
+        return est, t1 - t0, time.perf_counter() - t1
 
     n_components = m.d if cfg.mode == "dirac" else 1
-    results = {
-        n_idx: np.empty((cfg.repeats, n_components)) for n_idx in range(len(cfg.n_grid))
-    }
-    fam_results = {n_idx: [None] * cfg.repeats for n_idx in range(len(cfg.n_grid))}
     tasks = [(n_idx, rep) for n_idx in range(len(cfg.n_grid)) for rep in range(cfg.repeats)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             outs = list(pool.map(lambda t: one_repeat(*t), tasks))
     else:
         outs = [one_repeat(*t) for t in tasks]
-    for (n_idx, rep), (comps, fam) in zip(tasks, outs):
-        results[n_idx][rep] = comps
-        fam_results[n_idx][rep] = fam
+    # (n index, repeat, test function then family members, component)
+    results = np.array([est for est, _, _ in outs]).reshape(
+        len(cfg.n_grid), cfg.repeats, 1 + len(family), n_components
+    )
+    stages = {
+        "sampling": sum(t for _, t, _ in outs),
+        "estimation": sum(t for _, _, t in outs),
+        "oracles": 0.0,
+    }
 
     rows = []
     family_rows = []
+    oracle_calls = 0
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
         hf = hoeffding_bound(n, cfg.hoeffding_eps, cfg.alpha, m.d)
-        data = results[n_idx]
-        if cfg.mode == "dirac":
-            col_targets = [float(a.frame_derivatives[j - 1]) for j in range(1, m.d + 1)]
-            col_oracles = [
+        t_oracle = time.perf_counter()
+        if m.d != 2:
+            oracles = [math.nan] * n_components
+        elif cfg.mode == "dirac":
+            oracles = [
                 dirac_expectation_oracle(m, a, fp, j, hbar, sigma=cfg.sigma)
-                if m.d == 2
-                else math.nan
                 for j in range(1, m.d + 1)
             ]
-            for j in range(1, m.d + 1):
-                vals = data[:, j - 1]
-                mean = float(np.mean(vals))
-                se = (
-                    float(np.std(vals, ddof=1) / math.sqrt(cfg.repeats))
-                    if cfg.repeats > 1
-                    else 0.0
-                )
-                rows.append(
-                    {
-                        "mode": cfg.mode,
-                        "manifold": cfg.manifold,
-                        "d": m.d,
-                        "alpha": cfg.alpha,
-                        "n": n,
-                        "hbar": hbar,
-                        "j": j,
-                        "estimate_mean": mean,
-                        "estimate_se": se,
-                        "oracle": col_oracles[j - 1],
-                        "target": col_targets[j - 1],
-                        "abs_err": abs(mean - col_targets[j - 1]),
-                        "hoeffding": hf,
-                    }
-                )
+            oracle_calls += len(oracles)
         else:
-            vals = data[:, 0]
+            oracles = [
+                laplace_expectation_oracle(
+                    m, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
+                )
+            ]
+            oracle_calls += 1
+        stages["oracles"] += time.perf_counter() - t_oracle
+        if cfg.mode == "dirac":
+            targets = [float(x) for x in a.frame_derivatives]
+        else:
+            targets = [float(a.laplacian_at_base)]
+        for c in range(n_components):
+            vals = results[n_idx, :, 0, c]
             mean = float(np.mean(vals))
             se = (
                 float(np.std(vals, ddof=1) / math.sqrt(cfg.repeats))
                 if cfg.repeats > 1
                 else 0.0
             )
-            oracle = (
-                laplace_expectation_oracle(
-                    m, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
-                )
-                if m.d == 2
-                else math.nan
-            )
-            target = float(a.laplacian_at_base)
             rows.append(
                 {
                     "mode": cfg.mode,
@@ -732,17 +678,17 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
                     "alpha": cfg.alpha,
                     "n": n,
                     "hbar": hbar,
-                    "j": 0,
+                    "j": c + 1 if cfg.mode == "dirac" else 0,
                     "estimate_mean": mean,
                     "estimate_se": se,
-                    "oracle": oracle,
-                    "target": target,
-                    "abs_err": abs(mean - target),
+                    "oracle": oracles[c],
+                    "target": targets[c],
+                    "abs_err": abs(mean - targets[c]),
                     "hoeffding": hf,
                 }
             )
-        if family and cfg.mode == "dirac":
-            stack = np.array(fam_results[n_idx])
+        if family:
+            stack = results[n_idx, :, 1:]
             centers = stack.mean(axis=0)
             devs = np.linalg.norm(stack - centers[None, :, :], axis=2)
             sup_per_rep = devs.max(axis=1)
@@ -755,4 +701,11 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
                     "sup_fluctuation_max": float(np.max(sup_per_rep)),
                 }
             )
-    return ConvergenceReport(metadata=metadata, rows=rows, family_rows=family_rows)
+    counters = {
+        "samples_drawn": sum(cfg.n_grid) * slots * cfg.repeats,
+        "repeats": len(tasks),
+        "oracle_calls": oracle_calls,
+    }
+    wall = time.perf_counter() - t_start
+    timing = {"wall_time_s": wall, "stages_s": stages, "counters": counters}
+    return ConvergenceReport(metadata=metadata, rows=rows, family_rows=family_rows, timing=timing)

@@ -29,7 +29,9 @@ from .errors import (
     NumericFailureError,
     OutOfNeighbourhoodError,
 )
-from .manifold import FramedPoint, ManifoldModel, log_coords
+# log_coords is not used here; it stays importable from this module because
+# perfbench's tracer test checks that a re-imported name is wrapped and restored.
+from .manifold import FramedPoint, ManifoldModel, log_coords  # noqa: F401
 from .specfun import log_c_d
 
 __all__ = [
@@ -83,13 +85,15 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
 
     ``logc`` holds log coordinates v of the samples, shape (..., d); ``anchors``
     holds the matching anchor directions s and broadcasts against it.  Every
-    sample must lie strictly inside the neighbourhood of fp.
+    sample must be finite and lie strictly inside the neighbourhood of fp.
     """
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    if np.any(np.sqrt(np.sum(logc * logc, axis=-1)) >= fp.delta_u):
+    if not np.all(np.sqrt(np.einsum("...d,...d->...", logc, logc)) < fp.delta_u):
+        if not np.all(np.isfinite(logc)):
+            raise InvalidArgumentError("sample log coordinates must be finite")
         raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
     proj = np.einsum("...d,...d->...", logc, anchors)
     return np.exp(log_c_d(fp.d, 1.0 / hbar) + sigma * proj / hbar)
@@ -128,23 +132,23 @@ def assemble_dirac(
     m: ManifoldModel,
     fp: FramedPoint,
     hbar: float,
-    sigma: int = -1,
+    sigma: int = 1,
     lam: LambdaWeights | None = None,
 ) -> WeightedGraphDirac:
-    """Weight a (n_copies, d+1, embedding_dim) sample array as one star.
+    """Weight a (n_copies, d+1, d) array of sample log coordinates as one star.
 
     Slot j of every copy is weighted against anchor j (``anchor_rows``).
     """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 3 or pts.shape[0] < 1 or pts.shape[1:] != (fp.d + 1, m.embedding_dim):
+    v = np.asarray(samples, dtype=float)
+    if v.ndim != 3 or v.shape[0] < 1 or v.shape[1:] != (fp.d + 1, m.d):
         raise InvalidGraphError(
-            f"samples must have shape (n, {fp.d + 1}, {m.embedding_dim}), got {pts.shape}"
+            f"samples must be log coordinates of shape (n, {fp.d + 1}, {m.d}), got {v.shape}"
         )
-    if not np.all(np.isfinite(pts)):
-        raise InvalidGraphError("sample points must be finite")
+    if not np.all(np.isfinite(v)):
+        raise InvalidGraphError("sample log coordinates must be finite")
     if lam is None:
         lam = laplace_lambda(fp.frame)
-    w = star_weights(log_coords(m, fp, pts), anchor_rows(fp, lam), fp, hbar, sigma)
+    w = star_weights(v, anchor_rows(fp, lam), fp, hbar, sigma)
     return WeightedGraphDirac(hbar=float(hbar), weights=w.ravel())
 
 

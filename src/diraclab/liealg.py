@@ -161,7 +161,7 @@ class TensorElement:
             self.terms[word] = mat.copy()
 
     def _pruned(self) -> "TensorElement":
-        self.terms = {w: m for w, m in self.terms.items() if np.any(m != 0)}
+        self.terms = {w: m for w, m in self.terms.items() if m.any()}
         return self
 
     def __add__(self, other: "TensorElement") -> "TensorElement":

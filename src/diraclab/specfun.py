@@ -201,16 +201,15 @@ def vmf_moments(
     s,
     t: float,
     rule: QuadratureRule | None = None,
-    sigma: int = -1,
+    sigma: int = 1,
 ):
     """First and second moment integrals of the concentration kernel on the unit ball.
 
     The measure has density C_d(1/t) exp(sigma <s, x> / t) on {|x| <= 1}; its
     total mass is O(t), and the returned moments are the plain integrals
     m1 = int x dmu and m2 = int x x^T dmu, not mass-normalized ratios.  Both
-    signs of the exponent are selectable; the default matches the estimator
-    weights' concentration direction convention sigma = -1 here (the run
-    configuration carries its own calibrated default).
+    signs of the exponent are selectable; the default sigma = +1 is the one
+    sign convention of the package (star weights, estimators, run configs).
 
     Returns (m1, m2) with m1 of shape (d,) and m2 symmetric (d, d).  m2 has
     eigenvector structure span{s} plus its orthogonal complement.

@@ -233,3 +233,27 @@ def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
     ])
     assert code == 1
     assert "unknown test function" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["dirac", "laplace"])
+def test_converge_timing_stages_and_thread_independent_bytes(tmp_path, capsys, mode):
+    one = tmp_path / "t1"
+    two = tmp_path / "t2"
+    assert run_cli([f"{mode}-converge", *SMALL, "--out", str(one)]) == 0
+    assert run_cli([f"{mode}-converge", *SMALL, "--threads", "2", "--out", str(two)]) == 0
+    capsys.readouterr()
+    for name in ("report.csv", "report.dat", "report.json", "manifest.json"):
+        assert read(one / name) == read(two / name)
+    for out in (one, two):
+        timing = json.loads((out / "timing.json").read_text())
+        assert set(timing) == {"wall_time_s", "stages_s", "counters"}
+        assert set(timing["stages_s"]) == {"sampling", "estimation", "oracles"}
+        assert all(s >= 0.0 for s in timing["stages_s"].values())
+        assert timing["wall_time_s"] >= timing["stages_s"]["oracles"]
+        # n grid 60, 120 with d + 1 = 3 slots, 2 repeats each; d = 2 oracles per
+        # grid point for the frame derivative, one for the Laplacian.
+        assert timing["counters"] == {
+            "samples_drawn": (60 + 120) * 3 * 2,
+            "repeats": 4,
+            "oracle_calls": 4 if mode == "dirac" else 2,
+        }

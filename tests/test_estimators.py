@@ -11,33 +11,43 @@ from scipy import special
 
 from diraclab import (
     InvalidArgumentError,
+    OutOfNeighbourhoodError,
     RunConfig,
+    TensorElement,
+    anchor_rows,
     convergence_run,
     dirac_estimate,
     dirac_expectation_oracle,
     embedding_coordinate_function,
+    exp_map,
     framed_point,
     hbar_schedule,
     hoeffding_bound,
     laplace_estimate,
     laplace_expectation_oracle,
+    laplace_lambda,
     linear_coordinate_function,
+    log_coords,
     make_manifold,
+    neighbourhood_volume,
     polynomial_family,
+    psi_map_to_clifford,
     resolve_test_function,
     s_jn,
-    sample_uniform_batch,
+    sample_log_coords,
     squared_radius_function,
+    star_weights,
     validate_test_function,
 )
 from diraclab.estimators import CSV_COLUMNS, table_texts
+from diraclab.liealg import MAT_Y
 
 
 def star_samples(m, fp, n, seed=0):
+    """Log coordinates of n star copies, shape (n, d+1, d)."""
     rng = np.random.default_rng(seed)
     slots = m.d + 1
-    pts = sample_uniform_batch(m, fp, rng, n * slots)
-    return pts.reshape(n, slots, m.embedding_dim)
+    return sample_log_coords(m, fp, rng, n * slots).reshape(n, slots, m.d)
 
 
 def test_hbar_schedule_pinned_values():
@@ -180,12 +190,20 @@ def test_dirac_estimate_components_match_column_estimators(kind):
     a = resolve_test_function(m, fp, "dirac", "auto")
     hbar = 0.5
     est = dirac_estimate(m, samples, a, fp, hbar)
-    assert est.factor == 1j
-    assert est.n_copies == 30
-    assert est.multivector.grade_part(1).approx_equal(est.multivector)
+    assert est.shape == (2,)
+    # The word-calculus route: the averaged commutator element, reduced to a
+    # grade-1 multivector; the reduction hands back the unit i/hbar it removed.
+    w = star_weights(samples, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, 1)
+    coeff = (w * (a.evaluate(samples) - a.evaluate(np.zeros(2)))).mean(axis=0)
+    terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(3)}
+    mv, factor = psi_map_to_clifford(TensorElement(2, terms), 2, hbar)
+    assert factor == 1j / hbar
+    assert mv.grade_part(1).approx_equal(mv)
+    word = mv.scale(neighbourhood_volume(m, fp) / hbar)
     for j in (1, 2):
         col = s_jn(m, samples[:, j - 1, :], a, fp, j, hbar)
-        assert est.components[j - 1] == pytest.approx(col, abs=1e-12)
+        assert est[j - 1] == pytest.approx(col, abs=1e-12)
+        assert word.component(1 << (j - 1)) == pytest.approx(col, abs=1e-12)
 
 
 def test_laplace_estimate_constant_is_zero():
@@ -332,3 +350,80 @@ def test_laplace_mode_runs_with_zero_j_rows(kind):
     report = convergence_run(small_config(mode="laplace", manifold=kind))
     assert all(row["j"] == 0 for row in report.rows)
     assert all(row["target"] == 4.0 for row in report.rows)
+
+
+def assert_close_to_sum(got, ref, terms, rel=1e-12):
+    """|got - ref| <= rel * sum of |terms|: relative agreement on the scale
+    at which the two summation orders round, which stays meaningful when the
+    sum itself cancels to nearly zero."""
+    assert np.all(np.abs(np.asarray(got) - ref) <= rel * np.asarray(terms))
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+def test_fused_route_matches_embedded_reference(kind):
+    # Reference: embed the sampled log coordinates with exp_map, take them
+    # back with log_coords, weight them with star_weights, and read the test
+    # functions off the embedded points or the round-tripped coordinates.
+    m = make_manifold(kind, 2)
+    fp = framed_point(m)
+    n, hbar, sigma = 3000, 0.3, 1
+    v = star_samples(m, fp, n, seed=17)
+    pts = exp_map(m, fp.point, v @ fp.frame)
+    logc = log_coords(m, fp, pts)
+    lam = laplace_lambda(fp.frame)
+    w = star_weights(logc, anchor_rows(fp, lam), fp, hbar, sigma)
+    pre = neighbourhood_volume(m, fp) / (n * hbar)
+    if kind == "sphere":
+        a = embedding_coordinate_function(m, fp, 0)
+        da = pts[..., 0] - fp.point[0]
+    else:
+        a = linear_coordinate_function(m, fp, 1)
+        da = logc[..., 0]
+    ref = pre * np.sum(w * da, axis=0)[:2]
+    scale = pre * np.sum(np.abs(w * da), axis=0)[:2]
+    assert_close_to_sum(dirac_estimate(m, v, a, fp, hbar, sigma), ref, scale)
+    for j in (1, 2):
+        assert_close_to_sum(s_jn(m, v[:, j - 1], a, fp, j, hbar, sigma), ref[j - 1], scale[j - 1])
+
+    sq = squared_radius_function(m, fp)
+    terms = w * np.sum(logc * logc, axis=-1) * lam.lams
+    got = laplace_estimate(m, v, sq, fp, hbar, sigma)
+    assert_close_to_sum(got, pre / hbar * np.sum(terms), pre / hbar * np.sum(np.abs(terms)))
+
+    # The family check: one weight computation shared by ten polynomials.
+    family = polynomial_family(m, fp)
+    rows = dirac_estimate(m, v, family, fp, hbar, sigma)
+    assert rows.shape == (10, 2)
+    for f, row in zip(family, rows):
+        fw = w * (f.evaluate(logc) - f.evaluate(np.zeros(2)))
+        assert_close_to_sum(row, pre * np.sum(fw, axis=0)[:2], pre * np.sum(np.abs(fw), axis=0)[:2])
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+def test_estimators_reject_bad_samples(kind):
+    m = make_manifold(kind, 2)
+    fp = framed_point(m)
+    a = linear_coordinate_function(m, fp, 1)
+    v = star_samples(m, fp, 6, seed=3)
+    estimators = (
+        lambda x: dirac_estimate(m, x, a, fp, 0.5),
+        lambda x: laplace_estimate(m, x, a, fp, 0.5),
+        lambda x: s_jn(m, x[:, 0], a, fp, 1, 0.5),
+    )
+    nan = v.copy()
+    nan[2, 0, 1] = np.nan
+    outside = v.copy()
+    outside[4, 0] = [0.0, fp.delta_u]
+    for estimate in estimators:
+        estimate(v)
+        with pytest.raises(InvalidArgumentError):
+            estimate(nan)
+        with pytest.raises(OutOfNeighbourhoodError):
+            estimate(outside)
+        for bad in (v[:0], v[..., :1], np.concatenate([v, v[..., :1]], axis=-1)):
+            with pytest.raises(InvalidArgumentError):
+                estimate(bad)
+    with pytest.raises(InvalidArgumentError):
+        dirac_estimate(m, v[:, :2], a, fp, 0.5)
+    with pytest.raises(InvalidArgumentError):
+        star_weights(nan, np.eye(2)[0], fp, 0.5, 1)

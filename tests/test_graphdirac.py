@@ -27,7 +27,7 @@ from diraclab import (
     log_coords,
     make_manifold,
     pf_bound_report,
-    sample_uniform_batch,
+    sample_log_coords,
     star_weights,
 )
 
@@ -37,8 +37,8 @@ def make_samples(kind="flat", n_copies=5, seed=0):
     fp = framed_point(m)
     rng = np.random.default_rng(seed)
     slots = m.d + 1
-    pts = sample_uniform_batch(m, fp, rng, n_copies * slots)
-    return m, fp, pts.reshape(n_copies, slots, m.embedding_dim)
+    v = sample_log_coords(m, fp, rng, n_copies * slots)
+    return m, fp, v.reshape(n_copies, slots, m.d)
 
 
 def dense_operator(dirac, path):
@@ -56,22 +56,22 @@ def dense_operator(dirac, path):
 def vertex_values(m, fp, samples):
     """Linear observable at the base point, then at every leaf by id."""
     a = linear_coordinate_function(m, fp, 1)
-    return a.evaluate(np.vstack([fp.point, samples.reshape(-1, m.embedding_dim)]))
+    return a.evaluate(np.vstack([np.zeros(m.d), samples.reshape(-1, m.d)]))
 
 
 def test_star_graph_validation():
     m, fp, samples = make_samples(n_copies=2)
     for bad in (samples[0], samples[:0], samples[:, :, :1]):
         with pytest.raises(InvalidGraphError):
-            assemble_dirac(bad, m, fp, hbar=0.5)
+            assemble_dirac(bad, m, fp, hbar=0.5, sigma=-1)
     with pytest.raises(InvalidGraphError):
-        assemble_dirac(np.full_like(samples, np.nan), m, fp, hbar=0.5)
+        assemble_dirac(np.full_like(samples, np.nan), m, fp, hbar=0.5, sigma=-1)
 
 
 def test_star_graphs_id_scheme(tmp_path):
     m, fp, samples = make_samples(n_copies=3)
     hbar = 0.5
-    dirac = assemble_dirac(samples, m, fp, hbar)
+    dirac = assemble_dirac(samples, m, fp, hbar, sigma=-1)
     n = dirac.n_vertices
     assert n == 1 + 3 * (m.d + 1)
     dense = dense_operator(dirac, tmp_path / "op.mtx")
@@ -79,7 +79,7 @@ def test_star_graphs_id_scheme(tmp_path):
     for k in range(3):
         for j in range(m.d + 1):
             gid = 1 + k * (m.d + 1) + j
-            w = star_weights(log_coords(m, fp, samples[k, j]), anchors[j], fp, hbar, -1)
+            w = star_weights(samples[k, j], anchors[j], fp, hbar, -1)
             assert dense[0, n + gid] == 1j * float(w) / hbar
 
 
@@ -128,7 +128,7 @@ def test_vmf_weight_rejects_point_outside_neighbourhood():
         star_weights(outside, np.eye(2)[0], fp, 0.5, 1)
     samples[1, 2] = [1.5, 0.0]
     with pytest.raises(OutOfNeighbourhoodError):
-        assemble_dirac(samples, m, fp, hbar=0.5)
+        assemble_dirac(samples, m, fp, hbar=0.5, sigma=-1)
     inside = log_coords(m, fp, np.array([0.1, 0.0]))
     for hbar, sigma in ((0.0, 1), (math.nan, 1), (0.5, 0)):
         with pytest.raises(InvalidArgumentError):
@@ -138,7 +138,7 @@ def test_vmf_weight_rejects_point_outside_neighbourhood():
 def test_assembled_matrix_is_hermitian_and_graded(tmp_path):
     for kind in ("flat", "sphere"):
         m, fp, samples = make_samples(kind)
-        dirac = assemble_dirac(samples, m, fp, hbar=0.5)
+        dirac = assemble_dirac(samples, m, fp, hbar=0.5, sigma=-1)
         mat = dense_operator(dirac, tmp_path / f"{kind}.mtx")
         n = dirac.n_vertices
         assert mat.shape == (2 * n, 2 * n)
@@ -150,16 +150,18 @@ def test_assembled_matrix_is_hermitian_and_graded(tmp_path):
 def test_assemble_requires_consistent_copies():
     m, fp, samples = make_samples()
     with pytest.raises(InvalidGraphError):
-        assemble_dirac(samples[:, :2], m, fp, hbar=0.5)
+        assemble_dirac(samples[:, :2], m, fp, hbar=0.5, sigma=-1)
     with pytest.raises(InvalidGraphError):
-        assemble_dirac(samples.reshape(3, 5, 2), m, fp, hbar=0.5)
+        assemble_dirac(samples.reshape(3, 5, 2), m, fp, hbar=0.5, sigma=-1)
 
 
 def test_copy_matrix_matches_single_copy_assembly(tmp_path):
     m, fp, samples = make_samples(n_copies=4)
     hbar = 0.4
-    union = dense_operator(assemble_dirac(samples, m, fp, hbar), tmp_path / "all.mtx")
-    single = dense_operator(assemble_dirac(samples[1:2], m, fp, hbar), tmp_path / "one.mtx")
+    union = dense_operator(assemble_dirac(samples, m, fp, hbar, sigma=-1), tmp_path / "all.mtx")
+    single = dense_operator(
+        assemble_dirac(samples[1:2], m, fp, hbar, sigma=-1), tmp_path / "one.mtx"
+    )
     slots = m.d + 1
     n = union.shape[0] // 2
     keep = [0, *range(1 + slots, 1 + 2 * slots)]
@@ -169,7 +171,7 @@ def test_copy_matrix_matches_single_copy_assembly(tmp_path):
 
 def test_matrix_market_round_trip(tmp_path):
     m, fp, samples = make_samples(n_copies=3)
-    dirac = assemble_dirac(samples, m, fp, hbar=0.5)
+    dirac = assemble_dirac(samples, m, fp, hbar=0.5, sigma=-1)
     path = tmp_path / "op.mtx"
     dense = dense_operator(dirac, path)
     lines = path.read_text().splitlines()
@@ -215,7 +217,7 @@ def test_spectral_radius_reports_failure_with_best():
 
 def test_pf_bound_report_fields():
     m, fp, samples = make_samples()
-    dirac = assemble_dirac(samples, m, fp, hbar=0.5)
+    dirac = assemble_dirac(samples, m, fp, hbar=0.5, sigma=-1)
     a_values = np.linspace(-1.0, 1.0, dirac.n_vertices)
     report = pf_bound_report(dirac, a_values, grad_sup=2.0)
     assert set(report) == {"hbar", "rho", "grad_sup", "bound_ratio"}
@@ -231,6 +233,6 @@ def test_pf_bound_report_fields():
 def test_pf_commutator_vanishes_for_constant_observable():
     for kind in ("flat", "sphere"):
         m, fp, samples = make_samples(kind)
-        dirac = assemble_dirac(samples, m, fp, hbar=0.5)
+        dirac = assemble_dirac(samples, m, fp, hbar=0.5, sigma=-1)
         report = pf_bound_report(dirac, np.ones(dirac.n_vertices), grad_sup=1.0)
         assert report["rho"] == 0.0

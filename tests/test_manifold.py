@@ -20,7 +20,9 @@ from diraclab import (
     log_coords,
     log_map,
     make_manifold,
+    exp_axis,
     neighbourhood_volume,
+    sample_log_coords,
     sample_uniform,
     sample_uniform_batch,
     vol_density,
@@ -231,6 +233,68 @@ def test_sphere_sampler_exhaustion_raises():
         sample_uniform_batch(m, framed_point(m), rng, 10)
     # Two uniform draws (radius, acceptance) per round, 512 rounds.
     assert rng.uniform_draws == 2 * 512
+    rng = OnesGenerator()
+    with pytest.raises(SamplingFailureError):
+        sample_log_coords(m, framed_point(m), rng, 10)
+    assert rng.uniform_draws == 2 * 512
+    with pytest.raises(InvalidArgumentError):
+        sample_log_coords(m, framed_point(m), np.random.default_rng(0), -1)
+
+
+def reference_sample_uniform_batch(m, fp, rng, size):
+    """The embedded-points sampler as it stood before sampling moved to log
+    coordinates: normalize, scale and accept on every proposal, then map each
+    point through exp_map (norms by np.sum).  It defines the stream."""
+    d = m.d
+    out = np.empty((size, d))
+    filled = 0
+    while filled < size:
+        want = size - filled
+        draw = max(2 * want, 64)
+        dirs = rng.standard_normal((draw, d))
+        dirs /= np.maximum(np.sqrt(np.sum(dirs * dirs, axis=-1)), 1e-300)[:, None]
+        radii = fp.delta_u * rng.random(draw) ** (1.0 / d)
+        v = radii[:, None] * dirs
+        if m.kind == "flat":
+            got = v[:want]
+        else:
+            accept = rng.random(draw) < np.sinc(radii / math.pi) ** (d - 1)
+            got = v[accept][:want]
+        out[filled : filled + got.shape[0]] = got
+        filled += got.shape[0]
+    tangent = out @ fp.frame
+    if m.kind == "flat":
+        return fp.point + tangent
+    r = np.sqrt(np.sum(tangent * tangent, axis=-1))
+    return np.cos(r)[..., None] * fp.point + np.sinc(r / math.pi)[..., None] * tangent
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_log_coordinate_sampler_keeps_the_stream(kind, d):
+    m = make_manifold(kind, d)
+    fp = framed_point(m)
+    for size, seed in ((1, 0), (65, 1), (3000, 2), (30001, 3)):
+        ref_rng = np.random.default_rng(seed)
+        ref = reference_sample_uniform_batch(m, fp, ref_rng, size)
+        rng = np.random.default_rng(seed)
+        v = sample_log_coords(m, fp, rng, size)
+        assert v.shape == (size, d)
+        assert np.all(np.linalg.norm(v, axis=1) < fp.delta_u)
+        assert np.array_equal(exp_map(m, fp.point, v @ fp.frame), ref)
+        # Both consumed the same number of draws.
+        assert rng.random() == ref_rng.random()
+    assert sample_log_coords(m, fp, np.random.default_rng(0), 0).shape == (0, d)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+def test_exp_axis_is_a_column_of_exp_map(kind):
+    m = make_manifold(kind, 2)
+    fp = framed_point(m)
+    v = sample_log_coords(m, fp, np.random.default_rng(8), 500).reshape(100, 5, 2)
+    full = exp_map(m, fp.point, v @ fp.frame)
+    for axis in range(m.embedding_dim):
+        assert np.array_equal(exp_axis(m, fp, v, axis), full[..., axis])
 
 
 def test_flat_sampler_second_moment():

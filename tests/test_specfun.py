@@ -162,7 +162,7 @@ def test_vmf_first_moment_aligns_with_axis():
     for _ in range(5):
         s = rng.normal(size=3)
         s /= np.linalg.norm(s)
-        m1, m2 = vmf_moments(3, s, 0.1)
+        m1, m2 = vmf_moments(3, s, 0.1, sigma=-1)
         ortho = m1 - (m1 @ s) * s
         assert np.max(np.abs(ortho)) < 1e-12
         # Second moment is symmetric with s an eigenvector.
