@@ -5,9 +5,10 @@ command-line flags, a key=value config file or a previously written manifest,
 the DIRACLAB_SEED environment variable (seed only), and built-in defaults.
 The resolved configuration is echoed to ``manifest.json``; re-running from a
 manifest reproduces every output byte for byte.  Wall time (for the
-convergence runs also per-stage seconds and counters) goes to a separate
-``timing.json``, which is informational and excluded from that contract, as
-are the execution-only settings (output directory, thread count).
+convergence runs and algebra-check also per-stage seconds and counters) goes
+to a separate ``timing.json``, which is informational and excluded from that
+contract, as are the execution-only settings (output directory, thread
+count).
 
 Exit codes: 0 success, 1 failed checks or runtime failure, 2 configuration
 errors (config-file problems are reported with their line number).
@@ -292,10 +293,17 @@ def _word_path_components(m, fp, a, v, hbar: float) -> list:
     return [scaled.component(1 << k) for k in range(m.d)]
 
 
-def _algebra_rows(seed: int) -> list:
+def _algebra_rows(seed: int) -> tuple[list, dict]:
+    """The algebra-check rows, and their timing: seconds per check row in
+    ``stages_s`` and, in ``counters``, the instances checked and the word
+    products the free product formed (two per ordered pair of edges per
+    double commutator)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     rows = []
+    stages = {}
+    products = 0
 
+    t0 = time.perf_counter()
     err = 0.0
     for _ in range(200):
         n_pairs = int(rng.integers(1, 9))
@@ -315,10 +323,14 @@ def _algebra_rows(seed: int) -> list:
             "passed": err <= 1e-12,
         }
     )
+    stages[rows[-1]["check"]] = time.perf_counter() - t0
 
+    t_exact = 0.0
+    t_formula = 0.0
     err_exact = 0.0
     err_formula = 0.0
     for _ in range(100):
+        t0 = time.perf_counter()
         n_pairs = int(rng.integers(1, 9))
         hbar = float(rng.uniform(0.1, 2.0))
         dirac = _random_operator(rng, n_pairs, hbar)
@@ -326,6 +338,9 @@ def _algebra_rows(seed: int) -> list:
         lap = laplacian_closed_form(dirac, obs)
         reduced = psi_reduce(double_commutator_closed_form(dirac, obs)).scale(0.5)
         err_exact = max(err_exact, reduced.max_abs_diff(lap))
+        products += 2 * len(dirac.weights) ** 2
+        t1 = time.perf_counter()
+        t_exact += t1 - t0
         coeff = -sum(
             w * w * obs.alpha(i, j) for (i, j), w in sorted(dirac.weights.items())
         ) / (hbar * hbar)
@@ -334,6 +349,7 @@ def _algebra_rows(seed: int) -> list:
         # orders, so only agreement up to roundoff on |coeff| is meaningful.
         scale = max(1.0, abs(coeff))
         err_formula = max(err_formula, lap.max_abs_diff(direct) / scale)
+        t_formula += time.perf_counter() - t1
     rows.append(
         {
             "check": "bicommutator-halved-vs-laplacian",
@@ -343,6 +359,7 @@ def _algebra_rows(seed: int) -> list:
             "passed": err_exact <= 0.0,
         }
     )
+    stages[rows[-1]["check"]] = t_exact
     rows.append(
         {
             "check": "laplacian-coefficient-formula",
@@ -352,7 +369,9 @@ def _algebra_rows(seed: int) -> list:
             "passed": err_formula <= 1e-12,
         }
     )
+    stages[rows[-1]["check"]] = t_formula
 
+    t0 = time.perf_counter()
     err = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 6))
@@ -376,7 +395,9 @@ def _algebra_rows(seed: int) -> list:
             "passed": err <= 1e-12,
         }
     )
+    stages[rows[-1]["check"]] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     m = make_manifold("flat", 2)
     fp = framed_point(m)
     a = linear_coordinate_function(m, fp, 1)
@@ -398,7 +419,12 @@ def _algebra_rows(seed: int) -> list:
             "passed": err <= 1e-12,
         }
     )
-    return rows
+    stages[rows[-1]["check"]] = time.perf_counter() - t0
+    counters = {
+        "instances": sum(row["instances"] for row in rows),
+        "word_products": products,
+    }
+    return rows, {"stages_s": stages, "counters": counters}
 
 
 def _cmd_algebra_check(args) -> int:
@@ -406,14 +432,14 @@ def _cmd_algebra_check(args) -> int:
     seed = _resolve_seed(args, layer)
     out_dir = _resolve_out(args, layer)
     t0 = time.perf_counter()
-    rows = _algebra_rows(seed)
+    rows, timing = _algebra_rows(seed)
     _ensure_dir(out_dir)
     config = {"seed": seed}
     _write_manifest(out_dir, "algebra-check", config)
     columns = ("check", "instances", "max_err", "threshold", "passed")
     _write_table(out_dir, "algebra_check", columns, rows)
     _write_json(out_dir, "algebra_check.json", {"config": config, "rows": rows})
-    _write_timing(out_dir, time.perf_counter() - t0)
+    _write_json(out_dir, "timing.json", {"wall_time_s": time.perf_counter() - t0, **timing})
     failed = [r["check"] for r in rows if not r["passed"]]
     for row in rows:
         status = "ok" if row["passed"] else "FAIL"

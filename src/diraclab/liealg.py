@@ -11,8 +11,10 @@ the reduction of degree-two words into a Clifford algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -120,6 +122,34 @@ def _validate_word(word, grid: int) -> Word:
     return word
 
 
+# Each word is stored as one integer key. On a grid of g word indices the pair
+# (i, j) has code p = (i - 1) * g + (j - 1) in 0..g^2-1; the empty word is key
+# 0, a one-pair word 1 + p, and a two-pair word 1 + g^2 + p1 * g^2 + p2.
+
+
+def _word_key(word: Word, grid: int) -> int:
+    codes = [(i - 1) * grid + (j - 1) for (i, j) in word]
+    if not codes:
+        return 0
+    if len(codes) == 1:
+        return 1 + codes[0]
+    area = grid * grid
+    return 1 + area + codes[0] * area + codes[1]
+
+
+def _key_word(key: int, grid: int) -> Word:
+    area = grid * grid
+    if key == 0:
+        return ()
+    codes = (key - 1,) if key <= area else divmod(key - 1 - area, area)
+    return tuple((p // grid + 1, p % grid + 1) for p in codes)
+
+
+def _degree(keys: np.ndarray, area: int) -> np.ndarray:
+    """Number of index pairs in each keyed word."""
+    return (keys > 0).astype(np.int64) + (keys > area)
+
+
 def _as_mat2(mat) -> np.ndarray:
     arr = np.array(mat, dtype=complex)
     if arr.shape != (2, 2):
@@ -128,23 +158,58 @@ def _as_mat2(mat) -> np.ndarray:
 
 
 class TensorElement:
-    """Sparse sum of words (at most two index pairs) with 2x2 coefficients."""
+    """Sparse sum of words (at most two index pairs) with 2x2 coefficients.
 
-    __slots__ = ("n_pairs", "terms")
+    The terms are stored as one integer key per word and one (T, 2, 2) complex
+    coefficient array, in the order each word first appeared; ``terms`` is a
+    read-only word -> coefficient view of them. Sums, products and the
+    reduction add coefficients of equal words one at a time in that order, so
+    every result is bit-identical to accumulating the terms in a dict.
+    """
+
+    __slots__ = ("n_pairs", "_keys", "_coeffs", "_terms")
 
     def __init__(self, n_pairs: int, terms: Mapping[Word, np.ndarray] | None = None):
         if n_pairs < 1:
             raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
-        self.n_pairs = n_pairs
         grid = 2 * n_pairs
-        self.terms: dict[Word, np.ndarray] = {}
-        if terms:
-            for word, mat in terms.items():
-                self.terms[_validate_word(word, grid)] = _as_mat2(mat)
+        keys, mats = [], []
+        for word, mat in (terms or {}).items():
+            keys.append(_word_key(_validate_word(word, grid), grid))
+            mats.append(_as_mat2(mat))
+        self._assign(
+            n_pairs,
+            np.array(keys, dtype=np.int64),
+            np.array(mats, dtype=complex).reshape(-1, 2, 2),
+        )
+
+    def _assign(self, n_pairs: int, keys: np.ndarray, coeffs: np.ndarray):
+        keys.flags.writeable = False
+        coeffs.flags.writeable = False
+        self.n_pairs = n_pairs
+        self._keys = keys
+        self._coeffs = coeffs
+        self._terms = None
+
+    @classmethod
+    def _from_arrays(cls, n_pairs: int, keys: np.ndarray, coeffs: np.ndarray):
+        out = cls.__new__(cls)
+        out._assign(n_pairs, keys, coeffs)
+        return out
 
     @property
     def grid(self) -> int:
         return 2 * self.n_pairs
+
+    @property
+    def terms(self) -> Mapping[Word, np.ndarray]:
+        """Read-only mapping from each word to its 2x2 coefficient."""
+        if self._terms is None:
+            grid = self.grid
+            self._terms = MappingProxyType(
+                {_key_word(k, grid): m for k, m in zip(self._keys.tolist(), self._coeffs)}
+            )
+        return self._terms
 
     def _check_same(self, other: "TensorElement"):
         if not isinstance(other, TensorElement):
@@ -154,33 +219,25 @@ class TensorElement:
                 f"grid sizes differ: {self.grid} vs {other.grid}"
             )
 
-    def _add_term(self, word: Word, mat: np.ndarray):
-        if word in self.terms:
-            self.terms[word] = self.terms[word] + mat
-        else:
-            self.terms[word] = mat.copy()
-
-    def _pruned(self) -> "TensorElement":
-        self.terms = {w: m for w, m in self.terms.items() if m.any()}
-        return self
-
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check_same(other)
-        out = TensorElement(self.n_pairs, self.terms)
-        for word, mat in other.terms.items():
-            out._add_term(word, mat)
-        return out._pruned()
+        return _collected(
+            self.n_pairs,
+            np.concatenate([self._keys, other._keys]),
+            np.concatenate([self._coeffs, other._coeffs]),
+        )
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         self._check_same(other)
-        out = TensorElement(self.n_pairs, self.terms)
-        for word, mat in other.terms.items():
-            out._add_term(word, -mat)
-        return out._pruned()
+        return _collected(
+            self.n_pairs,
+            np.concatenate([self._keys, other._keys]),
+            np.concatenate([self._coeffs, -other._coeffs]),
+        )
 
     def scale(self, value: complex) -> "TensorElement":
-        return TensorElement(
-            self.n_pairs, {w: value * m for w, m in self.terms.items()}
+        return TensorElement._from_arrays(
+            self.n_pairs, self._keys, (value * self._coeffs).astype(complex, copy=False)
         )
 
     def mul(self, other: "TensorElement") -> "TensorElement":
@@ -190,53 +247,31 @@ class TensorElement:
         index pairs.
         """
         self._check_same(other)
-        out = TensorElement(self.n_pairs)
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                if len(w1) + len(w2) > 2:
-                    raise UnsupportedDegreeError(
-                        "product would create a word with more than two pairs"
-                    )
-                out._add_term(w1 + w2, m1 @ m2)
-        return out._pruned()
-
-    @classmethod
-    def mean(cls, elements: Sequence["TensorElement"]) -> "TensorElement":
-        """Term-wise average of elements on the same grid."""
-        if not elements:
-            raise InvalidArgumentError("cannot average an empty sequence")
-        out = TensorElement(elements[0].n_pairs)
-        for el in elements:
-            elements[0]._check_same(el)
-            for word, mat in el.terms.items():
-                out._add_term(word, mat)
-        inv = 1.0 / len(elements)
-        out.terms = {w: inv * m for w, m in out.terms.items()}
-        return out._pruned()
-
-    def max_abs_diff(self, other: "TensorElement") -> float:
-        self._check_same(other)
-        zero = np.zeros((2, 2), dtype=complex)
-        words = set(self.terms) | set(other.terms)
-        if not words:
-            return 0.0
-        return max(
-            float(np.max(np.abs(self.terms.get(w, zero) - other.terms.get(w, zero))))
-            for w in words
+        area = self.grid**2
+        deg1 = _degree(self._keys, area)
+        deg2 = _degree(other._keys, area)
+        if deg1.size and deg2.size and deg1.max() + deg2.max() > 2:
+            raise UnsupportedDegreeError(
+                "product would create a word with more than two pairs"
+            )
+        left = self._keys[:, None]
+        right = other._keys[None, :]
+        keys = np.where(
+            left == 0,
+            right,
+            np.where(right == 0, left, 1 + area + (left - 1) * area + (right - 1)),
+        )
+        coeffs = np.matmul(self._coeffs[:, None], other._coeffs[None, :])
+        # Two products can share a word only if word lengths vary in both
+        # factors, as in () * (p,) = (p,) * ().
+        distinct = np.unique(deg1).size < 2 or np.unique(deg2).size < 2
+        return _collected(
+            self.n_pairs, keys.ravel(), coeffs.reshape(-1, 2, 2), distinct=distinct
         )
 
-    def realize(self) -> np.ndarray:
-        """Dense 4N x 4N matrix: each word maps to a product of elementary
-        grid matrices (identity for the empty word), tensored with its
-        coefficient."""
-        grid = self.grid
-        out = np.zeros((2 * grid, 2 * grid), dtype=complex)
-        for word, mat in self.terms.items():
-            pos = np.eye(grid)
-            for (i, j) in word:
-                pos = pos @ _elementary(grid, i, j)
-            out += np.kron(pos, mat)
-        return out
+    def max_abs_diff(self, other: "TensorElement") -> float:
+        diff = self - other
+        return float(np.max(np.abs(diff._coeffs))) if diff._keys.size else 0.0
 
     def to_json_obj(self) -> dict:
         terms = []
@@ -265,6 +300,30 @@ class TensorElement:
 
     def __repr__(self) -> str:
         return f"TensorElement(n_pairs={self.n_pairs}, words={sorted(self.terms)})"
+
+
+def _collected(
+    n_pairs: int, keys: np.ndarray, coeffs: np.ndarray, distinct: bool = False
+) -> TensorElement:
+    """Element summing the coefficients of equal word keys.
+
+    Words keep the order of their first occurrence, each sum starts from the
+    first coefficient and adds the later ones sequentially in input order,
+    and words whose sum is all zero are dropped. ``distinct`` says the keys
+    are known to differ, so only the dropping is left to do.
+    """
+    if not distinct:
+        _uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        later = np.ones(keys.size, dtype=bool)
+        later[first] = False
+        sums = coeffs[first[order]]
+        np.add.at(sums, slot[inverse[later]], coeffs[later])
+        keys, coeffs = keys[first[order]], sums
+    keep = coeffs.any(axis=(1, 2))
+    return TensorElement._from_arrays(n_pairs, keys[keep], coeffs[keep])
 
 
 class DiagonalObservable:
@@ -313,10 +372,51 @@ def _validated_weights(
                 f"weight indices must satisfy 1 <= i < j <= {grid}, got ({i}, {j})"
             )
         w = float(weights[key])
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise InvalidArgumentError(f"weight at ({i}, {j}) is not finite")
         out[(int(i), int(j))] = w
     return out
+
+
+def _weight_arrays(weights: Mapping[tuple[int, int], float]):
+    """Edge index pairs (E, 2) and weights (E,) of a validated weight dict."""
+    pairs = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    return pairs, np.array(list(weights.values()), dtype=float)
+
+
+def _edge_element(n_pairs: int, pairs: np.ndarray, coeffs: np.ndarray) -> TensorElement:
+    """Element with one word per index pair (1-based rows of ``pairs``)."""
+    keys = 1 + (pairs[:, 0] - 1) * (2 * n_pairs) + (pairs[:, 1] - 1)
+    return TensorElement._from_arrays(n_pairs, keys, np.ascontiguousarray(coeffs, dtype=complex))
+
+
+def _edge_terms(element: TensorElement, form: str):
+    """0-based block rows, columns and coefficients of a one-pair-word element."""
+    keys = element._keys
+    grid = element.grid
+    bad = (keys == 0) | (keys > grid * grid)
+    if bad.any():
+        word = _key_word(int(keys[bad][0]), grid)
+        raise InvalidArgumentError(f"{form} edge form expects length-one words, got {word}")
+    rows, cols = np.divmod(keys - 1, grid)
+    return rows, cols, element._coeffs
+
+
+def _blocks_matrix(grid: int, rows, cols, upper, lower) -> np.ndarray:
+    """Dense 2g x 2g matrix adding upper[k] into the 2x2 block (rows[k],
+    cols[k]) and then lower[k] into (cols[k], rows[k]), term by term.
+
+    Each block is added to zeros in the order a sum of Kronecker products
+    kron(E_ij, upper) + kron(E_ji, lower) would add it, so for finite blocks
+    the result is bit-identical to that sum without forming any g x g
+    elementary matrix.
+    """
+    out = np.zeros((grid, 2, grid, 2), dtype=complex)
+    at_rows = np.stack([rows, cols], axis=1).ravel()
+    at_cols = np.stack([cols, rows], axis=1).ravel()
+    blocks = np.stack([upper, lower], axis=1).reshape(-1, 2, 2)
+    np.add.at(out, (at_rows, slice(None), at_cols, slice(None)), blocks)
+    return out.reshape(2 * grid, 2 * grid)
 
 
 @dataclass(frozen=True)
@@ -343,12 +443,13 @@ def build_w(
         raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
     wts = _validated_weights(weights, 2 * n_pairs)
     block = root_block(s)
-    symbolic = TensorElement(
-        n_pairs, {((i, j),): w * block for (i, j), w in wts.items()}
+    pairs, w = _weight_arrays(wts)
+    w = w[:, None, None]
+    upper = w * block
+    symbolic = _edge_element(n_pairs, pairs, upper)
+    concrete = _blocks_matrix(
+        2 * n_pairs, pairs[:, 0] - 1, pairs[:, 1] - 1, upper, w * -block.T
     )
-    concrete = np.zeros((4 * n_pairs, 4 * n_pairs), dtype=complex)
-    for (i, j), w in wts.items():
-        concrete += w * build_root_vector(i, j, s, n_pairs)
     return WeightedOperator(n_pairs, s, wts, symbolic, concrete)
 
 
@@ -359,17 +460,8 @@ def realize_operator_edges(element: TensorElement) -> np.ndarray:
     antisymmetric continuation kron(E_ji, -M^T). Only length-one words are
     meaningful here.
     """
-    grid = element.grid
-    out = np.zeros((2 * grid, 2 * grid), dtype=complex)
-    for word, mat in element.terms.items():
-        if len(word) != 1:
-            raise InvalidArgumentError(
-                f"operator edge form expects length-one words, got {word}"
-            )
-        (i, j) = word[0]
-        out += np.kron(_elementary(grid, i, j), mat)
-        out += np.kron(_elementary(grid, j, i), -mat.T)
-    return out
+    rows, cols, mats = _edge_terms(element, "operator")
+    return _blocks_matrix(element.grid, rows, cols, mats, -mats.transpose(0, 2, 1))
 
 
 def realize_commutator_edges(element: TensorElement) -> np.ndarray:
@@ -381,18 +473,9 @@ def realize_commutator_edges(element: TensorElement) -> np.ndarray:
     exactly with the brute-force matrix commutator for every weight set and
     observable.
     """
-    grid = element.grid
-    out = np.zeros((2 * grid, 2 * grid), dtype=complex)
-    for word, mat in element.terms.items():
-        if len(word) != 1:
-            raise InvalidArgumentError(
-                f"commutator edge form expects length-one words, got {word}"
-            )
-        (i, j) = word[0]
-        rotated = HADAMARD @ mat @ HADAMARD
-        out += np.kron(_elementary(grid, i, j), rotated)
-        out += np.kron(_elementary(grid, j, i), rotated.T)
-    return out
+    rows, cols, mats = _edge_terms(element, "commutator")
+    rotated = HADAMARD @ mats @ HADAMARD
+    return _blocks_matrix(element.grid, rows, cols, rotated, rotated.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -418,12 +501,9 @@ def dirac_from_w(w_op: WeightedOperator, hbar: float) -> DiracOperator:
         raise InvalidArgumentError(f"hbar must be a positive finite number, got {hbar}")
     hbar = float(hbar)
     real_block = root_block(w_op.s).real.astype(complex)
-    symbolic = TensorElement(
-        w_op.n_pairs,
-        {
-            ((i, j),): ((1j / hbar) * w) * real_block
-            for (i, j), w in w_op.weights.items()
-        },
+    pairs, w = _weight_arrays(w_op.weights)
+    symbolic = _edge_element(
+        w_op.n_pairs, pairs, ((1j / hbar) * w)[:, None, None] * real_block
     )
     concrete = (1j / hbar) * w_op.concrete.real
     return DiracOperator(
@@ -442,16 +522,10 @@ def commutator_concrete(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def commutator_closed_form(
-    dirac: DiracOperator, obs: DiagonalObservable
-) -> TensorElement:
-    """Closed-form commutator of a Dirac operator with a diagonal observable.
-
-    One term per weighted edge: on word (i, j) the coefficient is
-    (i/hbar) * w_ij * (a_i - a_j) * Y. Defined for operators built from the
-    second root family (whose real part is X); realizing the result via
-    realize_commutator_edges reproduces the dense commutator exactly.
-    """
+def _closed_form_edges(dirac: DiracOperator, obs: DiagonalObservable):
+    """Edge index pairs, weights w and differences alpha = a_i - a_j on which
+    both closed forms are defined: operators of the second root family (whose
+    real part is X) and an observable on the same grid."""
     if dirac.s != 2:
         raise InvalidArgumentError(
             f"closed form requires the second root family, got s={dirac.s}"
@@ -460,11 +534,24 @@ def commutator_closed_form(
         raise InvalidArgumentError(
             f"observable has {obs.grid} values, grid needs {dirac.n_pairs * 2}"
         )
-    terms = {}
-    for (i, j), w in dirac.weights.items():
-        coeff = (1j / dirac.hbar) * (w * obs.alpha(i, j))
-        terms[((i, j),)] = coeff * MAT_Y
-    return TensorElement(dirac.n_pairs, terms)
+    pairs, w = _weight_arrays(dirac.weights)
+    alpha = obs.values[pairs[:, 0] - 1] - obs.values[pairs[:, 1] - 1]
+    return pairs, w, alpha
+
+
+def commutator_closed_form(
+    dirac: DiracOperator, obs: DiagonalObservable
+) -> TensorElement:
+    """Closed-form commutator of a Dirac operator with a diagonal observable.
+
+    One term per weighted edge: on word (i, j) the coefficient is
+    (i/hbar) * w_ij * (a_i - a_j) * Y. Defined for operators built from the
+    second root family; realizing the result via realize_commutator_edges
+    reproduces the dense commutator exactly.
+    """
+    pairs, w, alpha = _closed_form_edges(dirac, obs)
+    coeff = (1j / dirac.hbar) * (w * alpha)
+    return _edge_element(dirac.n_pairs, pairs, coeff[:, None, None] * MAT_Y)
 
 
 def double_commutator_closed_form(
@@ -486,25 +573,17 @@ def laplacian_closed_form(
     """Scalar-word Laplacian coefficient -(1/hbar^2) sum_edges w^2 alpha * J.
 
     Matches (1/2) psi_reduce(double_commutator_closed_form(...)) bit for bit:
-    the per-edge scalars are multiplied in the same order as on the
-    word-calculus route.
+    the per-edge scalars are multiplied, and summed one edge at a time, in
+    the same order as on the word-calculus route.
     """
-    if dirac.s != 2:
-        raise InvalidArgumentError(
-            f"closed form requires the second root family, got s={dirac.s}"
-        )
-    if obs.grid != dirac.n_pairs * 2:
-        raise InvalidArgumentError(
-            f"observable has {obs.grid} values, grid needs {dirac.n_pairs * 2}"
-        )
+    _pairs, w, alpha = _closed_form_edges(dirac, obs)
+    unit = 1j / dirac.hbar
     total = 0.0 + 0.0j
-    for (i, j), w in dirac.weights.items():
-        z_c = (1j / dirac.hbar) * (w * obs.alpha(i, j))
-        z_d = (1j / dirac.hbar) * w
-        total += z_c * z_d
-    element = TensorElement(dirac.n_pairs)
-    element._add_term((), total * MAT_J)
-    return element._pruned()
+    for z in ((unit * (w * alpha)) * (unit * w)).tolist():
+        total += z
+    return _collected(
+        dirac.n_pairs, np.zeros(1, dtype=np.int64), (total * MAT_J)[None], distinct=True
+    )
 
 
 def psi_reduce(element: TensorElement) -> TensorElement:
@@ -513,25 +592,17 @@ def psi_reduce(element: TensorElement) -> TensorElement:
     A squared word (u, u) collapses to the empty word with a sign flip; a
     descending pair (u, v) with u > v is rewritten as the ascending pair with
     a sign flip, so symmetric pair combinations cancel. Words of length zero
-    or one pass through; longer words are rejected.
+    or one pass through; longer words cannot be stored (TensorElement rejects
+    them with UnsupportedDegreeError).
     """
-    out = TensorElement(element.n_pairs)
-    for word, mat in element.terms.items():
-        if len(word) < 2:
-            out._add_term(word, mat)
-            continue
-        if len(word) > 2:
-            raise UnsupportedDegreeError(
-                f"reduction supports words of at most two pairs, got {len(word)}"
-            )
-        u, v = word
-        if u == v:
-            out._add_term((), -mat)
-        elif u > v:
-            out._add_term((v, u), -mat)
-        else:
-            out._add_term(word, mat)
-    return out._pruned()
+    keys = element._keys
+    area = element.grid**2
+    u, v = np.divmod(keys - 1 - area, area)
+    pair = keys > area
+    flip = pair & (u >= v)
+    reduced = np.where(pair & (u == v), 0, np.where(flip, 1 + area + v * area + u, keys))
+    coeffs = np.where(flip[:, None, None], -element._coeffs, element._coeffs)
+    return _collected(element.n_pairs, reduced, coeffs)
 
 
 def psi_map_to_clifford(

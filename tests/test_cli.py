@@ -39,6 +39,23 @@ def test_algebra_check_writes_artifacts(tmp_path, capsys):
     assert all(line.endswith(",1") for line in rows[1:])
 
 
+def test_algebra_check_timing_stages_and_counters(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert run_cli(["algebra-check", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "algebra_check.json").read_text())["rows"]
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"wall_time_s", "stages_s", "counters"}
+    assert list(timing["stages_s"]) == sorted(row["check"] for row in rows)
+    assert all(s >= 0.0 for s in timing["stages_s"].values())
+    assert sum(timing["stages_s"].values()) <= timing["wall_time_s"]
+    assert set(timing["counters"]) == {"instances", "word_products"}
+    assert timing["counters"]["instances"] == sum(row["instances"] for row in rows)
+    # 100 double commutators of 1 to 120 edges, two products per ordered
+    # pair of edges.
+    assert 200 <= timing["counters"]["word_products"] <= 100 * 2 * 120**2
+
+
 def test_specfun_grid_artifacts(tmp_path, capsys):
     out = tmp_path / "s"
     assert run_cli(["specfun", "--out", str(out), "--t-grid", "0.2,0.1"]) == 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from diraclab import (
@@ -243,3 +245,264 @@ def test_tensor_element_json_round_trip():
     elem = TensorElement(2, {((1, 2),): MAT_Y * (0.5 + 0.25j), (): MAT_J})
     back = TensorElement.from_json_obj(elem.to_json_obj())
     assert back.max_abs_diff(elem) == 0.0
+
+
+# -- reference word calculus -------------------------------------------------
+# The dict algorithm the array store replaced, kept here as the reference:
+# terms accumulate in a dict, a word's first occurrence fixes its position,
+# and later coefficients add to it one at a time.
+
+
+def ref_add_term(terms, word, mat):
+    if word in terms:
+        terms[word] = terms[word] + mat
+    else:
+        terms[word] = mat.copy()
+
+
+def ref_pruned(terms):
+    return {w: m for w, m in terms.items() if m.any()}
+
+
+def ref_copy(terms):
+    return {w: np.array(m, dtype=complex) for w, m in terms.items()}
+
+
+def ref_add(a, b):
+    out = ref_copy(a)
+    for word, mat in b.items():
+        ref_add_term(out, word, mat)
+    return ref_pruned(out)
+
+
+def ref_sub(a, b):
+    out = ref_copy(a)
+    for word, mat in b.items():
+        ref_add_term(out, word, -mat)
+    return ref_pruned(out)
+
+
+def ref_scale(a, value):
+    return {w: value * m for w, m in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            if len(w1) + len(w2) > 2:
+                raise UnsupportedDegreeError("degree")
+            ref_add_term(out, w1 + w2, m1 @ m2)
+    return ref_pruned(out)
+
+
+def ref_psi_reduce(a):
+    out = {}
+    for word, mat in a.items():
+        if len(word) < 2:
+            ref_add_term(out, word, mat)
+            continue
+        u, v = word
+        if u == v:
+            ref_add_term(out, (), -mat)
+        elif u > v:
+            ref_add_term(out, (v, u), -mat)
+        else:
+            ref_add_term(out, word, mat)
+    return ref_pruned(out)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr, dtype=complex).view(np.uint64)
+
+
+def assert_same_terms(element, ref):
+    """Same words in the same order, coefficients equal bit for bit."""
+    assert list(element.terms) == list(ref)
+    for word, mat in ref.items():
+        assert np.array_equal(bits(element.terms[word]), bits(mat)), word
+
+
+_SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+@st.composite
+def coefficients(draw):
+    """A general complex 2x2 matrix: an explicit zero one time in six, else
+    entries mixing signed zeros and small integers with arbitrary doubles."""
+    if draw(st.integers(0, 5)) == 0:
+        return np.zeros((2, 2), dtype=complex)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = np.where(
+        rng.random(8) < 0.3, rng.choice(_SPECIAL, 8), rng.normal(scale=3.0, size=8)
+    )
+    return (parts[:4] + 1j * parts[4:]).reshape(2, 2)
+
+
+@st.composite
+def words(draw, grid):
+    pair = st.tuples(st.integers(1, grid), st.integers(1, grid))
+    length = draw(st.integers(0, 2))
+    if length == 2 and draw(st.booleans()):
+        u = draw(pair)
+        return (u, u)
+    return tuple(draw(pair) for _ in range(length))
+
+
+@st.composite
+def raw_terms(draw, grid, max_degree=2):
+    out = {}
+    for _ in range(draw(st.integers(0, 6))):
+        word = draw(words(grid))
+        if len(word) <= max_degree:
+            out[word] = draw(coefficients())
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_store_matches_dict_algorithm(data):
+    n_pairs = data.draw(st.integers(1, 2))
+    grid = 2 * n_pairs
+    ra = data.draw(raw_terms(grid))
+    rb = data.draw(raw_terms(grid))
+    if data.draw(st.booleans()):
+        # Share words (in another order) so that sums meet and may cancel.
+        rb.update({w: data.draw(st.sampled_from([-m, m, 2.0 * m])) for w, m in reversed(ra.items())})
+    a = TensorElement(n_pairs, ra)
+    b = TensorElement(n_pairs, rb)
+    assert_same_terms(a, ra)
+    assert_same_terms(a + b, ref_add(ra, rb))
+    assert_same_terms(a - b, ref_sub(ra, rb))
+    value = data.draw(st.sampled_from([0.5, -1.0, 0.0, 1j / 3.0, 0.3 - 1.7j]))
+    assert_same_terms(a.scale(value), ref_scale(ra, value))
+    assert_same_terms(psi_reduce(a), ref_psi_reduce(ra))
+    for left, right, rl, rr in ((a, b, ra, rb), (b, a, rb, ra)):
+        try:
+            expected = ref_mul(rl, rr)
+        except UnsupportedDegreeError:
+            with pytest.raises(UnsupportedDegreeError):
+                left.mul(right)
+            continue
+        product = left.mul(right)
+        assert_same_terms(product, expected)
+        assert_same_terms(psi_reduce(product), ref_psi_reduce(expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_of_words_of_degree_one_match_dict_algorithm(data):
+    # The shape of the double commutator: every word one pair long, so no
+    # two products share a word and the reduction meets every collision.
+    n_pairs = data.draw(st.integers(1, 3))
+    grid = 2 * n_pairs
+    pair = st.tuples(st.integers(1, grid), st.integers(1, grid))
+    ra = {(p,): data.draw(coefficients()) for p in data.draw(st.lists(pair, max_size=6))}
+    rb = {(p,): data.draw(coefficients()) for p in data.draw(st.lists(pair, max_size=6))}
+    a, b = TensorElement(n_pairs, ra), TensorElement(n_pairs, rb)
+    left, right = a.mul(b), b.mul(a)
+    assert_same_terms(left, ref_mul(ra, rb))
+    both = ref_sub(ref_mul(ra, rb), ref_mul(rb, ra))
+    assert_same_terms(left - right, both)
+    assert_same_terms(psi_reduce(left - right), ref_psi_reduce(both))
+
+
+def test_mul_rejects_degree_three_products():
+    one = TensorElement(2, {((1, 2),): MAT_X})
+    two = TensorElement(2, {((1, 2), (3, 4)): MAT_Y, (): MAT_J})
+    for left, right in ((one, two), (two, one), (two, two)):
+        with pytest.raises(UnsupportedDegreeError):
+            left.mul(right)
+    # An empty factor forms no product, so nothing is rejected.
+    assert two.mul(TensorElement(2)).terms == {}
+
+
+def test_degree_three_words_cannot_reach_psi_reduce():
+    # psi_reduce's degree bound is enforced where words enter the store: at
+    # construction, and the stored terms cannot be changed afterwards.
+    with pytest.raises(UnsupportedDegreeError):
+        TensorElement(2, {((1, 2), (2, 3), (3, 4)): MAT_X})
+    elem = TensorElement(2, {((1, 2), (3, 4)): MAT_X})
+    with pytest.raises(TypeError):
+        elem.terms[((1, 2), (3, 4), (1, 2))] = MAT_X
+    with pytest.raises(ValueError):
+        elem.terms[((1, 2), (3, 4))][0, 0] = 2.0
+    assert set(psi_reduce(elem).terms) == {((1, 2), (3, 4))}
+
+
+# -- realizations against Kronecker products ---------------------------------
+
+
+def elementary(grid, i, j):
+    out = np.zeros((grid, grid))
+    out[i - 1, j - 1] = 1.0
+    return out
+
+
+def kron_operator_edges(element):
+    grid = element.grid
+    out = np.zeros((2 * grid, 2 * grid), dtype=complex)
+    for ((i, j),), mat in element.terms.items():
+        out += np.kron(elementary(grid, i, j), mat)
+        out += np.kron(elementary(grid, j, i), -mat.T)
+    return out
+
+
+def kron_commutator_edges(element):
+    grid = element.grid
+    out = np.zeros((2 * grid, 2 * grid), dtype=complex)
+    for ((i, j),), mat in element.terms.items():
+        rotated = HADAMARD @ mat @ HADAMARD
+        out += np.kron(elementary(grid, i, j), rotated)
+        out += np.kron(elementary(grid, j, i), rotated.T)
+    return out
+
+
+def kron_build_w(weights, s, n_pairs):
+    grid = 2 * n_pairs
+    block = root_block(s)
+    out = np.zeros((2 * grid, 2 * grid), dtype=complex)
+    for (i, j), w in sorted(weights.items()):
+        out += w * (np.kron(elementary(grid, i, j), block) + np.kron(elementary(grid, j, i), -block.T))
+    return out
+
+
+def test_block_placement_matches_kron_reference_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for n_pairs in range(1, 9):
+        grid = 2 * n_pairs
+        pairs = [(i, j) for i in range(1, grid + 1) for j in range(i + 1, grid + 1)]
+        for s in (1, 2, 3, 4):
+            picked = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+            weights = {pairs[k]: float(rng.uniform(-2.0, 2.0)) for k in picked}
+            w_op = build_w(weights, s=s, n_pairs=n_pairs)
+            assert np.array_equal(bits(w_op.concrete), bits(kron_build_w(weights, s, n_pairs)))
+            for element in (w_op.symbolic, dirac_from_w(w_op, 0.7).symbolic):
+                assert np.array_equal(
+                    bits(realize_operator_edges(element)), bits(kron_operator_edges(element))
+                )
+                assert np.array_equal(
+                    bits(realize_commutator_edges(element)), bits(kron_commutator_edges(element))
+                )
+        # General coefficients, with words that share blocks: a pair and its
+        # mirror, and a diagonal pair whose two contributions land together.
+        words = [((1, grid),), ((grid, 1),), ((n_pairs, n_pairs),), ((grid, grid - 1),)]
+        element = TensorElement(
+            n_pairs,
+            {w: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for w in words},
+        )
+        assert np.array_equal(
+            bits(realize_operator_edges(element)), bits(kron_operator_edges(element))
+        )
+        assert np.array_equal(
+            bits(realize_commutator_edges(element)), bits(kron_commutator_edges(element))
+        )
+
+
+def test_edge_realizations_reject_other_word_lengths():
+    for word in ((), ((1, 2), (2, 3))):
+        element = TensorElement(2, {((1, 2),): MAT_X, word: MAT_Y})
+        with pytest.raises(InvalidArgumentError):
+            realize_operator_edges(element)
+        with pytest.raises(InvalidArgumentError):
+            realize_commutator_edges(element)
