@@ -275,7 +275,7 @@ def _random_operator(rng, n_pairs: int, hbar: float):
     picked = rng.choice(len(edges), size=count, replace=False)
     weights = {}
     for idx in sorted(int(k) for k in picked):
-        w = float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0]))
+        w = float(rng.uniform(0.2, 2.0)) * (-1.0, 1.0)[rng.integers(0, 2)]
         weights[edges[idx]] = w
     w_op = build_w(weights, s=2, n_pairs=n_pairs)
     return dirac_from_w(w_op, hbar)

@@ -6,9 +6,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from diraclab.cli import main
+from diraclab import build_w, dirac_from_w
+from diraclab.cli import _random_operator, main
 
 SMALL = ["--n-grid", "60,120", "--repeats", "2"]
 
@@ -25,6 +27,30 @@ def read(path):
 def test_no_arguments_is_a_usage_error(capsys):
     assert run_cli([]) == 2
     capsys.readouterr()
+
+
+def reference_random_operator(rng, n_pairs, hbar):
+    """algebra-check's instance generator as first written, with the edge
+    sign drawn by rng.choice."""
+    grid = 2 * n_pairs
+    edges = [(i, j) for i in range(1, grid + 1) for j in range(i + 1, grid + 1)]
+    count = int(rng.integers(1, len(edges) + 1))
+    picked = rng.choice(len(edges), size=count, replace=False)
+    weights = {}
+    for idx in sorted(int(k) for k in picked):
+        weights[edges[idx]] = float(rng.uniform(0.2, 2.0)) * float(rng.choice([-1.0, 1.0]))
+    return dirac_from_w(build_w(weights, s=2, n_pairs=n_pairs), hbar)
+
+
+def test_random_operator_keeps_the_stream():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for n_pairs in (1, 2, 3, 4) * 5:
+            got = _random_operator(rng, n_pairs, 0.7).concrete
+            ref = reference_random_operator(ref_rng, n_pairs, 0.7).concrete
+            assert got.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 def test_algebra_check_writes_artifacts(tmp_path, capsys):

@@ -107,6 +107,56 @@ def test_vmf_weight_matches_log_normalizer_formula():
             assert got == pytest.approx(ref, rel=1e-12)
 
 
+def reference_star_weights(logc, anchors, fp, hbar, sigma):
+    """star_weights as first written: the neighbourhood check on
+    sqrt(einsum) norms."""
+    if not np.all(np.sqrt(np.einsum("...d,...d->...", logc, logc)) < fp.delta_u):
+        raise OutOfNeighbourhoodError("outside")
+    proj = np.einsum("...d,...d->...", logc, anchors)
+    return np.exp(log_c_d(fp.d, 1.0 / hbar) + sigma * proj / hbar)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_star_weights_match_their_former_expression(kind, d):
+    m = make_manifold(kind, d)
+    fp = framed_point(m)
+    rng = np.random.default_rng(21)
+    v = sample_log_coords(m, fp, rng, 3000 * (d + 1)).reshape(3000, d + 1, d)
+    anchors = anchor_rows(fp, laplace_lambda(fp.frame))
+    for hbar in (1.0, 0.3, 0.02):
+        for sigma in (1, -1):
+            for x, s in ((v, anchors), (v[:, 0], anchors[0]), (v[5, 1], anchors[1])):
+                got = star_weights(x, s, fp, hbar, sigma)
+                ref = reference_star_weights(x, s, fp, hbar, sigma)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    # Rows at and next to the boundary |v| = delta_u.  At d = 2 both checks
+    # judge every row alike.  At d = 3 einsum sums the squares in another order
+    # than the column-by-column norm, so the two may part only on rows whose
+    # norm lies within a few ulps of delta_u.
+    dirs = rng.standard_normal((400, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    steps = np.arange(400) % 4 * 2.0**-52 - (np.arange(400) % 5 == 0) * 2.0**-51
+    rows = (np.nextafter(fp.delta_u, 0.0) - steps)[:, None] * dirs
+    parted = 0
+    for row in rows:
+        try:
+            ref = reference_star_weights(row, anchors[0], fp, 0.5, 1)
+        except OutOfNeighbourhoodError:
+            ref = None
+        try:
+            got = star_weights(row, anchors[0], fp, 0.5, 1)
+        except OutOfNeighbourhoodError:
+            got = None
+        if (ref is None) != (got is None):
+            parted += 1
+            ref_norm = math.sqrt(float(np.einsum("d,d->", row, row)))
+            assert abs(ref_norm - fp.delta_u) <= 4 * np.spacing(fp.delta_u)
+        elif ref is not None:
+            assert got == ref
+    assert parted == 0 if d == 2 else parted < len(rows) // 4
+
+
 def test_vmf_weight_extra_slot_uses_lambda_direction():
     m = make_manifold("flat", 2)
     fp = framed_point(m)

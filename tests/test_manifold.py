@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diraclab import manifold as manifold_module
 from diraclab import (
     InvalidArgumentError,
     OutOfInjectivityError,
@@ -269,22 +270,62 @@ def reference_sample_uniform_batch(m, fp, rng, size):
     return np.cos(r)[..., None] * fp.point + np.sinc(r / math.pi)[..., None] * tangent
 
 
+class CountingRng:
+    """A generator that counts the rounds (normal draws) it serves."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.rounds = 0
+
+    def standard_normal(self, shape):
+        self.rounds += 1
+        return self.rng.standard_normal(shape)
+
+    def random(self, size=None):
+        return self.rng.random(size)
+
+
+def assert_sampler_keeps_the_stream(m, fp, size, seed):
+    ref_rng = np.random.default_rng(seed)
+    ref = reference_sample_uniform_batch(m, fp, ref_rng, size)
+    rng = CountingRng(seed)
+    v = sample_log_coords(m, fp, rng, size)
+    assert v.shape == (size, m.d)
+    assert np.all(np.linalg.norm(v, axis=1) < fp.delta_u)
+    assert np.array_equal(exp_map(m, fp.point, v @ fp.frame), ref)
+    # Both consumed the same number of draws.
+    assert rng.random() == ref_rng.random()
+    return rng.rounds
+
+
 @pytest.mark.parametrize("kind", ["flat", "sphere"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_log_coordinate_sampler_keeps_the_stream(kind, d):
+def test_log_coordinate_sampler_keeps_the_stream(kind, d, monkeypatch):
     m = make_manifold(kind, d)
     fp = framed_point(m)
     for size, seed in ((1, 0), (65, 1), (3000, 2), (30001, 3)):
-        ref_rng = np.random.default_rng(seed)
-        ref = reference_sample_uniform_batch(m, fp, ref_rng, size)
-        rng = np.random.default_rng(seed)
-        v = sample_log_coords(m, fp, rng, size)
-        assert v.shape == (size, d)
-        assert np.all(np.linalg.norm(v, axis=1) < fp.delta_u)
-        assert np.array_equal(exp_map(m, fp.point, v @ fp.frame), ref)
-        # Both consumed the same number of draws.
-        assert rng.random() == ref_rng.random()
+        assert_sampler_keeps_the_stream(m, fp, size, seed)
     assert sample_log_coords(m, fp, np.random.default_rng(0), 0).shape == (0, d)
+    if kind == "flat":
+        return
+    # A wide neighbourhood: acceptance is low (about 0.58 at d = 2, 0.29 at
+    # d = 3), so the density prefix grows past its first block and, at d = 3,
+    # rounds exceed one.
+    wide = framed_point(m, delta_u=2.5)
+    sinc_calls = []
+    real_sinc = manifold_module._sinc
+
+    def counting_sinc(r):
+        sinc_calls.append(1)
+        return real_sinc(r)
+
+    monkeypatch.setattr(manifold_module, "_sinc", counting_sinc)
+    for size, seed in ((1, 4), (65, 5), (3000, 6), (30001, 7)):
+        sinc_calls.clear()
+        rounds = assert_sampler_keeps_the_stream(m, wide, size, seed)
+        assert len(sinc_calls) > rounds
+        if d == 3 and size > 1:
+            assert rounds > 1
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])
@@ -295,6 +336,75 @@ def test_exp_axis_is_a_column_of_exp_map(kind):
     full = exp_map(m, fp.point, v @ fp.frame)
     for axis in range(m.embedding_dim):
         assert np.array_equal(exp_axis(m, fp, v, axis), full[..., axis])
+
+
+def reference_exp_axis(m, fp, v, axis):
+    """exp_axis as first written: the projection as one stacked matvec,
+    norms by np.sum, sinc by np.sinc."""
+    v = np.asarray(v, dtype=float)
+    along = v @ fp.frame[:, axis]
+    if m.kind == "flat":
+        return fp.point[axis] + along
+    r = np.sqrt(np.sum(v * v, axis=-1))
+    return np.cos(r) * fp.point[axis] + np.sinc(r / math.pi) * along
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exp_axis_matches_its_stacked_matvec_form(kind, d):
+    m = make_manifold(kind, d)
+    fp = framed_point(m)
+    v = sample_log_coords(m, fp, np.random.default_rng(11), 600 * (d + 1))
+    v = v.reshape(600, d + 1, d)
+    for axis in range(m.embedding_dim):
+        for x in (v, v[:, :d], v[7, 1], np.zeros(d)):
+            got = np.asarray(exp_axis(m, fp, x, axis))
+            ref = np.asarray(reference_exp_axis(m, fp, x, axis))
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exp_axis_on_a_rotated_frame_is_a_column_of_exp_map(kind, d):
+    # Off the default point and frame, exp_axis takes r = |v| where exp_map
+    # takes the norm of the embedded tangent, so the two round differently.
+    m = make_manifold(kind, d)
+    rng = np.random.default_rng(12)
+    p = rng.standard_normal(m.embedding_dim)
+    if kind == "sphere":
+        p /= np.linalg.norm(p)
+    basis = default_frame(m, p)
+    rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    fp = framed_point(m, point=p, frame=rot @ basis)
+    v = sample_log_coords(m, fp, rng, 2000 * (d + 1)).reshape(2000, d + 1, d)
+    full = exp_map(m, fp.point, v @ fp.frame)
+    scale = max(1.0, float(np.max(np.abs(full))))
+    for axis in range(m.embedding_dim):
+        err = np.max(np.abs(exp_axis(m, fp, v, axis) - full[..., axis]))
+        assert err <= 1e-12 * scale
+
+
+def test_sinc_helper_is_np_sinc_bit_for_bit():
+    rng = np.random.default_rng(13)
+    r = np.concatenate(
+        [
+            [0.0, -0.0, 5e-324, 1e-300, 1e-20, 1e-8, math.pi, -math.pi, 1e300],
+            [math.inf, -math.inf, math.nan],
+            rng.uniform(-10.0, 10.0, 20000),
+            rng.uniform(0.0, 1e-6, 1000),
+        ]
+    )
+    with np.errstate(invalid="ignore"):
+        ref = np.sinc(r / math.pi)
+        work = r.copy()
+        got = manifold_module._sinc(work)
+    assert got is work
+    assert got.tobytes() == ref.tobytes()
+    for x in (0.0, 0.5, np.float64(2.0)):
+        assert np.asarray(manifold_module._sinc(x)).tobytes() == np.sinc(x / math.pi).tobytes()
+    shaped = rng.uniform(0.0, 3.0, (4, 5))
+    assert manifold_module._sinc(shaped.copy()).tobytes() == np.sinc(shaped / math.pi).tobytes()
 
 
 def test_flat_sampler_second_moment():
