@@ -300,13 +300,6 @@ def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray) -> np.ndarray:
     return np.asarray(a.evaluate(v), dtype=float) - float(a.evaluate(np.zeros(m.d)))
 
 
-def _weighted(m: ManifoldModel, a: TestFunction, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w (a(x) - a(p)), formed in place on the fresh centered values."""
-    vals = _centered(m, a, v)
-    vals *= w
-    return vals
-
-
 def s_jn(
     m: ManifoldModel,
     samples,
@@ -359,7 +352,7 @@ def dirac_estimate(
     v, w = v[:, : m.d], w[:, : m.d]
     funcs = [a] if isinstance(a, TestFunction) else list(a)
     scale = neighbourhood_volume(m, fp) / hbar
-    comps = np.array([_weighted(m, f, v, w).mean(axis=0) * scale for f in funcs])
+    comps = np.array([(w * _centered(m, f, v)).mean(axis=0) * scale for f in funcs])
     return comps[0] if isinstance(a, TestFunction) else comps
 
 
@@ -384,7 +377,7 @@ def laplace_estimate(
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
     v, w, lam = _star(m, samples, fp, hbar, sigma, lam)
     lamvec = lam.lams**lambda_power
-    total = float(np.sum(_weighted(m, a, v, w) @ lamvec))
+    total = float(np.sum((w * _centered(m, a, v)) @ lamvec))
     return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
 
 

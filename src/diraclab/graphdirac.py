@@ -91,16 +91,13 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
+    logc = np.asarray(logc, dtype=float)
     if not np.all(_norms(logc) < fp.delta_u):
         if not np.all(np.isfinite(logc)):
             raise InvalidArgumentError("sample log coordinates must be finite")
         raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
-    # log C_d + sigma <v, s> / hbar, formed in place on the projections.
-    arg = np.einsum("...d,...d->...", logc, anchors)
-    arg *= sigma
-    arg /= hbar
-    arg += log_c_d(fp.d, 1.0 / hbar)
-    return np.exp(arg, out=arg if arg.ndim else None)
+    proj = np.einsum("...d,...d->...", logc, anchors)
+    return np.exp(log_c_d(fp.d, 1.0 / hbar) + sigma * proj / hbar)
 
 
 @dataclass(frozen=True, eq=False)

@@ -165,23 +165,20 @@ def framed_point(
 
 def _norms(v: np.ndarray) -> np.ndarray:
     """Norms over the last axis, summed column by column: np.sum's order on
-    rows shorter than eight, at a fraction of its cost on short rows.  Sums
-    and root are taken in place: on MC-sized batches a fresh temporary costs
-    more than the arithmetic done in it."""
+    rows shorter than eight, at a fraction of its cost on short rows."""
     sq = v[..., 0] * v[..., 0]
     for k in range(1, v.shape[-1]):
-        sq += v[..., k] * v[..., k]
-    return np.sqrt(sq, out=sq if sq.ndim else None)
+        sq = sq + v[..., k] * v[..., k]
+    return np.sqrt(sq)
 
 
 _SINC_EPS = np.finfo(float).eps
 
 
 def _sinc(r):
-    """np.sinc(r / pi), bit for bit (its zero guard included), computed in
-    place: an array ``r`` is overwritten with the result."""
-    y = np.divide(r, math.pi, out=r if isinstance(r, np.ndarray) else None)
-    y = np.asarray(y)
+    """np.sinc(r / pi), bit for bit (its zero guard included), with one fresh
+    array for the result instead of np.sinc's four temporaries."""
+    y = np.asarray(r / math.pi)
     y *= math.pi
     if not y.all():
         y[y == 0] = _SINC_EPS
@@ -208,9 +205,8 @@ def exp_map(m: ManifoldModel, p: np.ndarray, v) -> np.ndarray:
         )
     if m.kind == "flat":
         return p + v
-    # sin(r)/r via sinc keeps the r -> 0 limit exact; _sinc overwrites r.
-    cos_r = np.cos(r)
-    return cos_r[..., None] * p + _sinc(r)[..., None] * v
+    # sin(r)/r via sinc keeps the r -> 0 limit exact.
+    return np.cos(r)[..., None] * p + _sinc(r)[..., None] * v
 
 
 def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
@@ -229,14 +225,9 @@ def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
     for k in range(1, fp.d):
         along += v[..., k] * col[k]
     if m.kind == "flat":
-        along += fp.point[axis]
-        return along
+        return fp.point[axis] + along
     r = _norms(v)
-    cos_part = np.cos(r)  # before _sinc overwrites r
-    cos_part *= fp.point[axis]
-    along *= _sinc(r)
-    along += cos_part
-    return along
+    return np.cos(r) * fp.point[axis] + _sinc(r) * along
 
 
 def log_map(m: ManifoldModel, p: np.ndarray, q) -> np.ndarray:
@@ -297,8 +288,7 @@ def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint, rule=None) -> float:
     x, w = leggauss(n)
     r = 0.5 * delta * (x + 1.0)
     wr = 0.5 * delta * w
-    rpow = r ** (d - 1)
-    vals = rpow * _sinc(r) ** (d - 1)
+    vals = r ** (d - 1) * _sinc(r) ** (d - 1)
     return float(omega * np.sum(wr * vals))
 
 
@@ -342,7 +332,7 @@ def sample_log_coords(
             start, stop = stop, min(draw, stop + block)
             radii = u[start:stop] ** (1.0 / d)
             radii *= fp.delta_u
-            dens = _sinc(radii.copy())
+            dens = _sinc(radii)
             if d != 2:
                 dens = dens ** (d - 1)
             keep = accept[start:stop] < dens

@@ -157,6 +157,20 @@ def test_star_weights_match_their_former_expression(kind, d):
     assert parted == 0 if d == 2 else parted < len(rows) // 4
 
 
+def test_star_weights_take_lists_and_integer_arrays_as_floats():
+    m = make_manifold("flat", 2)
+    fp = framed_point(m, delta_u=4.0)
+    coords = [[1, -2], [0, 3], [2, 2]]
+    anchors = np.eye(2)[0]
+    ref = star_weights(np.array(coords, dtype=float), anchors, fp, 0.5, 1)
+    for x in (coords, np.array(coords), np.array(coords, dtype=np.int32)):
+        got = star_weights(x, anchors, fp, 0.5, 1)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+    with pytest.raises(OutOfNeighbourhoodError):
+        star_weights([[4, 0]], anchors, fp, 0.5, 1)
+
+
 def test_vmf_weight_extra_slot_uses_lambda_direction():
     m = make_manifold("flat", 2)
     fp = framed_point(m)

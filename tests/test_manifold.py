@@ -399,12 +399,12 @@ def test_sinc_helper_is_np_sinc_bit_for_bit():
         ref = np.sinc(r / math.pi)
         work = r.copy()
         got = manifold_module._sinc(work)
-    assert got is work
     assert got.tobytes() == ref.tobytes()
+    assert work.tobytes() == r.tobytes()
     for x in (0.0, 0.5, np.float64(2.0)):
         assert np.asarray(manifold_module._sinc(x)).tobytes() == np.sinc(x / math.pi).tobytes()
     shaped = rng.uniform(0.0, 3.0, (4, 5))
-    assert manifold_module._sinc(shaped.copy()).tobytes() == np.sinc(shaped / math.pi).tobytes()
+    assert manifold_module._sinc(shaped).tobytes() == np.sinc(shaped / math.pi).tobytes()
 
 
 def test_flat_sampler_second_moment():

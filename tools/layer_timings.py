@@ -1,11 +1,11 @@
 """Time the Monte Carlo layers alone, one call at a time, at an MC-run size.
 
-    python3 tools/layer_timings.py [--src DIR] [--copies 100000] [--repeats 31]
+    python3 tools/layer_timings.py [--src DIR]
 
 Imports the package from ``--src`` (default: the ``src`` directory of this
 checkout), holds BLAS to one thread, and prints one JSON object of medians
-and quartiles over ``--repeats`` calls, in ns per sample point (a star copy
-holds d + 1 = 3 points at d = 2):
+and quartiles over 31 calls at 1e5 star copies, in ns per sample point (a
+star copy holds d + 1 = 3 points at d = 2):
 
 - ``sampler.{flat,sphere}``: ``sample_log_coords`` for copies * 3 points;
 - ``weights_reduction.{flat,sphere}``: ``dirac_estimate`` on those points
@@ -27,6 +27,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIES = 100_000
+REPEATS = 31
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -50,8 +52,6 @@ def _time(fn, repeats: int) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding diraclab/")
-    p.add_argument("--copies", type=int, default=100_000)
-    p.add_argument("--repeats", type=int, default=31)
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
@@ -65,8 +65,8 @@ def main(argv=None) -> int:
     )
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
 
-    points = args.copies * 3
-    result = {"copies": args.copies, "points": points, "unit": "ns per sample point"}
+    points = COPIES * 3
+    result = {"copies": COPIES, "points": points, "unit": "ns per sample point"}
     for kind in ("flat", "sphere"):
         m = make_manifold(kind, 2)
         fp = framed_point(m)
@@ -75,18 +75,18 @@ def main(argv=None) -> int:
             if kind == "flat"
             else embedding_coordinate_function(m, fp, 0)
         )
-        v = sample_log_coords(m, fp, np.random.default_rng(1), points).reshape(args.copies, 3, 2)
+        v = sample_log_coords(m, fp, np.random.default_rng(1), points).reshape(COPIES, 3, 2)
         result[f"sampler.{kind}"] = _summary(
-            _time(lambda: sample_log_coords(m, fp, np.random.default_rng(1), points), args.repeats),
+            _time(lambda: sample_log_coords(m, fp, np.random.default_rng(1), points), REPEATS),
             points,
         )
         result[f"weights_reduction.{kind}"] = _summary(
-            _time(lambda: dirac_estimate(m, v, a, fp, 0.2, sigma=1), args.repeats), points
+            _time(lambda: dirac_estimate(m, v, a, fp, 0.2, sigma=1), REPEATS), points
         )
         if kind == "flat":
             sq = squared_radius_function(m, fp)
             result["laplace.flat"] = _summary(
-                _time(lambda: laplace_estimate(m, v, sq, fp, 0.2, sigma=1), args.repeats), points
+                _time(lambda: laplace_estimate(m, v, sq, fp, 0.2, sigma=1), REPEATS), points
             )
     print(json.dumps(result, indent=1))
     return 0

@@ -84,19 +84,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seeds", default="default,1,2,3", help="comma-separated; 'default' = no --seed")
     p.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding diraclab/")
-    p.add_argument("--cases", help="comma-separated subset of case names")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ.pop("DIRACLAB_SEED", None)
     from diraclab.cli import main as cli_main
 
-    wanted = None if args.cases is None else set(args.cases.split(","))
     lines = []
     with tempfile.TemporaryDirectory(prefix="output-digest-") as work:
         for seed in args.seeds.split(","):
             for name, case_argv in CASES:
-                if wanted is None or name in wanted:
-                    lines.extend(_run_case(cli_main, work, name, case_argv, seed.strip()))
+                lines.extend(_run_case(cli_main, work, name, case_argv, seed.strip()))
     print("\n".join(sorted(lines)))
     return 0
 
