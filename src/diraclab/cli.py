@@ -5,8 +5,9 @@ command-line flags, a key=value config file or a previously written manifest,
 the DIRACLAB_SEED environment variable (seed only), and built-in defaults.
 The resolved configuration is echoed to ``manifest.json``; re-running from a
 manifest reproduces every output byte for byte.  Wall time (for the
-convergence runs and algebra-check also per-stage seconds and counters) goes
-to a separate ``timing.json``, which is informational and excluded from that
+convergence runs and algebra-check also per-stage seconds and counters, for
+the convergence runs also the peak resident set size) goes to a separate
+``timing.json``, which is informational and excluded from that
 contract, as are the execution-only settings (output directory, thread
 count).
 
@@ -20,11 +21,12 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .clifford import Multivector, mv_mul
 from .errors import ConfigError, DiracLabError, InvalidArgumentError, NumericFailureError
@@ -624,8 +626,7 @@ def _geometry_rows(seed: int, dim: int):
         edges = np.interp(np.linspace(0.0, 1.0, n_bins + 1), grid_cdf, grid_r)
         counts, _ = np.histogram(sample_r, bins=edges)
         expected = np.full(n_bins, n_samples / n_bins)
-        chi2 = stats.chisquare(counts, expected)
-        p_val = float(chi2.pvalue)
+        p_val = _pearson_chisquare(counts, expected)[1]
         rows.append(
             {
                 "manifold": kind,
@@ -636,6 +637,29 @@ def _geometry_rows(seed: int, dim: int):
             }
         )
     return rows, jacobi_rows
+
+
+def _pearson_chisquare(observed, expected) -> tuple[float, float]:
+    """Pearson's chi-square statistic of ``observed`` against ``expected``
+    counts and its upper-tail p-value on k - 1 degrees of freedom.
+
+    The arithmetic of ``scipy.stats.chisquare`` (float64 terms
+    (f - e)^2 / e, summed; p = chdtrc(k - 1, stat)), bit for bit, with its
+    check that both totals agree to a relative sqrt(eps): counts that miss a
+    sample raise ``InvalidArgumentError``.
+    """
+    f_obs = np.asarray(observed, dtype=np.float64)
+    f_exp = np.asarray(expected, dtype=np.float64)
+    obs_sum, exp_sum = np.sum(f_obs), np.sum(f_exp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_diff = abs(obs_sum - exp_sum) / min(obs_sum, exp_sum)
+    if rel_diff > np.finfo(np.float64).eps ** 0.5:
+        raise InvalidArgumentError(
+            f"observed total {obs_sum} and expected total {exp_sum} differ "
+            f"by a relative {rel_diff:.3e}"
+        )
+    stat = float(np.sum((f_obs - f_exp) ** 2 / f_exp))
+    return stat, float(special.chdtrc(f_obs.size - 1, stat))
 
 
 def _cmd_geometry_check(args) -> int:
@@ -736,7 +760,8 @@ def _cmd_converge(args, mode: str) -> int:
     _write_manifest(out_dir, f"{mode}-converge", config)
     _write_table(out_dir, "report", CSV_COLUMNS, report.rows)
     _write_text(out_dir, "report.json", report.to_json_text())
-    _write_json(out_dir, "timing.json", report.timing)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    _write_json(out_dir, "timing.json", {**report.timing, "peak_rss_mb": peak_rss_mb})
     if getattr(args, "dump_operators", None):
         _dump_operators(args, cfg, args.dump_operators)
     for row in report.rows:

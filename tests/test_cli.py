@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from diraclab import build_w, dirac_from_w
-from diraclab.cli import _random_operator, main
+import diraclab
+from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w
+from diraclab.cli import _pearson_chisquare, _random_operator, main
 
 SMALL = ["--n-grid", "60,120", "--repeats", "2"]
 
@@ -100,6 +104,73 @@ def test_geometry_check_passes_everywhere(tmp_path, capsys):
     rows = json.loads((out / "geometry_check.json").read_text())["rows"]
     assert {row["manifold"] for row in rows} == {"flat", "sphere"}
     assert all(row["passed"] for row in rows)
+
+
+def test_cli_run_loads_no_scipy_stats(tmp_path):
+    # A fresh interpreter: this test module imports scipy.stats itself.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diraclab.__file__)))
+    code = (
+        "import sys\n"
+        "import diraclab, diraclab.cli\n"
+        "assert diraclab.cli.main(['geometry-check', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "g")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _assert_matches_scipy_chisquare(counts, expected):
+    ref = stats.chisquare(counts, expected)
+    stat, p_val = _pearson_chisquare(counts, expected)
+    assert float.hex(stat) == float.hex(float(ref.statistic))
+    assert float.hex(p_val) == float.hex(float(ref.pvalue))
+    return p_val
+
+
+def test_pearson_chisquare_is_scipy_chisquare_bit_for_bit():
+    rng = np.random.default_rng(20240)
+    expected = np.full(20, 20000 / 20)
+    for _ in range(200):
+        counts = rng.multinomial(20000, rng.dirichlet(np.full(20, 50.0)))
+        _assert_matches_scipy_chisquare(counts, expected)
+    # Uniform draws, as the sampler check sees them when it passes.
+    for _ in range(200):
+        _assert_matches_scipy_chisquare(rng.multinomial(20000, np.full(20, 0.05)), expected)
+
+
+def test_geometry_check_chisquare_p_is_scipy_chisquare_bit_for_bit(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recording(observed, expected):
+        seen.append((np.array(observed), np.array(expected)))
+        return _pearson_chisquare(observed, expected)
+
+    monkeypatch.setattr(cli, "_pearson_chisquare", recording)
+    out = tmp_path / "g"
+    assert run_cli(["geometry-check", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "geometry_check.json").read_text())["rows"]
+    p_rows = [row for row in rows if row["check"] == "sampler-radial-chisquare-p"]
+    assert [row["manifold"] for row in p_rows] == ["flat", "sphere"]
+    assert len(seen) == len(p_rows)
+    for row, (counts, expected) in zip(p_rows, seen):
+        assert counts.sum() == 20000 and counts.size == 20
+        assert float.hex(row["value"]) == float.hex(_assert_matches_scipy_chisquare(counts, expected))
+
+
+def test_pearson_chisquare_rejects_counts_that_miss_a_sample():
+    counts = np.full(20, 1000)
+    counts[7] -= 1  # one sample fell outside every bin
+    expected = np.full(20, 20000 / 20)
+    with pytest.raises(ValueError):
+        stats.chisquare(counts, expected)
+    with pytest.raises(InvalidArgumentError, match="differ"):
+        _pearson_chisquare(counts, expected)
 
 
 def test_converge_writes_report(tmp_path, capsys):
@@ -289,7 +360,8 @@ def test_converge_timing_stages_and_thread_independent_bytes(tmp_path, capsys, m
         assert read(one / name) == read(two / name)
     for out in (one, two):
         timing = json.loads((out / "timing.json").read_text())
-        assert set(timing) == {"wall_time_s", "stages_s", "counters"}
+        assert set(timing) == {"wall_time_s", "stages_s", "counters", "peak_rss_mb"}
+        assert isinstance(timing["peak_rss_mb"], float) and timing["peak_rss_mb"] > 0.0
         assert set(timing["stages_s"]) == {"sampling", "estimation", "oracles"}
         assert all(s >= 0.0 for s in timing["stages_s"].values())
         assert timing["wall_time_s"] >= timing["stages_s"]["oracles"]

@@ -35,6 +35,7 @@ CASES = (
     ("algebra-check", ["algebra-check"]),
     ("specfun", ["specfun"]),
     ("geometry-check", ["geometry-check"]),
+    ("geometry-check-dim3", ["geometry-check", "--dim", "3"]),
     ("dirac-flat", ["dirac-converge", "--manifold", "flat"]),
     ("dirac-sphere", ["dirac-converge", "--manifold", "sphere"]),
     ("dirac-flat-family", ["dirac-converge", "--manifold", "flat", "--family", "1"]),
