@@ -1,13 +1,15 @@
 """Command-line interface: checks, tables, convergence runs, and bound reports.
 
-Every subcommand resolves its configuration from (highest precedence first)
-command-line flags, a key=value config file or a previously written manifest,
-the DIRACLAB_SEED environment variable (seed only), and built-in defaults.
-The resolved configuration is echoed to ``manifest.json``; re-running from a
-manifest reproduces every output byte for byte.  Wall time (for the
-convergence runs and algebra-check also per-stage seconds and counters, for
-the convergence runs also the peak resident set size) goes to a separate
-``timing.json``, which is informational and excluded from that
+Every subcommand resolves each setting it reads from (highest precedence
+first) its command-line flag, a key=value config file or a previously
+written manifest, the DIRACLAB_SEED environment variable (seed only), and its
+built-in default.  One parser per setting reads the flag, the config-file
+line and the manifest entry alike; a subcommand accepts exactly the settings
+it reads.  The resolved configuration is echoed to ``manifest.json``;
+re-running from a manifest reproduces every output byte for byte.  Wall time
+(for the convergence runs and algebra-check also per-stage seconds and
+counters, for the convergence runs also the peak resident set size) goes to a
+separate ``timing.json``, which is informational and excluded from that
 contract, as are the execution-only settings (output directory, thread
 count).
 
@@ -18,12 +20,14 @@ errors (config-file problems are reported with their line number).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import resource
 import sys
 import time
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -74,7 +78,7 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# settings
 
 
 def _parse_sign(text: str) -> int:
@@ -104,18 +108,32 @@ def _parse_csv_floats(text: str) -> tuple:
     return tuple(float(p) for p in parts if p)
 
 
-_KEY_PARSERS = {
-    "mode": str,
-    "manifold": str,
+def _one_of(parse, *allowed):
+    """``parse``, accepting only the ``allowed`` values."""
+
+    def parse_one_of(text: str):
+        value = parse(text)
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(map(str, allowed))}, got {text!r}")
+        return value
+
+    return parse_one_of
+
+
+# The one parser of each setting: it reads the setting's flag, config-file
+# line, manifest entry and (seed only) environment variable.
+_PARSERS = {
+    "out": str,
+    "seed": int,
+    "manifold": _one_of(str, "flat", "sphere"),
     "dim": int,
     "alpha": float,
     "n_grid": _parse_csv_ints,
     "repeats": int,
-    "seed": int,
     "sign": _parse_sign,
     "test_function": str,
     "delta_u": float,
-    "lambda_power": int,
+    "lambda_power": _one_of(int, 1, 2),
     "family_check": _parse_bool,
     "threads": int,
     "hoeffding_eps": float,
@@ -123,13 +141,69 @@ _KEY_PARSERS = {
     "hbar_grid": _parse_csv_floats,
     "n_copies": int,
     "grad_sup": float,
-    "out": str,
+}
+# Settings that change where a run writes or how fast it goes, never its
+# bytes; the manifest leaves them out.
+_EXECUTION_ONLY = ("out", "threads")
+# Each RunConfig field but mode, and the setting it is read from.
+_RUN_SETTING = {
+    f.name: {"master_seed": "seed", "sigma": "sign"}.get(f.name, f.name)
+    for f in dataclasses.fields(RunConfig)
+    if f.name != "mode"
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Parse a key=value config file.  Unknown keys and bad values are hard,
-    line-numbered errors."""
+def _settings(**defaults) -> dict:
+    """Setting -> default for a subcommand: ``out`` and ``seed``, then its own."""
+    return {"out": "out", "seed": DEFAULT_MASTER_SEED, **defaults}
+
+
+# The convergence runs read those settings, with RunConfig's defaults.
+_RUN_DEFAULTS = _settings(**{key: getattr(RunConfig, name) for name, key in _RUN_SETTING.items()})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand, declared once: the settings it reads with their
+    defaults drive its flags, its config-file keys, its manifest echo and the
+    manifest reload.  ``fixed`` entries are echoed to the manifest with one
+    value that a config file or manifest may repeat but not change."""
+
+    name: str
+    help: str
+    handler: Callable
+    defaults: dict
+    fixed: dict = dataclasses.field(default_factory=dict)
+    dumps_operators: bool = False
+
+
+def _flag(key: str) -> str:
+    return "--family" if key == "family_check" else "--" + key.replace("_", "-")
+
+
+def _parse(key: str, text: str, where: str):
+    try:
+        return _PARSERS[key](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
+def _layer_entry(sub: _Subcommand, key: str, text: str, where: str) -> dict:
+    """One config-file or manifest entry as {key: value}; a fixed entry must
+    hold its value and adds nothing."""
+    fixed = sub.fixed.get(key)
+    if fixed is not None:
+        if text != fixed:
+            raise ConfigError(f"{where}: {key} is {fixed!r} for {sub.name}, got {text!r}")
+        return {}
+    if key not in sub.defaults:
+        raise ConfigError(f"{where}: unknown key {key!r} for {sub.name}")
+    return {key: _parse(key, text, where)}
+
+
+def parse_config_file(path: str, sub: _Subcommand) -> dict:
+    """Parse a key=value config file.  Keys the subcommand does not read and
+    bad values are hard, line-numbered errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -143,96 +217,70 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = _KEY_PARSERS[key](value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        out.update(_layer_entry(sub, key.strip(), value.strip(), f"{path}:{lineno}"))
     return out
 
 
-def _load_manifest_config(path: str, subcommand: str) -> dict:
+def _manifest_text(value) -> str:
+    """A manifest value in config-file spelling: a list comma-joined, a scalar
+    as JSON writes it (floats round-trip exactly)."""
+    if isinstance(value, list):
+        return ",".join(map(_manifest_text, value))
+    return json.dumps(value)
+
+
+def _load_manifest(path: str, sub: _Subcommand) -> dict:
+    """The settings of a manifest written by ``sub``, each through its parser;
+    a string stands only for a string setting."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    if manifest.get("subcommand") != subcommand:
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"manifest {path} holds no config object")
+    if manifest.get("subcommand") != sub.name:
         raise ConfigError(
             f"manifest {path} was written by {manifest.get('subcommand')!r}, "
-            f"not {subcommand!r}"
+            f"not {sub.name!r}"
         )
-    cfg = manifest.get("config", {})
-    if "n_grid" in cfg:
-        cfg["n_grid"] = tuple(int(n) for n in cfg["n_grid"])
-    if "t_grid" in cfg:
-        cfg["t_grid"] = tuple(float(t) for t in cfg["t_grid"])
-    if "hbar_grid" in cfg:
-        cfg["hbar_grid"] = tuple(float(h) for h in cfg["hbar_grid"])
-    return cfg
+    out = {}
+    for key, value in manifest["config"].items():
+        text = value if isinstance(value, str) else _manifest_text(value)
+        entry = _layer_entry(sub, key, text, f"manifest {path}")
+        if entry and isinstance(entry[key], str) != isinstance(value, str):
+            raise ConfigError(f"manifest {path}: bad value for {key}: {value!r}")
+        out.update(entry)
+    return out
 
 
-def _file_layer(args, subcommand: str) -> dict:
-    if getattr(args, "config", None) and getattr(args, "from_manifest", None):
+def _resolve(args, sub: _Subcommand) -> dict:
+    """Every setting ``sub`` reads, from the first of: its flag, the config
+    file or manifest, DIRACLAB_SEED (seed only), its default."""
+    if args.config and args.from_manifest:
         raise ConfigError("--config and --from-manifest cannot be combined")
-    if getattr(args, "config", None):
-        return parse_config_file(args.config)
-    if getattr(args, "from_manifest", None):
-        return _load_manifest_config(args.from_manifest, subcommand)
-    return {}
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("DIRACLAB_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DIRACLAB_SEED must be an integer, got {raw!r}") from exc
-
-
-def _resolve(args, layer: dict, key: str, default):
-    cli = getattr(args, key, None)
-    if cli is not None:
-        return cli
-    if key in layer:
-        return layer[key]
-    return default
-
-
-def _resolve_seed(args, layer: dict) -> int:
-    cli = getattr(args, "seed", None)
-    if cli is not None:
-        return cli
-    if "seed" in layer:
-        return layer["seed"]
-    env = _env_seed()
-    if env is not None:
-        return env
-    return DEFAULT_MASTER_SEED
-
-
-def _resolve_sign(args, layer: dict) -> int:
-    cli = getattr(args, "sign", None)
-    if cli is not None:
-        return _parse_sign(cli)
-    return layer.get("sign", 1)
-
-
-def _resolve_out(args, layer: dict) -> str:
-    return _resolve(args, layer, "out", "out")
+    if args.config:
+        layer = parse_config_file(args.config, sub)
+    elif args.from_manifest:
+        layer = _load_manifest(args.from_manifest, sub)
+    else:
+        layer = {}
+    values = {}
+    for key, default in sub.defaults.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = _parse(key, flag, _flag(key))
+        elif key in layer:
+            values[key] = layer[key]
+        elif key == "seed" and "DIRACLAB_SEED" in os.environ:
+            values[key] = _parse(key, os.environ["DIRACLAB_SEED"], "DIRACLAB_SEED")
+        else:
+            values[key] = default
+    return values
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-
-
-def _ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+# output
 
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
@@ -240,30 +288,49 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(out_dir: str, name: str, obj) -> None:
-    _write_text(out_dir, name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_table(out_dir: str, stem: str, columns, rows) -> None:
-    csv_text, dat_text = table_texts(columns, rows)
-    _write_text(out_dir, stem + ".csv", csv_text)
-    _write_text(out_dir, stem + ".dat", dat_text)
+def _write_outputs(
+    sub: _Subcommand, values: dict, timing: dict, tables: dict, json_text=None, **resolved
+) -> None:
+    """Write one run's artifacts into its ``out`` directory.
+
+    ``manifest.json`` echoes the settings less the execution-only ones, the
+    fixed entries and ``resolved`` (settings whose default the run resolved).
+    ``tables`` maps a file stem to (columns, rows), each written as .csv and
+    .dat.  The first stem names the structured .json, which holds
+    ``json_text`` or, by default, the config, the first table's rows under
+    "rows" and every other table's rows under its stem.
+    """
+    config = {k: v for k, v in values.items() if k not in _EXECUTION_ONLY}
+    config.update(sub.fixed, **resolved)
+    out_dir = values["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {"artifact_version": ARTIFACT_VERSION, "subcommand": sub.name, "config": config}
+    _write_text(out_dir, "manifest.json", _json_text(manifest))
+    payload = {"config": config}
+    for idx, (stem, (columns, rows)) in enumerate(tables.items()):
+        csv_text, dat_text = table_texts(columns, rows)
+        _write_text(out_dir, stem + ".csv", csv_text)
+        _write_text(out_dir, stem + ".dat", dat_text)
+        payload["rows" if idx == 0 else stem] = rows
+    _write_text(out_dir, next(iter(tables)) + ".json", json_text or _json_text(payload))
+    _write_text(out_dir, "timing.json", _json_text(timing))
 
 
-def _write_manifest(out_dir: str, subcommand: str, config: dict) -> None:
-    _write_json(
-        out_dir,
-        "manifest.json",
-        {
-            "artifact_version": ARTIFACT_VERSION,
-            "subcommand": subcommand,
-            "config": config,
-        },
-    )
-
-
-def _write_timing(out_dir: str, seconds: float) -> None:
-    _write_json(out_dir, "timing.json", {"wall_time_s": seconds})
+def _check_row(check: str, value, threshold: float, passed=None, column="value", **labels) -> dict:
+    """One row of a check table: ``value``, under ``column``, against
+    ``threshold``; the row passes when value <= threshold unless ``passed``
+    says otherwise."""
+    return {
+        **labels,
+        "check": check,
+        column: value,
+        "threshold": threshold,
+        "passed": value <= threshold if passed is None else passed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +348,14 @@ def _random_operator(rng, n_pairs: int, hbar: float):
         weights[edges[idx]] = w
     w_op = build_w(weights, s=2, n_pairs=n_pairs)
     return dirac_from_w(w_op, hbar)
+
+
+def _random_instance(rng):
+    """A random Dirac operator on 1 to 8 pairs and a diagonal observable."""
+    n_pairs = int(rng.integers(1, 9))
+    hbar = float(rng.uniform(0.1, 2.0))
+    dirac = _random_operator(rng, n_pairs, hbar)
+    return dirac, DiagonalObservable(tuple(rng.uniform(-3.0, 3.0, size=2 * n_pairs)))
 
 
 def _word_path_components(m, fp, a, v, hbar: float) -> list:
@@ -301,31 +376,17 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
     products the free product formed (two per ordered pair of edges per
     double commutator)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    rows = []
-    stages = {}
+    checks = []  # (check, instances, max error, threshold, seconds)
     products = 0
 
     t0 = time.perf_counter()
     err = 0.0
     for _ in range(200):
-        n_pairs = int(rng.integers(1, 9))
-        hbar = float(rng.uniform(0.1, 2.0))
-        dirac = _random_operator(rng, n_pairs, hbar)
-        obs = DiagonalObservable(tuple(rng.uniform(-3.0, 3.0, size=2 * n_pairs)))
-        closed = commutator_closed_form(dirac, obs)
-        lhs = realize_commutator_edges(closed)
+        dirac, obs = _random_instance(rng)
+        lhs = realize_commutator_edges(commutator_closed_form(dirac, obs))
         rhs = commutator_concrete(dirac.concrete, obs.realize())
         err = max(err, float(np.max(np.abs(lhs - rhs))))
-    rows.append(
-        {
-            "check": "commutator-closed-vs-concrete",
-            "instances": 200,
-            "max_err": err,
-            "threshold": 1e-12,
-            "passed": err <= 1e-12,
-        }
-    )
-    stages[rows[-1]["check"]] = time.perf_counter() - t0
+    checks.append(("commutator-closed-vs-concrete", 200, err, 1e-12, time.perf_counter() - t0))
 
     t_exact = 0.0
     t_formula = 0.0
@@ -333,10 +394,7 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
     err_formula = 0.0
     for _ in range(100):
         t0 = time.perf_counter()
-        n_pairs = int(rng.integers(1, 9))
-        hbar = float(rng.uniform(0.1, 2.0))
-        dirac = _random_operator(rng, n_pairs, hbar)
-        obs = DiagonalObservable(tuple(rng.uniform(-3.0, 3.0, size=2 * n_pairs)))
+        dirac, obs = _random_instance(rng)
         lap = laplacian_closed_form(dirac, obs)
         reduced = psi_reduce(double_commutator_closed_form(dirac, obs)).scale(0.5)
         err_exact = max(err_exact, reduced.max_abs_diff(lap))
@@ -345,33 +403,15 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
         t_exact += t1 - t0
         coeff = -sum(
             w * w * obs.alpha(i, j) for (i, j), w in sorted(dirac.weights.items())
-        ) / (hbar * hbar)
-        direct = TensorElement(n_pairs, {(): coeff * MAT_J})
+        ) / (dirac.hbar * dirac.hbar)
+        direct = TensorElement(dirac.n_pairs, {(): coeff * MAT_J})
         # Relative scale: the two paths sum the same products in different
         # orders, so only agreement up to roundoff on |coeff| is meaningful.
         scale = max(1.0, abs(coeff))
         err_formula = max(err_formula, lap.max_abs_diff(direct) / scale)
         t_formula += time.perf_counter() - t1
-    rows.append(
-        {
-            "check": "bicommutator-halved-vs-laplacian",
-            "instances": 100,
-            "max_err": err_exact,
-            "threshold": 0.0,
-            "passed": err_exact <= 0.0,
-        }
-    )
-    stages[rows[-1]["check"]] = t_exact
-    rows.append(
-        {
-            "check": "laplacian-coefficient-formula",
-            "instances": 100,
-            "max_err": err_formula,
-            "threshold": 1e-12,
-            "passed": err_formula <= 1e-12,
-        }
-    )
-    stages[rows[-1]["check"]] = t_formula
+    checks.append(("bicommutator-halved-vs-laplacian", 100, err_exact, 0.0, t_exact))
+    checks.append(("laplacian-coefficient-formula", 100, err_formula, 1e-12, t_formula))
 
     t0 = time.perf_counter()
     err = 0.0
@@ -388,16 +428,7 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
         rhs = mv_mul(x, mv_mul(y, z))
         diff = lhs - rhs
         err = max(err, max((abs(c) for c in diff.coeffs.values()), default=0.0))
-    rows.append(
-        {
-            "check": "clifford-associativity",
-            "instances": 100,
-            "max_err": err,
-            "threshold": 1e-12,
-            "passed": err <= 1e-12,
-        }
-    )
-    stages[rows[-1]["check"]] = time.perf_counter() - t0
+    checks.append(("clifford-associativity", 100, err, 1e-12, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     m = make_manifold("flat", 2)
@@ -412,81 +443,57 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
     for j in (1, 2):
         direct = s_jn(m, v[:, j - 1, :], a, fp, j, hbar)
         err = max(err, abs(word[j - 1] - direct), abs(word[j - 1] - float(est[j - 1])))
-    rows.append(
-        {
-            "check": "estimator-word-path-vs-direct",
-            "instances": 64,
-            "max_err": err,
-            "threshold": 1e-12,
-            "passed": err <= 1e-12,
-        }
-    )
-    stages[rows[-1]["check"]] = time.perf_counter() - t0
-    counters = {
-        "instances": sum(row["instances"] for row in rows),
-        "word_products": products,
-    }
-    return rows, {"stages_s": stages, "counters": counters}
+    checks.append(("estimator-word-path-vs-direct", 64, err, 1e-12, time.perf_counter() - t0))
+
+    rows = [
+        _check_row(check, err, threshold, column="max_err", instances=n)
+        for check, n, err, threshold, _ in checks
+    ]
+    counters = {"instances": sum(n for _, n, *_ in checks), "word_products": products}
+    return rows, {"stages_s": {c[0]: c[-1] for c in checks}, "counters": counters}
 
 
-def _cmd_algebra_check(args) -> int:
-    layer = _file_layer(args, "algebra-check")
-    seed = _resolve_seed(args, layer)
-    out_dir = _resolve_out(args, layer)
+def _cmd_algebra_check(sub, values, args) -> int:
     t0 = time.perf_counter()
-    rows, timing = _algebra_rows(seed)
-    _ensure_dir(out_dir)
-    config = {"seed": seed}
-    _write_manifest(out_dir, "algebra-check", config)
+    rows, timing = _algebra_rows(values["seed"])
     columns = ("check", "instances", "max_err", "threshold", "passed")
-    _write_table(out_dir, "algebra_check", columns, rows)
-    _write_json(out_dir, "algebra_check.json", {"config": config, "rows": rows})
-    _write_json(out_dir, "timing.json", {"wall_time_s": time.perf_counter() - t0, **timing})
-    failed = [r["check"] for r in rows if not r["passed"]]
+    timing = {"wall_time_s": time.perf_counter() - t0, **timing}
+    _write_outputs(sub, values, timing, {"algebra_check": (columns, rows)})
     for row in rows:
         status = "ok" if row["passed"] else "FAIL"
         print(f"{status:4s} {row['check']}: max err {row['max_err']:.3e}")
-    return 1 if failed else 0
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 # specfun table
 
 
-def _cmd_specfun(args) -> int:
-    layer = _file_layer(args, "specfun")
-    seed = _resolve_seed(args, layer)
-    out_dir = _resolve_out(args, layer)
-    t_grid = _resolve(args, layer, "t_grid", (0.2, 0.1, 0.05, 0.02))
-    sigma = _resolve_sign(args, layer)
-    dim = _resolve(args, layer, "dim", 3)
+def _cmd_specfun(sub, values, args) -> int:
+    dim = values["dim"]
     if dim < 3:
         raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
     t0 = time.perf_counter()
     direction = np.zeros(dim)
     direction[0] = 1.0
     rows = []
-    for t in t_grid:
-        a_val, b_val, c_val = lemma_abc(dim, float(t))
-        m1, m2 = vmf_moments(dim, direction, float(t), sigma=sigma)
+    for t in values["t_grid"]:
+        a_val, b_val, c_val = lemma_abc(dim, t)
+        m1, m2 = vmf_moments(dim, direction, t, sigma=values["sign"])
         m2_norm = float(np.max(np.abs(np.linalg.eigvalsh(m2))))
         rows.append(
             {
-                "t": float(t),
+                "t": t,
                 "A": a_val,
                 "B": b_val,
                 "C": c_val,
-                "m1_par_over_t": float(m1[0]) / float(t),
-                "m2_norm_over_t": m2_norm / float(t),
+                "m1_par_over_t": float(m1[0]) / t,
+                "m2_norm_over_t": m2_norm / t,
             }
         )
-    _ensure_dir(out_dir)
-    config = {"t_grid": list(float(t) for t in t_grid), "sign": sigma, "dim": dim, "seed": seed}
-    _write_manifest(out_dir, "specfun", config)
     columns = ("t", "A", "B", "C", "m1_par_over_t", "m2_norm_over_t")
-    _write_table(out_dir, "specfun", columns, rows)
-    _write_json(out_dir, "specfun.json", {"config": config, "rows": rows})
-    _write_timing(out_dir, time.perf_counter() - t0)
+    timing = {"wall_time_s": time.perf_counter() - t0}
+    _write_outputs(sub, values, timing, {"specfun": (columns, rows)})
     for row in rows:
         print(
             f"t={row['t']}: A={row['A']:.12g} B={row['B']:.12g} C={row['C']:.12g} "
@@ -524,26 +531,10 @@ def _geometry_rows(seed: int, dim: int):
         points = exp_map(m, fp.point, tangents)
         back = log_map(m, fp.point, points)
         err = float(np.max(np.abs(back - tangents)))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "roundtrip-log-exp",
-                "value": err,
-                "threshold": 1e-10,
-                "passed": err <= 1e-10,
-            }
-        )
+        rows.append(_check_row("roundtrip-log-exp", err, 1e-10, manifold=kind))
         again = exp_map(m, fp.point, back)
         err = float(np.max(np.abs(again - points)))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "roundtrip-exp-log",
-                "value": err,
-                "threshold": 1e-10,
-                "passed": err <= 1e-10,
-            }
-        )
+        rows.append(_check_row("roundtrip-exp-log", err, 1e-10, manifold=kind))
 
         dens = vol_density(m, fp.point, tangents)
         r = np.linalg.norm(tangents, axis=1)
@@ -552,15 +543,7 @@ def _geometry_rows(seed: int, dim: int):
         else:
             closed = np.array([(math.sin(x) / x) ** (dim - 1) if x > 0 else 1.0 for x in r])
         err = float(np.max(np.abs(dens - closed)))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "vol-density-closed-form",
-                "value": err,
-                "threshold": 1e-10,
-                "passed": err <= 1e-10,
-            }
-        )
+        rows.append(_check_row("vol-density-closed-form", err, 1e-10, manifold=kind))
 
         # Independent density check: Gram determinant of finite-difference
         # pushforwards sqrt(det J^T J) must reproduce the density.
@@ -576,48 +559,17 @@ def _geometry_rows(seed: int, dim: int):
             fd_dens = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
             ref = float(vol_density(m, fp.point, v[None, :])[0])
             err = max(err, abs(fd_dens - ref) / max(1.0, abs(ref)))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "vol-density-jacobian-fd",
-                "value": err,
-                "threshold": 1e-6,
-                "passed": err <= 1e-6,
-            }
-        )
+        rows.append(_check_row("vol-density-jacobian-fd", err, 1e-6, manifold=kind))
 
         w = fp.frame[0]
         report = jacobi_expansion_check(m, fp.point, w, (0.4, 0.2, 0.1, 0.05))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "grad-density-at-origin",
-                "value": report.grad_density_norm,
-                "threshold": 1e-6,
-                "passed": report.grad_density_norm <= 1e-6,
-            }
-        )
+        grad = report.grad_density_norm
+        rows.append(_check_row("grad-density-at-origin", grad, 1e-6, manifold=kind))
         ratios = [abs(row["residual"]) / row["t"] ** 2 for row in report.rows]
         monotone = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "jacobi-residual-over-t2-decreasing",
-                "value": max(ratios),
-                "threshold": 0.0,
-                "passed": monotone,
-            }
-        )
-        for row in report.rows:
-            jacobi_rows.append(
-                {
-                    "manifold": kind,
-                    "t": row["t"],
-                    "pairing": row["pairing"],
-                    "residual": row["residual"],
-                    "residual_over_t2": row["residual_over_t2"],
-                }
-            )
+        check = "jacobi-residual-over-t2-decreasing"
+        rows.append(_check_row(check, max(ratios), 0.0, monotone, manifold=kind))
+        jacobi_rows += [{"manifold": kind, **row} for row in report.rows]
 
         n_samples = 20000
         sample_r = np.linalg.norm(sample_log_coords(m, fp, rng, n_samples), axis=1)
@@ -627,15 +579,8 @@ def _geometry_rows(seed: int, dim: int):
         counts, _ = np.histogram(sample_r, bins=edges)
         expected = np.full(n_bins, n_samples / n_bins)
         p_val = _pearson_chisquare(counts, expected)[1]
-        rows.append(
-            {
-                "manifold": kind,
-                "check": "sampler-radial-chisquare-p",
-                "value": p_val,
-                "threshold": 0.001,
-                "passed": p_val > 0.001,
-            }
-        )
+        check = "sampler-radial-chisquare-p"
+        rows.append(_check_row(check, p_val, 0.001, p_val > 0.001, manifold=kind))
     return rows, jacobi_rows
 
 
@@ -662,68 +607,26 @@ def _pearson_chisquare(observed, expected) -> tuple[float, float]:
     return stat, float(special.chdtrc(f_obs.size - 1, stat))
 
 
-def _cmd_geometry_check(args) -> int:
-    layer = _file_layer(args, "geometry-check")
-    seed = _resolve_seed(args, layer)
-    out_dir = _resolve_out(args, layer)
-    dim = _resolve(args, layer, "dim", 2)
+def _cmd_geometry_check(sub, values, args) -> int:
     t0 = time.perf_counter()
-    rows, jacobi_rows = _geometry_rows(seed, dim)
-    _ensure_dir(out_dir)
-    config = {"seed": seed, "dim": dim}
-    _write_manifest(out_dir, "geometry-check", config)
-    columns = ("manifold", "check", "value", "threshold", "passed")
-    _write_table(out_dir, "geometry_check", columns, rows)
-    jac_columns = ("manifold", "t", "pairing", "residual", "residual_over_t2")
-    _write_table(out_dir, "jacobi", jac_columns, jacobi_rows)
-    _write_json(
-        out_dir,
-        "geometry_check.json",
-        {"config": config, "rows": rows, "jacobi": jacobi_rows},
-    )
-    _write_timing(out_dir, time.perf_counter() - t0)
-    failed = [f"{r['manifold']}:{r['check']}" for r in rows if not r["passed"]]
+    rows, jacobi_rows = _geometry_rows(values["seed"], values["dim"])
+    tables = {
+        "geometry_check": (("manifold", "check", "value", "threshold", "passed"), rows),
+        "jacobi": (("manifold", "t", "pairing", "residual", "residual_over_t2"), jacobi_rows),
+    }
+    _write_outputs(sub, values, {"wall_time_s": time.perf_counter() - t0}, tables)
     for row in rows:
         status = "ok" if row["passed"] else "FAIL"
         print(f"{status:4s} {row['manifold']}/{row['check']}: {row['value']:.3e}")
-    return 1 if failed else 0
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 # convergence runs
 
 
-def _resolve_run_config(args, layer: dict, mode: str) -> RunConfig:
-    if layer.get("mode") not in (None, mode):
-        raise ConfigError(f"config mode {layer['mode']!r} does not match subcommand {mode!r}")
-    family = getattr(args, "family", None)
-    if family is None:
-        family_check = layer.get("family_check", False)
-    else:
-        family_check = bool(family)
-    try:
-        return RunConfig(
-            mode=mode,
-            manifold=_resolve(args, layer, "manifold", "flat"),
-            dim=_resolve(args, layer, "dim", 2),
-            alpha=_resolve(args, layer, "alpha", 0.2),
-            n_grid=tuple(_resolve(args, layer, "n_grid", (1000, 10000, 100000))),
-            repeats=_resolve(args, layer, "repeats", 50),
-            master_seed=_resolve_seed(args, layer),
-            sigma=_resolve_sign(args, layer),
-            test_function=_resolve(args, layer, "test_function", "auto"),
-            delta_u=_resolve(args, layer, "delta_u", None),
-            lambda_power=_resolve(args, layer, "lambda_power", 1),
-            family_check=family_check,
-            threads=_resolve(args, layer, "threads", 1),
-            hoeffding_eps=_resolve(args, layer, "hoeffding_eps", 0.1),
-        )
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _dump_operators(args, cfg: RunConfig, dump_dir: str) -> None:
-    _ensure_dir(dump_dir)
+def _dump_operators(cfg: RunConfig, dump_dir: str) -> None:
+    os.makedirs(dump_dir, exist_ok=True)
     m = make_manifold(cfg.manifold, cfg.dim)
     fp = framed_point(m, delta_u=cfg.delta_u)
     slots = m.d + 1
@@ -736,34 +639,25 @@ def _dump_operators(args, cfg: RunConfig, dump_dir: str) -> None:
         dirac.export_matrix_market(os.path.join(dump_dir, f"dirac_n{n}.mtx"))
 
 
-def _cmd_converge(args, mode: str) -> int:
-    layer = _file_layer(args, f"{mode}-converge")
-    out_dir = _resolve_out(args, layer)
-    cfg = _resolve_run_config(args, layer, mode)
+def _cmd_converge(sub, values, args) -> int:
+    fields = {name: values[key] for name, key in _RUN_SETTING.items()}
+    try:
+        cfg = RunConfig(mode=sub.fixed["mode"], **fields)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
     report = convergence_run(cfg)
-    _ensure_dir(out_dir)
-    config = {
-        "mode": mode,
-        "manifold": cfg.manifold,
-        "dim": cfg.dim,
-        "alpha": cfg.alpha,
-        "n_grid": list(cfg.n_grid),
-        "repeats": cfg.repeats,
-        "seed": cfg.master_seed,
-        "sign": cfg.sigma,
-        "test_function": report.metadata["test_function"],
-        "delta_u": report.metadata["delta_u"],
-        "lambda_power": cfg.lambda_power,
-        "family_check": cfg.family_check,
-        "hoeffding_eps": cfg.hoeffding_eps,
-    }
-    _write_manifest(out_dir, f"{mode}-converge", config)
-    _write_table(out_dir, "report", CSV_COLUMNS, report.rows)
-    _write_text(out_dir, "report.json", report.to_json_text())
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    _write_json(out_dir, "timing.json", {**report.timing, "peak_rss_mb": peak_rss_mb})
-    if getattr(args, "dump_operators", None):
-        _dump_operators(args, cfg, args.dump_operators)
+    _write_outputs(
+        sub,
+        values,
+        {**report.timing, "peak_rss_mb": peak_rss_mb},
+        {"report": (CSV_COLUMNS, report.rows)},
+        report.to_json_text(),
+        test_function=report.metadata["test_function"],
+        delta_u=report.metadata["delta_u"],
+    )
+    if args.dump_operators:
+        _dump_operators(cfg, args.dump_operators)
     for row in report.rows:
         print(
             f"n={row['n']} hbar={row['hbar']:.6g} j={row['j']}: "
@@ -778,61 +672,31 @@ def _cmd_converge(args, mode: str) -> int:
 # bound-report
 
 
-def _cmd_bound_report(args) -> int:
-    layer = _file_layer(args, "bound-report")
-    out_dir = _resolve_out(args, layer)
-    seed = _resolve_seed(args, layer)
-    manifold = _resolve(args, layer, "manifold", "flat")
-    dim = _resolve(args, layer, "dim", 2)
-    hbar_grid = tuple(_resolve(args, layer, "hbar_grid", (1.0, 0.5, 0.1, 0.05)))
-    n_copies = _resolve(args, layer, "n_copies", 30)
-    grad_sup = _resolve(args, layer, "grad_sup", 1.0)
-    sigma = _resolve_sign(args, layer)
-    if n_copies < 1:
-        raise ConfigError(f"n_copies must be >= 1, got {n_copies}")
+def _cmd_bound_report(sub, values, args) -> int:
+    if values["n_copies"] < 1:
+        raise ConfigError(f"n_copies must be >= 1, got {values['n_copies']}")
     t0 = time.perf_counter()
-    m = make_manifold(manifold, dim)
+    m = make_manifold(values["manifold"], values["dim"])
     fp = framed_point(m)
     a = linear_coordinate_function(m, fp, 1)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([values["seed"], 0]))
     slots = m.d + 1
-    v = sample_log_coords(m, fp, rng, n_copies * slots)
+    v = sample_log_coords(m, fp, rng, values["n_copies"] * slots)
     # One value per vertex id: the base point, then the leaves in sampling order.
     a_values = a.evaluate(np.vstack([np.zeros(m.d), v]))
-    stars = v.reshape(n_copies, slots, m.d)
+    stars = v.reshape(values["n_copies"], slots, m.d)
     rows = []
-    for idx, hbar in enumerate(hbar_grid):
-        dirac = assemble_dirac(stars, m, fp, float(hbar), sigma=sigma)
-        report = pf_bound_report(dirac, a_values, grad_sup)
-        rows.append(
-            {
-                "hbar": float(hbar),
-                "rho": report["rho"],
-                "grad_sup": report["grad_sup"],
-                "bound_ratio": report["bound_ratio"],
-            }
-        )
-        if getattr(args, "dump_operators", None):
-            _ensure_dir(args.dump_operators)
+    for idx, hbar in enumerate(values["hbar_grid"]):
+        dirac = assemble_dirac(stars, m, fp, hbar, sigma=values["sign"])
+        rows.append(pf_bound_report(dirac, a_values, values["grad_sup"]))
+        if args.dump_operators:
+            os.makedirs(args.dump_operators, exist_ok=True)
             dirac.export_matrix_market(
                 os.path.join(args.dump_operators, f"dirac_hbar{idx}.mtx")
             )
-    _ensure_dir(out_dir)
-    config = {
-        "manifold": manifold,
-        "dim": dim,
-        "seed": seed,
-        "sign": sigma,
-        "hbar_grid": list(float(h) for h in hbar_grid),
-        "n_copies": n_copies,
-        "grad_sup": float(grad_sup),
-        "test_function": "linear-x1",
-    }
-    _write_manifest(out_dir, "bound-report", config)
     columns = ("hbar", "rho", "grad_sup", "bound_ratio")
-    _write_table(out_dir, "bound_report", columns, rows)
-    _write_json(out_dir, "bound_report.json", {"config": config, "rows": rows})
-    _write_timing(out_dir, time.perf_counter() - t0)
+    timing = {"wall_time_s": time.perf_counter() - t0}
+    _write_outputs(sub, values, timing, {"bound_report": (columns, rows)})
     for row in rows:
         print(
             f"hbar={row['hbar']}: rho={row['rho']:.6g} ratio={row['bound_ratio']:.6g}"
@@ -841,70 +705,72 @@ def _cmd_bound_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommands and parser
+
+
+_SUBCOMMANDS = (
+    _Subcommand(
+        "algebra-check", "symbolic-vs-matrix identities", _cmd_algebra_check, _settings()
+    ),
+    _Subcommand(
+        "specfun",
+        "coefficient and moment table",
+        _cmd_specfun,
+        _settings(t_grid=(0.2, 0.1, 0.05, 0.02), sign=1, dim=3),
+    ),
+    _Subcommand(
+        "geometry-check", "manifold map validations", _cmd_geometry_check, _settings(dim=2)
+    ),
+    _Subcommand(
+        "dirac-converge",
+        "frame-derivative convergence run",
+        _cmd_converge,
+        _RUN_DEFAULTS,
+        {"mode": "dirac"},
+        dumps_operators=True,
+    ),
+    _Subcommand(
+        "laplace-converge",
+        "Laplacian convergence run",
+        _cmd_converge,
+        _RUN_DEFAULTS,
+        {"mode": "laplace"},
+        dumps_operators=True,
+    ),
+    _Subcommand(
+        "bound-report",
+        "commutator bound sweep",
+        _cmd_bound_report,
+        _settings(
+            manifold="flat",
+            dim=2,
+            sign=1,
+            hbar_grid=(1.0, 0.5, 0.1, 0.05),
+            n_copies=30,
+            grad_sup=1.0,
+        ),
+        {"test_function": "linear-x1"},
+        dumps_operators=True,
+    ),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--from-manifest", help="re-run from a manifest.json")
-    common.add_argument("--out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, help="master seed (fallback: DIRACLAB_SEED)")
-    common.add_argument("--threads", type=int, help="worker thread count")
-    common.add_argument("--dump-operators", help="directory for MatrixMarket operator dumps")
-
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--manifold", choices=("flat", "sphere"))
-    run.add_argument("--dim", type=int)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--n-grid", dest="n_grid", type=_parse_csv_ints)
-    run.add_argument("--repeats", type=int)
-    run.add_argument("--sign", choices=("+1", "-1"))
-    run.add_argument("--test-function", dest="test_function")
-    run.add_argument("--delta-u", dest="delta_u", type=float)
-    run.add_argument("--lambda-power", dest="lambda_power", type=int, choices=(1, 2))
-    run.add_argument("--family", type=int, choices=(0, 1))
-    run.add_argument("--hoeffding-eps", dest="hoeffding_eps", type=float)
-
     parser = argparse.ArgumentParser(
         prog="diraclab",
         description="Estimator experiments for frame derivatives and Laplacians "
         "from weighted star graphs.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("algebra-check", parents=[common], help="symbolic-vs-matrix identities")
-    p.set_defaults(handler=_cmd_algebra_check)
-
-    p = sub.add_parser("specfun", parents=[common], help="coefficient and moment table")
-    p.add_argument("--t-grid", dest="t_grid", type=_parse_csv_floats)
-    p.add_argument("--sign", choices=("+1", "-1"))
-    p.add_argument("--dim", type=int)
-    p.set_defaults(handler=_cmd_specfun)
-
-    p = sub.add_parser("geometry-check", parents=[common], help="manifold map validations")
-    p.add_argument("--dim", type=int)
-    p.set_defaults(handler=_cmd_geometry_check)
-
-    p = sub.add_parser(
-        "dirac-converge", parents=[common, run], help="frame-derivative convergence run"
-    )
-    p.set_defaults(handler=lambda a: _cmd_converge(a, "dirac"))
-
-    p = sub.add_parser(
-        "laplace-converge", parents=[common, run], help="Laplacian convergence run"
-    )
-    p.set_defaults(handler=lambda a: _cmd_converge(a, "laplace"))
-
-    p = sub.add_parser("bound-report", parents=[common], help="commutator bound sweep")
-    p.add_argument("--manifold", choices=("flat", "sphere"))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--sign", choices=("+1", "-1"))
-    p.add_argument("--hbar-grid", dest="hbar_grid", type=_parse_csv_floats)
-    p.add_argument("--n-copies", dest="n_copies", type=int)
-    p.add_argument("--grad-sup", dest="grad_sup", type=float)
-    p.set_defaults(handler=_cmd_bound_report)
-
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    for sub in _SUBCOMMANDS:
+        p = subparsers.add_parser(sub.name, help=sub.help)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--from-manifest", help="re-run from a manifest.json")
+        for key, default in sub.defaults.items():
+            p.add_argument(_flag(key), dest=key, help=f"default: {default}")
+        if sub.dumps_operators:
+            p.add_argument("--dump-operators", help="directory for MatrixMarket operator dumps")
+        p.set_defaults(sub=sub)
     return parser
 
 
@@ -915,7 +781,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        return args.sub.handler(args.sub, _resolve(args, args.sub), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

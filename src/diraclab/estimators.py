@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidArgumentError
-from .graphdirac import LambdaWeights, anchor_rows, laplace_lambda, star_weights
+from .graphdirac import anchor_rows, laplace_lambda, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
@@ -322,11 +322,10 @@ def s_jn(
     return neighbourhood_volume(m, fp) * float(np.sum(w * _centered(m, a, v))) / (len(v) * hbar)
 
 
-def _star(m, samples, fp, hbar, sigma, lam):
+def _star(m, samples, fp, hbar, sigma):
     """Star samples (n, d+1, d), their weights (n, d+1) against the anchors, and lam."""
     v = _coords(samples, (m.d + 1, m.d))
-    if lam is None:
-        lam = laplace_lambda(fp.frame)
+    lam = laplace_lambda(fp.frame)
     return v, star_weights(v, anchor_rows(fp, lam), fp, hbar, sigma), lam
 
 
@@ -337,7 +336,6 @@ def dirac_estimate(
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
-    lam: LambdaWeights | None = None,
 ) -> np.ndarray:
     """Estimate the frame gradient of ``a`` at the base point from star samples.
 
@@ -347,7 +345,7 @@ def dirac_estimate(
     ``a`` is one test function, giving the (d,) components, or a sequence of
     them, giving one row per function; the weights are computed once.
     """
-    v, w, _ = _star(m, samples, fp, hbar, sigma, lam)
+    v, w, _ = _star(m, samples, fp, hbar, sigma)
     # Only the d frame slots enter; the extra anchor serves the Laplacian.
     v, w = v[:, : m.d], w[:, : m.d]
     funcs = [a] if isinstance(a, TestFunction) else list(a)
@@ -363,7 +361,6 @@ def laplace_estimate(
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
-    lam: LambdaWeights | None = None,
     lambda_power: int = 1,
 ) -> float:
     """Estimate the Laplacian of ``a`` at the base point from star samples.
@@ -375,7 +372,7 @@ def laplace_estimate(
     """
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    v, w, lam = _star(m, samples, fp, hbar, sigma, lam)
+    v, w, lam = _star(m, samples, fp, hbar, sigma)
     lamvec = lam.lams**lambda_power
     total = float(np.sum((w * _centered(m, a, v)) @ lamvec))
     return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
@@ -595,7 +592,6 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     m = make_manifold(cfg.manifold, cfg.dim)
     fp = framed_point(m, delta_u=cfg.delta_u)
     a = resolve_test_function(m, fp, cfg.mode, cfg.test_function)
-    lam = laplace_lambda(fp.frame)
     vol = neighbourhood_volume(m, fp)
     family = polynomial_family(m, fp) if (cfg.family_check and cfg.mode == "dirac") else []
     metadata = _resolved_metadata(cfg, m, fp, a, vol)
@@ -612,10 +608,10 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
         t1 = time.perf_counter()
         if cfg.mode == "dirac":
             # One weight computation serves the test function and the family.
-            est = dirac_estimate(m, v, [a, *family], fp, hbar, sigma=cfg.sigma, lam=lam)
+            est = dirac_estimate(m, v, [a, *family], fp, hbar, sigma=cfg.sigma)
         else:
             value = laplace_estimate(
-                m, v, a, fp, hbar, sigma=cfg.sigma, lam=lam, lambda_power=cfg.lambda_power
+                m, v, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
             )
             est = np.array([[value]])
         return est, t1 - t0, time.perf_counter() - t1

@@ -134,7 +134,6 @@ def assemble_dirac(
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
-    lam: LambdaWeights | None = None,
 ) -> WeightedGraphDirac:
     """Weight a (n_copies, d+1, d) array of sample log coordinates as one star.
 
@@ -147,9 +146,7 @@ def assemble_dirac(
         )
     if not np.all(np.isfinite(v)):
         raise InvalidGraphError("sample log coordinates must be finite")
-    if lam is None:
-        lam = laplace_lambda(fp.frame)
-    w = star_weights(v, anchor_rows(fp, lam), fp, hbar, sigma)
+    w = star_weights(v, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, sigma)
     return WeightedGraphDirac(hbar=float(hbar), weights=w.ravel())
 
 

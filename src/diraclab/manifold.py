@@ -270,7 +270,7 @@ def log_coords(m: ManifoldModel, fp: FramedPoint, q) -> np.ndarray:
     return log_map(m, fp.point, q) @ fp.frame.T
 
 
-def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint, rule=None) -> float:
+def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint) -> float:
     """Riemannian volume of the geodesic ball of radius delta_u around the point.
 
     Computed from the density: Vol = Omega_{d-1} int_0^delta r^(d-1) G(r) dr,

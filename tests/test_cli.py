@@ -185,17 +185,32 @@ def test_converge_writes_report(tmp_path, capsys):
     assert "threads" not in manifest["config"]
 
 
+REGENERATED = (
+    ("algebra-check", ["--seed", "4"]),
+    ("specfun", ["--t-grid", "0.2,0.1", "--sign", "-1", "--dim", "4"]),
+    ("geometry-check", ["--dim", "3"]),
+    ("dirac-converge", [*SMALL, "--manifold", "sphere", "--family", "1"]),
+    ("laplace-converge", [*SMALL, "--test-function", "squared-radius", "--lambda-power", "2"]),
+    ("bound-report", ["--hbar-grid", "1.0,0.5", "--n-copies", "8", "--sign", "-1"]),
+)
+
+
 def test_manifest_regeneration_is_byte_identical(tmp_path, capsys):
-    first = tmp_path / "one"
-    second = tmp_path / "two"
-    assert run_cli(["dirac-converge", *SMALL, "--out", str(first)]) == 0
-    assert run_cli([
-        "dirac-converge", "--from-manifest", str(first / "manifest.json"),
-        "--out", str(second),
-    ]) == 0
-    capsys.readouterr()
-    for name in ("report.csv", "report.dat", "report.json", "manifest.json"):
-        assert read(first / name) == read(second / name)
+    for subcommand, args in REGENERATED:
+        first = tmp_path / subcommand / "one"
+        second = tmp_path / subcommand / "two"
+        assert run_cli([subcommand, *args, "--out", str(first)]) == 0
+        printed = capsys.readouterr().out
+        assert run_cli([
+            subcommand, "--from-manifest", str(first / "manifest.json"), "--out", str(second),
+        ]) == 0
+        assert capsys.readouterr().out == printed
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        assert {"manifest.json", "timing.json"} < set(names)
+        for name in names:
+            if name != "timing.json":
+                assert read(first / name) == read(second / name), (subcommand, name)
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, capsys):
@@ -225,12 +240,26 @@ def test_config_file_layering_and_cli_override(tmp_path, capsys):
 
 
 def test_unknown_config_key_reports_line_number(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mode = dirac\nmystery = 1\n")
-    assert run_cli(["dirac-converge", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "bad.cfg:2" in err
-    assert "mystery" in err
+    # Unknown everywhere, or a setting of another subcommand: each subcommand
+    # accepts only the keys it reads.
+    cases = (
+        ("dirac-converge", "mode = dirac\nmystery = 1\n", "mystery"),
+        ("algebra-check", "seed = 3\ndim = 3\n", "dim"),
+        ("specfun", "# table\nthreads = 2\n", "threads"),
+        ("geometry-check", "dim = 2\nsign = -1\n", "sign"),
+        ("bound-report", "n_copies = 8\nrepeats = 2\n", "repeats"),
+        ("laplace-converge", "mode = laplace\nhbar_grid = 1.0\n", "hbar_grid"),
+    )
+    for subcommand, text, key in cases:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run_cli([subcommand, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.cfg:2" in err
+        assert key in err
+    # Flags follow the same declaration.
+    assert run_cli(["algebra-check", "--threads", "2", "--out", str(tmp_path / "x")]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_bad_config_value_reports_line_number(tmp_path, capsys):
@@ -264,6 +293,63 @@ def test_manifest_subcommand_mismatch_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "manifest" in err
+
+
+def test_manifest_values_go_through_the_setting_parsers(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run_cli(["specfun", "--t-grid", "0.2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key, bad in (("dim", "3"), ("sign", 2), ("sign", "+1"), ("t_grid", ["0.2"]), ("seed", 1.5)):
+        edited = tmp_path / f"{key}.json"
+        edited.write_text(json.dumps({**manifest, "config": {**manifest["config"], key: bad}}))
+        code = run_cli(["specfun", "--from-manifest", str(edited), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2, (key, bad)
+        assert f"bad value for {key}" in err
+    for config in ({**manifest["config"], "repeats": 2}, [1, 2]):
+        edited = tmp_path / "other.json"
+        edited.write_text(json.dumps({**manifest, "config": config}))
+        code = run_cli(["specfun", "--from-manifest", str(edited), "--out", str(tmp_path / "x")])
+        capsys.readouterr()
+        assert code == 2
+    # One sign parser: flag, config file and manifest agree on every spelling.
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text("sign = 1\nt_grid = 0.2\n")
+    runs = {
+        "flag": ["--sign", "1", "--t-grid", "0.2"],
+        "flag-plus": ["--sign", "+1", "--t-grid", "0.2"],
+        "config": ["--config", str(cfg)],
+        "manifest": ["--from-manifest", str(out / "manifest.json")],
+    }
+    for name, args in runs.items():
+        assert run_cli(["specfun", *args, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert read(tmp_path / name / "manifest.json") == read(out / "manifest.json")
+        assert read(tmp_path / name / "specfun.csv") == read(out / "specfun.csv")
+    assert run_cli(["specfun", "--sign", "2", "--out", str(tmp_path / "x")]) == 2
+    assert "sign must be +1 or -1" in capsys.readouterr().err
+
+
+def test_failed_check_exits_1_and_prints_fail(tmp_path, capsys, monkeypatch):
+    concrete = cli.commutator_concrete
+    monkeypatch.setattr(cli, "commutator_concrete", lambda a, b: concrete(a, b) + 1e-9)
+    assert run_cli(["algebra-check", "--out", str(tmp_path / "a")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL commutator-closed-vs-concrete: max err 1.000e-09")
+    assert all(line.startswith("ok ") for line in lines[1:]) and len(lines) == 5
+    rows = (tmp_path / "a" / "algebra_check.csv").read_text().splitlines()
+    assert rows[1].endswith(",0") and all(row.endswith(",1") for row in rows[2:])
+
+    monkeypatch.setattr(cli, "_pearson_chisquare", lambda observed, expected: (1e3, 0.0))
+    assert run_cli(["geometry-check", "--out", str(tmp_path / "g")]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("ok ")]
+    assert failed == [
+        "FAIL flat/sampler-radial-chisquare-p: 0.000e+00",
+        "FAIL sphere/sampler-radial-chisquare-p: 0.000e+00",
+    ]
+    rows = json.loads((tmp_path / "g" / "geometry_check.json").read_text())["rows"]
+    assert [row["check"] for row in rows if not row["passed"]] == ["sampler-radial-chisquare-p"] * 2
 
 
 def test_environment_seed_fallback(tmp_path, capsys, monkeypatch):
@@ -316,20 +402,6 @@ def test_bound_report_artifacts(tmp_path, capsys):
     assert all(row["rho"] >= 0.0 for row in payload["rows"])
     assert (out / "bound_report.csv").exists()
     assert (out / "bound_report.dat").exists()
-
-
-def test_bound_report_manifest_regeneration(tmp_path, capsys):
-    first = tmp_path / "one"
-    second = tmp_path / "two"
-    args = ["bound-report", "--hbar-grid", "1.0,0.5", "--n-copies", "8"]
-    assert run_cli([*args, "--out", str(first)]) == 0
-    assert run_cli([
-        "bound-report", "--from-manifest", str(first / "manifest.json"),
-        "--out", str(second),
-    ]) == 0
-    capsys.readouterr()
-    for name in ("bound_report.csv", "bound_report.json", "manifest.json"):
-        assert read(first / name) == read(second / name)
 
 
 def test_bound_report_scales_past_a_thousand_copies(tmp_path, capsys):

@@ -5,11 +5,14 @@
 Runs each subcommand on its defaults (plus a few non-default variants that
 take other code paths) once per seed, in this process, with the package
 imported from ``--src`` (default: the ``src`` directory of this checkout).
+Each subcommand also runs once from a key=value ``--config`` file and once
+``--from-manifest`` on the manifest its default case wrote at the same seed.
 Prints one line per output file, ``<case>/<file> <sha256>``, sorted, with
 ``timing.json`` left out: it holds wall times and sits outside the byte
-contract.  Each case's standard output is digested as ``<case>/<stdout>``.
-The seed ``default`` passes no ``--seed`` (and unsets DIRACLAB_SEED), so the
-built-in master seed is used.
+contract.  Each case's standard output is digested as ``<case>/<stdout>`` and
+its exit code as ``<case>/<exit>``.  The seed ``default`` passes no
+``--seed`` (and unsets DIRACLAB_SEED), so the built-in master seed is used;
+a replay never passes ``--seed``, so the seed comes from the manifest.
 
 Two trees give the same bytes when their digests are equal, e.g.
 
@@ -30,7 +33,30 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Key=value files for the --config cases, keyed by case name; every key is
+# one the subcommand reads, and most differ from the defaults.
+CONFIGS = {
+    "algebra-check-config": "seed = 5\n",
+    "specfun-config": "# kernel table\nt_grid = 0.3, 0.15\n\nsign = 1\ndim = 4\n",
+    "geometry-check-config": "dim = 3\nseed = 12\n",
+    "dirac-config": (
+        "mode = dirac\nmanifold = sphere\nalpha = 0.25\nn_grid = 100, 1000\nrepeats = 4\n"
+        "sign = -1\ntest_function = auto\ndelta_u = 0.9\nlambda_power = 1\n"
+        "family_check = yes\nthreads = 2\nhoeffding_eps = 0.2\n"
+    ),
+    "laplace-config": (
+        "mode = laplace\ntest_function = squared-radius\nlambda_power = 2\n"
+        "n_grid = 200,2000\nrepeats = 3\nsign = +1\n"
+    ),
+    "bound-config": (
+        "manifold = sphere\ndim = 3\nsign = -1\nhbar_grid = 0.7, 0.2\nn_copies = 12\n"
+        "grad_sup = 2.0\n"
+    ),
+}
+
 # (case name, argv); output and dump directories are appended per run.
+# "{config}" is the case's CONFIGS file; "{manifest:NAME}" is the manifest
+# case NAME wrote at the same seed.
 CASES = (
     ("algebra-check", ["algebra-check"]),
     ("specfun", ["specfun"]),
@@ -46,6 +72,18 @@ CASES = (
     ("laplace-flat", ["laplace-converge"]),
     ("bound-flat", ["bound-report", "--manifold", "flat", "--dump-operators", "{dump}"]),
     ("bound-sphere", ["bound-report", "--manifold", "sphere", "--dump-operators", "{dump}"]),
+    ("algebra-check-config", ["algebra-check", "--config", "{config}"]),
+    ("specfun-config", ["specfun", "--config", "{config}"]),
+    ("geometry-check-config", ["geometry-check", "--config", "{config}"]),
+    ("dirac-config", ["dirac-converge", "--config", "{config}"]),
+    ("laplace-config", ["laplace-converge", "--config", "{config}"]),
+    ("bound-config", ["bound-report", "--config", "{config}"]),
+    ("algebra-check-replay", ["algebra-check", "--from-manifest", "{manifest:algebra-check}"]),
+    ("specfun-replay", ["specfun", "--from-manifest", "{manifest:specfun}"]),
+    ("geometry-check-replay", ["geometry-check", "--from-manifest", "{manifest:geometry-check}"]),
+    ("dirac-replay", ["dirac-converge", "--from-manifest", "{manifest:dirac-flat}"]),
+    ("laplace-replay", ["laplace-converge", "--from-manifest", "{manifest:laplace-flat}"]),
+    ("bound-replay", ["bound-report", "--from-manifest", "{manifest:bound-flat}"]),
 )
 
 
@@ -61,8 +99,20 @@ def _run_case(main, work: str, name: str, argv: list, seed: str) -> list:
     case = f"{name}@seed={seed}"
     out = os.path.join(work, case, "out")
     dump = os.path.join(work, case, "dump")
-    args = [a.replace("{dump}", dump) for a in argv] + ["--out", out]
-    if seed != "default":
+    config = os.path.join(work, case, "run.cfg")
+    if name in CONFIGS:
+        os.makedirs(os.path.dirname(config), exist_ok=True)
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(CONFIGS[name])
+
+    def fill(arg: str) -> str:
+        if arg.startswith("{manifest:"):
+            source = f"{arg[len('{manifest:'):-1]}@seed={seed}"
+            return os.path.join(work, source, "out", "manifest.json")
+        return arg.replace("{dump}", dump).replace("{config}", config)
+
+    args = [fill(a) for a in argv] + ["--out", out]
+    if seed != "default" and "--from-manifest" not in argv:
         args += ["--seed", seed]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
