@@ -191,26 +191,36 @@ REGENERATED = (
     ("geometry-check", ["--dim", "3"]),
     ("dirac-converge", [*SMALL, "--manifold", "sphere", "--family", "1"]),
     ("laplace-converge", [*SMALL, "--test-function", "squared-radius", "--lambda-power", "2"]),
-    ("bound-report", ["--hbar-grid", "1.0,0.5", "--n-copies", "8", "--sign", "-1"]),
 )
+
+
+def assert_manifest_regenerates(tmp_path, capsys, subcommand, args):
+    first = tmp_path / subcommand / "one"
+    second = tmp_path / subcommand / "two"
+    assert run_cli([subcommand, *args, "--out", str(first)]) == 0
+    printed = capsys.readouterr().out
+    assert run_cli([
+        subcommand, "--from-manifest", str(first / "manifest.json"), "--out", str(second),
+    ]) == 0
+    assert capsys.readouterr().out == printed
+    names = sorted(os.listdir(first))
+    assert names == sorted(os.listdir(second))
+    assert {"manifest.json", "timing.json"} < set(names)
+    for name in names:
+        if name != "timing.json":
+            assert read(first / name) == read(second / name), (subcommand, name)
 
 
 def test_manifest_regeneration_is_byte_identical(tmp_path, capsys):
     for subcommand, args in REGENERATED:
-        first = tmp_path / subcommand / "one"
-        second = tmp_path / subcommand / "two"
-        assert run_cli([subcommand, *args, "--out", str(first)]) == 0
-        printed = capsys.readouterr().out
-        assert run_cli([
-            subcommand, "--from-manifest", str(first / "manifest.json"), "--out", str(second),
-        ]) == 0
-        assert capsys.readouterr().out == printed
-        names = sorted(os.listdir(first))
-        assert names == sorted(os.listdir(second))
-        assert {"manifest.json", "timing.json"} < set(names)
-        for name in names:
-            if name != "timing.json":
-                assert read(first / name) == read(second / name), (subcommand, name)
+        assert_manifest_regenerates(tmp_path, capsys, subcommand, args)
+
+
+def test_bound_report_manifest_regeneration(tmp_path, capsys):
+    assert_manifest_regenerates(
+        tmp_path, capsys, "bound-report",
+        ["--hbar-grid", "1.0,0.5", "--n-copies", "8", "--sign", "-1"],
+    )
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, capsys):
