@@ -608,6 +608,8 @@ def _pearson_chisquare(observed, expected) -> tuple[float, float]:
 
 
 def _cmd_geometry_check(sub, values, args) -> int:
+    if values["dim"] < 2:
+        raise ConfigError(f"geometry-check needs dim >= 2, got {values['dim']}")
     t0 = time.perf_counter()
     rows, jacobi_rows = _geometry_rows(values["seed"], values["dim"])
     tables = {
@@ -673,8 +675,14 @@ def _cmd_converge(sub, values, args) -> int:
 
 
 def _cmd_bound_report(sub, values, args) -> int:
+    if values["dim"] < 2:
+        raise ConfigError(f"bound-report needs dim >= 2, got {values['dim']}")
     if values["n_copies"] < 1:
         raise ConfigError(f"n_copies must be >= 1, got {values['n_copies']}")
+    for key in ("grad_sup", "hbar_grid"):
+        for value in np.atleast_1d(values[key]):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key} must hold values finite and > 0, got {value}")
     t0 = time.perf_counter()
     m = make_manifold(values["manifold"], values["dim"])
     fp = framed_point(m)

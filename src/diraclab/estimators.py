@@ -32,11 +32,11 @@ from .graphdirac import anchor_rows, laplace_lambda, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
+    _sample_log_coords,
     exp_axis,
     framed_point,
     make_manifold,
     neighbourhood_volume,
-    sample_log_coords,
     vol_density,
 )
 from .specfun import QuadratureRule, _adaptive, log_c_d
@@ -586,7 +586,9 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     ``report.timing`` holds the run's wall seconds, the seconds spent in each
     stage (``sampling`` and ``estimation`` summed over repeats, and worker
     threads when there are several; ``oracles`` for the quadrature oracles)
-    and counters: sample points drawn, repeats, oracle calls.
+    and counters: sample points drawn, sampler rounds and the proposals the
+    sampler examined (samples drawn / proposals is the acceptance rate),
+    repeats, oracle calls.
     """
     t_start = time.perf_counter()
     m = make_manifold(cfg.manifold, cfg.dim)
@@ -604,7 +606,8 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
             np.random.SeedSequence([cfg.master_seed, n_idx, rep])
         )
         t0 = time.perf_counter()
-        v = sample_log_coords(m, fp, rng, n * slots).reshape(n, slots, m.d)
+        v, rounds, proposals = _sample_log_coords(m, fp, rng, n * slots)
+        v = v.reshape(n, slots, m.d)
         t1 = time.perf_counter()
         if cfg.mode == "dirac":
             # One weight computation serves the test function and the family.
@@ -614,7 +617,7 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
                 m, v, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
             )
             est = np.array([[value]])
-        return est, t1 - t0, time.perf_counter() - t1
+        return est, t1 - t0, time.perf_counter() - t1, rounds, proposals
 
     n_components = m.d if cfg.mode == "dirac" else 1
     tasks = [(n_idx, rep) for n_idx in range(len(cfg.n_grid)) for rep in range(cfg.repeats)]
@@ -624,12 +627,12 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     else:
         outs = [one_repeat(*t) for t in tasks]
     # (n index, repeat, test function then family members, component)
-    results = np.array([est for est, _, _ in outs]).reshape(
+    results = np.array([est for est, *_ in outs]).reshape(
         len(cfg.n_grid), cfg.repeats, 1 + len(family), n_components
     )
     stages = {
-        "sampling": sum(t for _, t, _ in outs),
-        "estimation": sum(t for _, _, t in outs),
+        "sampling": sum(t for _, t, *_ in outs),
+        "estimation": sum(t for _, _, t, *_ in outs),
         "oracles": 0.0,
     }
 
@@ -701,6 +704,8 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
             )
     counters = {
         "samples_drawn": sum(cfg.n_grid) * slots * cfg.repeats,
+        "sampler_rounds": sum(rounds for *_, rounds, _ in outs),
+        "proposals_evaluated": sum(proposals for *_, proposals in outs),
         "repeats": len(tasks),
         "oracle_calls": oracle_calls,
     }

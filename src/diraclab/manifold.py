@@ -292,6 +292,11 @@ def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint) -> float:
     return float(omega * np.sum(wr * vals))
 
 
+# Rows the sampler works on at a time, so that its temporaries stay a few
+# hundred KB, whatever the batch size.
+_BLOCK = 8192
+
+
 def sample_log_coords(
     m: ManifoldModel, fp: FramedPoint, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -300,16 +305,44 @@ def sample_log_coords(
     Returns frame log coordinates, shape (size, d).  Rejection sampling: the
     proposal is uniform on the radius-delta_u ball in the tangent space,
     accepted with probability G(|v|) <= 1, the volume density.  Each round draws
-    all its proposals, so the stream does not depend on how many are kept; the
-    density is evaluated only up to the last acceptance kept, in blocks.
+    all its proposals, so the stream does not depend on how many are kept.  The
+    work after the draws runs in blocks of a fixed number of rows.  Flat keeps
+    the first ``size`` proposals: their directions are drawn straight into the
+    result and scaled there, and the rest are drawn into a block and dropped.
+    The sphere holds a round's directions and radius uniforms whole, since the
+    acceptance uniforms come after them in the stream; it evaluates the
+    density block by block, only up to the last acceptance kept.
+    """
+    return _sample_log_coords(m, fp, rng, size)[0]
+
+
+def _sample_log_coords(m, fp, rng, size):
+    """``sample_log_coords`` with its counters: (coords, rounds, proposals).
+
+    ``proposals`` counts the proposals examined up to the last one kept, so
+    size / proposals is the acceptance rate (1 on flat space).
     """
     if size < 0:
         raise InvalidArgumentError(f"size must be >= 0, got {size}")
     size = int(size)
     d = m.d
     out = np.empty((size, d))
-    filled = 0
-    rounds = 0
+    if size == 0:
+        return out, 0, 0
+    block = np.empty(_BLOCK * d)
+    if m.kind == "flat":
+        # One round of max(2 size, 64) proposals; the first size are kept.
+        draw = max(2 * size, 64)
+        rng.standard_normal(out=out)
+        _skip(rng.standard_normal, block, (draw - size) * d)
+        for start in range(0, size, _BLOCK):
+            stop = min(size, start + _BLOCK)
+            radii = rng.random(out=block[: stop - start]) ** (1.0 / d)
+            radii *= fp.delta_u
+            _place(out, start, radii, out[start:stop])
+        _skip(rng.random, block, draw - size)
+        return out, 1, size
+    filled = rounds = proposals = 0
     while filled < size:
         rounds += 1
         if rounds > 512:
@@ -318,34 +351,36 @@ def sample_log_coords(
         draw = max(2 * want, 64)
         dirs = rng.standard_normal((draw, d))
         u = rng.random(draw)
-        if m.kind == "flat":
-            radii = u[:want] ** (1.0 / d)
-            radii *= fp.delta_u
-            filled = _place(out, filled, radii, dirs[:want])
-            continue
-        accept = rng.random(draw)
-        # The first block covers want acceptances at a rate of 8/9 or more;
-        # each later block has twice as many proposals as acceptances missing.
-        stop = 0
-        block = want + (want >> 3) + 64
-        while filled < size and stop < draw:
-            start, stop = stop, min(draw, stop + block)
+        for start in range(0, draw, _BLOCK):
+            stop = min(draw, start + _BLOCK)
+            accept = rng.random(out=block[: stop - start])
             radii = u[start:stop] ** (1.0 / d)
             radii *= fp.delta_u
             dens = _sinc(radii)
             if d != 2:
                 dens = dens ** (d - 1)
-            keep = accept[start:stop] < dens
-            need = size - filled
-            kept = np.compress(keep, dirs[start:stop], axis=0)[:need]
-            filled = _place(out, filled, np.compress(keep, radii)[:need], kept)
-            block = 2 * (size - filled) + 64
-    return out
+            hits = np.flatnonzero(accept < dens)[: size - filled]
+            if filled + hits.size == size:
+                proposals += int(hits[-1]) + 1
+            else:
+                proposals += stop - start
+            filled = _place(out, filled, radii[hits], dirs[start:stop][hits])
+            if filled == size:
+                _skip(rng.random, block, draw - stop)
+                break
+    return out, rounds, proposals
+
+
+def _skip(draw, buf: np.ndarray, count: int) -> None:
+    """Draw ``count`` values with ``draw`` into ``buf``, a block at a time, and
+    drop them: the stream moves on as if they had been kept."""
+    for start in range(0, count, buf.size):
+        draw(out=buf[: min(buf.size, count - start)])
 
 
 def _place(out: np.ndarray, at: int, radii: np.ndarray, dirs: np.ndarray) -> int:
-    """Write radii * (dirs / |dirs|) into out[at:], one column at a time;
-    returns the next free row."""
+    """Write radii * (dirs / |dirs|) into out[at:], one column at a time
+    (``dirs`` may be those rows of out); returns the next free row."""
     norms = _norms(dirs)
     np.maximum(norms, 1e-300, out=norms)
     unit = np.empty_like(norms)

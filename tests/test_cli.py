@@ -387,6 +387,24 @@ def test_bad_grid_is_a_config_error(tmp_path, capsys):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["geometry-check", "--dim", "1"], "geometry-check needs dim >= 2, got 1"),
+        (["geometry-check", "--dim", "0"], "geometry-check needs dim >= 2, got 0"),
+        (["bound-report", "--dim", "1"], "bound-report needs dim >= 2, got 1"),
+        (["bound-report", "--grad-sup", "0"], "grad_sup must hold values finite and > 0, got 0.0"),
+        (["bound-report", "--grad-sup", "nan"], "grad_sup must hold values finite and > 0, got nan"),
+        (["bound-report", "--hbar-grid", "0"], "hbar_grid must hold values finite and > 0, got 0.0"),
+    ],
+)
+def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, args, message):
+    out = tmp_path / "x"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_dump_operators_writes_matrix_market(tmp_path, capsys):
     out = tmp_path / "o"
     dump = tmp_path / "ops"
@@ -433,24 +451,40 @@ def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["dirac", "laplace"])
 def test_converge_timing_stages_and_thread_independent_bytes(tmp_path, capsys, mode):
-    one = tmp_path / "t1"
-    two = tmp_path / "t2"
-    assert run_cli([f"{mode}-converge", *SMALL, "--out", str(one)]) == 0
-    assert run_cli([f"{mode}-converge", *SMALL, "--threads", "2", "--out", str(two)]) == 0
-    capsys.readouterr()
-    for name in ("report.csv", "report.dat", "report.json", "manifest.json"):
-        assert read(one / name) == read(two / name)
-    for out in (one, two):
-        timing = json.loads((out / "timing.json").read_text())
-        assert set(timing) == {"wall_time_s", "stages_s", "counters", "peak_rss_mb"}
-        assert isinstance(timing["peak_rss_mb"], float) and timing["peak_rss_mb"] > 0.0
-        assert set(timing["stages_s"]) == {"sampling", "estimation", "oracles"}
-        assert all(s >= 0.0 for s in timing["stages_s"].values())
-        assert timing["wall_time_s"] >= timing["stages_s"]["oracles"]
-        # n grid 60, 120 with d + 1 = 3 slots, 2 repeats each; d = 2 oracles per
-        # grid point for the frame derivative, one for the Laplacian.
-        assert timing["counters"] == {
-            "samples_drawn": (60 + 120) * 3 * 2,
-            "repeats": 4,
-            "oracle_calls": 4 if mode == "dirac" else 2,
-        }
+    for manifold in ("flat", "sphere"):
+        one = tmp_path / manifold / "t1"
+        two = tmp_path / manifold / "t2"
+        args = [f"{mode}-converge", *SMALL, "--manifold", manifold]
+        assert run_cli([*args, "--out", str(one)]) == 0
+        assert run_cli([*args, "--threads", "2", "--out", str(two)]) == 0
+        capsys.readouterr()
+        for name in ("report.csv", "report.dat", "report.json", "manifest.json"):
+            assert read(one / name) == read(two / name)
+        counters = []
+        for out in (one, two):
+            timing = json.loads((out / "timing.json").read_text())
+            assert set(timing) == {"wall_time_s", "stages_s", "counters", "peak_rss_mb"}
+            assert isinstance(timing["peak_rss_mb"], float) and timing["peak_rss_mb"] > 0.0
+            assert set(timing["stages_s"]) == {"sampling", "estimation", "oracles"}
+            assert all(s >= 0.0 for s in timing["stages_s"].values())
+            assert timing["wall_time_s"] >= timing["stages_s"]["oracles"]
+            # n grid 60, 120 with d + 1 = 3 slots, 2 repeats each; d = 2 oracles
+            # per grid point for the frame derivative, one for the Laplacian.
+            # Each repeat's sampler fills its batch in one round: flat keeps
+            # every proposal it examines, the sphere at d = 2, delta_u = 1
+            # about 92% of them.
+            samples = (60 + 120) * 3 * 2
+            got = dict(timing["counters"])
+            proposals = got.pop("proposals_evaluated")
+            assert got == {
+                "samples_drawn": samples,
+                "sampler_rounds": 4,
+                "repeats": 4,
+                "oracle_calls": 4 if mode == "dirac" else 2,
+            }
+            if manifold == "flat":
+                assert proposals == samples
+            else:
+                assert 0.88 < samples / proposals < 0.96
+            counters.append(timing["counters"])
+        assert counters[0] == counters[1]

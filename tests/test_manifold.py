@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,18 +214,26 @@ def test_sample_single_matches_batch_stream(manifold):
 
 
 class OnesGenerator:
-    """Generator stand-in whose uniform draws are all 1.0: every proposal lands
-    on the neighbourhood boundary, where the sphere's acceptance test fails."""
+    """Generator stand-in whose draws are all 1.0: every proposal lands on the
+    neighbourhood boundary, where the sphere's acceptance test fails.  It
+    counts its uniform draws (calls)."""
 
     def __init__(self):
         self.uniform_draws = 0
 
-    def standard_normal(self, shape):
-        return np.ones(shape)
+    def standard_normal(self, size=None, out=None):
+        return _ones(size, out)
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         self.uniform_draws += 1
+        return _ones(size, out)
+
+
+def _ones(size, out):
+    if out is None:
         return np.ones(size)
+    out[...] = 1.0
+    return out
 
 
 def test_sphere_sampler_exhaustion_raises():
@@ -232,7 +241,8 @@ def test_sphere_sampler_exhaustion_raises():
     rng = OnesGenerator()
     with pytest.raises(SamplingFailureError):
         sample_uniform_batch(m, framed_point(m), rng, 10)
-    # Two uniform draws (radius, acceptance) per round, 512 rounds.
+    # Two uniform draws per round, 512 rounds: the radii, then the 20
+    # acceptance uniforms, one block.
     assert rng.uniform_draws == 2 * 512
     rng = OnesGenerator()
     with pytest.raises(SamplingFailureError):
@@ -271,31 +281,51 @@ def reference_sample_uniform_batch(m, fp, rng, size):
 
 
 class CountingRng:
-    """A generator that counts the rounds (normal draws) it serves."""
+    """A generator that counts the normal and uniform values it serves, drawn
+    whole or into a block buffer."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.rounds = 0
+        self.normals = 0
+        self.uniforms = 0
 
-    def standard_normal(self, shape):
-        self.rounds += 1
-        return self.rng.standard_normal(shape)
+    def standard_normal(self, size=None, out=None):
+        got = self.rng.standard_normal(size, out=out)
+        self.normals += got.size
+        return got
 
-    def random(self, size=None):
-        return self.rng.random(size)
+    def random(self, size=None, out=None):
+        got = self.rng.random(size, out=out)
+        self.uniforms += np.size(got)
+        return got
 
 
 def assert_sampler_keeps_the_stream(m, fp, size, seed):
+    """Check the sampler against the reference stream; returns its rounds and
+    the proposals it examined."""
     ref_rng = np.random.default_rng(seed)
     ref = reference_sample_uniform_batch(m, fp, ref_rng, size)
     rng = CountingRng(seed)
-    v = sample_log_coords(m, fp, rng, size)
+    v, rounds, proposals = manifold_module._sample_log_coords(m, fp, rng, size)
     assert v.shape == (size, m.d)
     assert np.all(np.linalg.norm(v, axis=1) < fp.delta_u)
     assert np.array_equal(exp_map(m, fp.point, v @ fp.frame), ref)
-    # Both consumed the same number of draws.
+    # Both consumed the same number of draws: d normals and one radius
+    # uniform per proposal, and on the sphere one acceptance uniform.
     assert rng.random() == ref_rng.random()
-    return rng.rounds
+    per_proposal = 1 if m.kind == "flat" else 2
+    assert (rng.uniforms - 1) * m.d == per_proposal * rng.normals
+    if m.kind == "flat":
+        assert (rounds, proposals) == (1, size)
+    else:
+        assert size <= proposals <= rng.normals // m.d
+    return rounds, proposals
+
+
+# Sizes around the sampler's block: flat works on size rows, the sphere on
+# 2 * size proposals per round.
+BLOCK = manifold_module._BLOCK
+EDGE_SIZES = (BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])
@@ -303,15 +333,6 @@ def assert_sampler_keeps_the_stream(m, fp, size, seed):
 def test_log_coordinate_sampler_keeps_the_stream(kind, d, monkeypatch):
     m = make_manifold(kind, d)
     fp = framed_point(m)
-    for size, seed in ((1, 0), (65, 1), (3000, 2), (30001, 3)):
-        assert_sampler_keeps_the_stream(m, fp, size, seed)
-    assert sample_log_coords(m, fp, np.random.default_rng(0), 0).shape == (0, d)
-    if kind == "flat":
-        return
-    # A wide neighbourhood: acceptance is low (about 0.58 at d = 2, 0.29 at
-    # d = 3), so the density prefix grows past its first block and, at d = 3,
-    # rounds exceed one.
-    wide = framed_point(m, delta_u=2.5)
     sinc_calls = []
     real_sinc = manifold_module._sinc
 
@@ -320,12 +341,52 @@ def test_log_coordinate_sampler_keeps_the_stream(kind, d, monkeypatch):
         return real_sinc(r)
 
     monkeypatch.setattr(manifold_module, "_sinc", counting_sinc)
-    for size, seed in ((1, 4), (65, 5), (3000, 6), (30001, 7)):
+    for seed, size in enumerate((1, 65, 3000, 30001, *EDGE_SIZES)):
         sinc_calls.clear()
-        rounds = assert_sampler_keeps_the_stream(m, wide, size, seed)
+        rounds, proposals = assert_sampler_keeps_the_stream(m, fp, size, seed)
+        if kind == "sphere" and rounds == 1:
+            # One density call per block up to the last acceptance kept, and
+            # one more from exp_map in the check.
+            assert len(sinc_calls) == -(-proposals // BLOCK) + 1
+    assert sample_log_coords(m, fp, np.random.default_rng(0), 0).shape == (0, d)
+    if kind == "flat":
+        return
+    # A wide neighbourhood: acceptance is low (about 0.58 at d = 2, 0.29 at
+    # d = 3), so the density runs over several blocks and, at d = 3, rounds
+    # exceed one.
+    wide = framed_point(m, delta_u=2.5)
+    for seed, size in enumerate((1, 65, 3000, 30001, *EDGE_SIZES), start=4):
+        sinc_calls.clear()
+        rounds, proposals = assert_sampler_keeps_the_stream(m, wide, size, seed)
         assert len(sinc_calls) > rounds
+        if size >= 3000:
+            assert abs(size / proposals - (0.58 if d == 2 else 0.29)) < 0.02
         if d == 3 and size > 1:
             assert rounds > 1
+        if size > BLOCK:
+            assert len(sinc_calls) - 1 > rounds
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sampler_memory_stays_near_its_output(d):
+    """The flat sampler holds its result and one block, however many
+    proposals it drops; the sphere also holds a round's directions and radius
+    uniforms (3 more result sizes at d = 2), and one block."""
+    size = 300_000
+    for kind in ("flat", "sphere"):
+        m = make_manifold(kind, d)
+        fp = framed_point(m)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            out = sample_log_coords(m, fp, rng, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if kind == "flat":
+            assert peak <= out.nbytes + 2**20
+        else:
+            assert peak <= 4.5 * out.nbytes
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])

@@ -15,6 +15,10 @@ star copy holds d + 1 = 3 points at d = 2):
 
 Each call gets a fresh generator with the same seed, so every repeat does the
 same work; the first call of each kind is a warm-up and is not counted.
+
+``peak_bytes_per_point`` holds, for each of those calls, the peak of the
+memory it allocates (``tracemalloc``, one extra call, result included) over
+the number of sample points: the layer rows of peak memory against n.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIES = 100_000
@@ -49,6 +54,15 @@ def _time(fn, repeats: int) -> list:
     return out
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding diraclab/")
@@ -66,7 +80,7 @@ def main(argv=None) -> int:
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
 
     points = COPIES * 3
-    result = {"copies": COPIES, "points": points, "unit": "ns per sample point"}
+    calls = {}
     for kind in ("flat", "sphere"):
         m = make_manifold(kind, 2)
         fp = framed_point(m)
@@ -76,18 +90,23 @@ def main(argv=None) -> int:
             else embedding_coordinate_function(m, fp, 0)
         )
         v = sample_log_coords(m, fp, np.random.default_rng(1), points).reshape(COPIES, 3, 2)
-        result[f"sampler.{kind}"] = _summary(
-            _time(lambda: sample_log_coords(m, fp, np.random.default_rng(1), points), REPEATS),
-            points,
+        calls[f"sampler.{kind}"] = (
+            lambda m=m, fp=fp: sample_log_coords(m, fp, np.random.default_rng(1), points)
         )
-        result[f"weights_reduction.{kind}"] = _summary(
-            _time(lambda: dirac_estimate(m, v, a, fp, 0.2, sigma=1), REPEATS), points
+        calls[f"weights_reduction.{kind}"] = (
+            lambda m=m, v=v, a=a, fp=fp: dirac_estimate(m, v, a, fp, 0.2, sigma=1)
         )
         if kind == "flat":
             sq = squared_radius_function(m, fp)
-            result["laplace.flat"] = _summary(
-                _time(lambda: laplace_estimate(m, v, sq, fp, 0.2, sigma=1), REPEATS), points
+            calls["laplace.flat"] = (
+                lambda m=m, v=v, sq=sq, fp=fp: laplace_estimate(m, v, sq, fp, 0.2, sigma=1)
             )
+    result = {"copies": COPIES, "points": points, "unit": "ns per sample point"}
+    for name, fn in calls.items():
+        result[name] = _summary(_time(fn, REPEATS), points)
+    result["peak_bytes_per_point"] = {
+        name: round(_peak_bytes(fn) / points, 2) for name, fn in calls.items()
+    }
     print(json.dumps(result, indent=1))
     return 0
 
