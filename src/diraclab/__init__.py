@@ -9,7 +9,7 @@ with the graph operator they define.  The estimator layer (``estimators``,
 ``cli``) runs seeded convergence experiments with quadrature oracles.
 """
 
-from .clifford import Blade, Multivector, blade_mul, embed_vector, mv_mul
+from .clifford import Multivector, mv_mul
 from .errors import (
     ConfigError,
     DiracLabError,
@@ -39,15 +39,12 @@ from .estimators import (
     resolve_test_function,
     s_jn,
     squared_radius_function,
-    validate_test_function,
 )
 from .graphdirac import (
-    LambdaWeights,
     WeightedGraphDirac,
-    anchor_rows,
     assemble_dirac,
-    laplace_lambda,
     pf_bound_report,
+    star_anchors,
     star_weights,
 )
 from .liealg import (
@@ -55,7 +52,6 @@ from .liealg import (
     DiracOperator,
     TensorElement,
     WeightedOperator,
-    build_root_vector,
     build_w,
     commutator_closed_form,
     commutator_concrete,
@@ -65,7 +61,6 @@ from .liealg import (
     psi_map_to_clifford,
     psi_reduce,
     realize_commutator_edges,
-    realize_operator_edges,
     root_block,
 )
 from .manifold import (
@@ -83,7 +78,6 @@ from .manifold import (
     make_manifold,
     neighbourhood_volume,
     sample_log_coords,
-    sample_uniform,
     sample_uniform_batch,
     vol_density,
 )

@@ -46,7 +46,7 @@ from .estimators import (
     s_jn,
     table_texts,
 )
-from .graphdirac import anchor_rows, assemble_dirac, laplace_lambda, pf_bound_report, star_weights
+from .graphdirac import assemble_dirac, pf_bound_report, star_anchors, star_weights
 from .liealg import (
     DiagonalObservable,
     TensorElement,
@@ -98,14 +98,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_csv_ints(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(int(p) for p in parts if p)
+def _csv_of(parse):
+    """A parser of a non-empty comma-separated list of ``parse`` values."""
 
+    def parse_csv(text: str) -> tuple:
+        values = tuple(parse(part) for part in map(str.strip, text.split(",")) if part)
+        if not values:
+            raise ValueError(f"expected at least one value, got {text!r}")
+        return values
 
-def _parse_csv_floats(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(float(p) for p in parts if p)
+    return parse_csv
 
 
 def _one_of(parse, *allowed):
@@ -128,7 +130,7 @@ _PARSERS = {
     "manifold": _one_of(str, "flat", "sphere"),
     "dim": int,
     "alpha": float,
-    "n_grid": _parse_csv_ints,
+    "n_grid": _csv_of(int),
     "repeats": int,
     "sign": _parse_sign,
     "test_function": str,
@@ -137,8 +139,8 @@ _PARSERS = {
     "family_check": _parse_bool,
     "threads": int,
     "hoeffding_eps": float,
-    "t_grid": _parse_csv_floats,
-    "hbar_grid": _parse_csv_floats,
+    "t_grid": _csv_of(float),
+    "hbar_grid": _csv_of(float),
     "n_copies": int,
     "grad_sup": float,
 }
@@ -320,6 +322,14 @@ def _write_outputs(
     _write_text(out_dir, "timing.json", _json_text(timing))
 
 
+def _require_positive(values: dict, *keys: str) -> None:
+    """Config error unless every value of each of ``keys`` is finite and > 0."""
+    for key in keys:
+        for value in np.atleast_1d(values[key]):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key} must hold values finite and > 0, got {value}")
+
+
 def _check_row(check: str, value, threshold: float, passed=None, column="value", **labels) -> dict:
     """One row of a check table: ``value``, under ``column``, against
     ``threshold``; the row passes when value <= threshold unless ``passed``
@@ -362,7 +372,7 @@ def _word_path_components(m, fp, a, v, hbar: float) -> list:
     """Frame-derivative estimate through the word calculus: the averaged
     commutator element of the star samples ``v`` (log coordinates, shape
     (n, d+1, d)), reduced to a grade-1 multivector and rescaled by Vol/hbar."""
-    w = star_weights(v, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, 1)
+    w = star_weights(v, star_anchors(m.d)[0], fp, hbar, 1)
     coeff = (w * (a.evaluate(v) - a.evaluate(np.zeros(m.d)))).mean(axis=0)
     terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(m.d + 1)}
     mv, _factor = psi_map_to_clifford(TensorElement((m.d + 3) // 2, terms), m.d, hbar)
@@ -473,6 +483,7 @@ def _cmd_specfun(sub, values, args) -> int:
     dim = values["dim"]
     if dim < 3:
         raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
+    _require_positive(values, "t_grid")
     t0 = time.perf_counter()
     direction = np.zeros(dim)
     direction[0] = 1.0
@@ -679,10 +690,7 @@ def _cmd_bound_report(sub, values, args) -> int:
         raise ConfigError(f"bound-report needs dim >= 2, got {values['dim']}")
     if values["n_copies"] < 1:
         raise ConfigError(f"n_copies must be >= 1, got {values['n_copies']}")
-    for key in ("grad_sup", "hbar_grid"):
-        for value in np.atleast_1d(values[key]):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key} must hold values finite and > 0, got {value}")
+    _require_positive(values, "grad_sup", "hbar_grid")
     t0 = time.perf_counter()
     m = make_manifold(values["manifold"], values["dim"])
     fp = framed_point(m)

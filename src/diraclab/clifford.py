@@ -8,32 +8,11 @@ generators into canonical order plus a factor -1 for every repeated generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidArgumentError
 
-__all__ = ["Blade", "Multivector", "blade_mul", "mv_mul", "embed_vector"]
-
-
-@dataclass(frozen=True)
-class Blade:
-    """A basis blade of the algebra on d generators."""
-
-    mask: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidArgumentError(f"need at least one generator, got d={self.d}")
-        if not 0 <= self.mask < (1 << self.d):
-            raise InvalidArgumentError(
-                f"blade mask {self.mask} out of range for d={self.d}"
-            )
-
-    @property
-    def grade(self) -> int:
-        return self.mask.bit_count()
+__all__ = ["Multivector", "mv_mul"]
 
 
 def _reorder_sign(a: int, b: int) -> int:
@@ -48,19 +27,6 @@ def _reorder_sign(a: int, b: int) -> int:
         count += (a & b).bit_count()
         a >>= 1
     return -1 if count % 2 else 1
-
-
-def blade_mul(a: Blade, b: Blade) -> tuple[int, Blade]:
-    """Product of two basis blades: (sign, resulting blade).
-
-    Repeated generators annihilate in pairs, each contributing a factor -1.
-    """
-    if a.d != b.d:
-        raise InvalidArgumentError(f"blade dimensions differ: {a.d} vs {b.d}")
-    sign = _reorder_sign(a.mask, b.mask)
-    if (a.mask & b.mask).bit_count() % 2:
-        sign = -sign
-    return sign, Blade(a.mask ^ b.mask, a.d)
 
 
 class Multivector:
@@ -95,11 +61,6 @@ class Multivector:
 
     def component(self, mask: int) -> float:
         return self.coeffs.get(mask, 0.0)
-
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(
-            self.d, {m: c for m, c in self.coeffs.items() if m.bit_count() == k}
-        )
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
@@ -143,11 +104,6 @@ class Multivector:
             and self.coeffs == other.coeffs
         )
 
-    def approx_equal(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        self._check_same(other)
-        masks = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.component(m) - other.component(m)) <= tol for m in masks)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return f"Multivector(d={self.d}, 0)"
@@ -156,21 +112,6 @@ class Multivector:
             gens = "".join(f"e{i + 1}" for i in range(self.d) if m >> i & 1) or "1"
             parts.append(f"{self.coeffs[m]!r}*{gens}")
         return f"Multivector(d={self.d}, {' + '.join(parts)})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "terms": [{"mask": m, "c": self.coeffs[m]} for m in sorted(self.coeffs)],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Multivector":
-        try:
-            d = int(obj["d"])
-            coeffs = {int(t["mask"]): float(t["c"]) for t in obj["terms"]}
-        except (KeyError, TypeError) as exc:
-            raise InvalidArgumentError(f"malformed multivector object: {exc}") from exc
-        return cls(d, coeffs)
 
 
 def mv_mul(x: Multivector, y: Multivector) -> Multivector:
@@ -185,11 +126,3 @@ def mv_mul(x: Multivector, y: Multivector) -> Multivector:
             m = ma ^ mb
             out[m] = out.get(m, 0.0) + sign * ca * cb
     return Multivector(x.d, out)
-
-
-def embed_vector(coords: Iterable[float]) -> Multivector:
-    """Grade-one element sum_j coords[j] e_{j+1}."""
-    coords = list(coords)
-    if not coords:
-        raise InvalidArgumentError("empty coordinate vector")
-    return Multivector(len(coords), {1 << i: float(c) for i, c in enumerate(coords)})

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidArgumentError
-from .graphdirac import anchor_rows, laplace_lambda, star_weights
+from .graphdirac import star_anchors, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
@@ -39,7 +39,7 @@ from .manifold import (
     neighbourhood_volume,
     vol_density,
 )
-from .specfun import QuadratureRule, _adaptive, log_c_d
+from .specfun import DEFAULT_RULE, _adaptive, log_c_d
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -47,7 +47,6 @@ __all__ = [
     "hbar_schedule",
     "hoeffding_bound",
     "TestFunction",
-    "validate_test_function",
     "linear_coordinate_function",
     "squared_radius_function",
     "embedding_coordinate_function",
@@ -125,39 +124,6 @@ class TestFunction:
     evaluate: object
     frame_derivatives: np.ndarray
     laplacian_at_base: float
-
-
-def validate_test_function(
-    m: ManifoldModel,
-    fp: FramedPoint,
-    a: TestFunction,
-    h: float = 1e-3,
-    tol: float = 1e-6,
-) -> dict:
-    """Finite-difference check of the declared derivatives and Laplacian.
-
-    Returns the residuals; raises InvalidArgumentError when any relative
-    residual exceeds ``tol``.
-    """
-    base = float(a.evaluate(np.zeros(m.d)))
-    deriv_res = []
-    lap_fd = 0.0
-    for j in range(m.d):
-        step = h * np.eye(m.d)[j]
-        up = float(a.evaluate(step))
-        down = float(a.evaluate(-step))
-        fd = (up - down) / (2.0 * h)
-        declared = float(a.frame_derivatives[j])
-        deriv_res.append(abs(fd - declared) / max(1.0, abs(declared)))
-        lap_fd += (up - 2.0 * base + down) / (h * h)
-    lap_declared = float(a.laplacian_at_base)
-    lap_res = abs(lap_fd - lap_declared) / max(1.0, abs(lap_declared))
-    out = {"derivative_residuals": deriv_res, "laplacian_residual": lap_res}
-    if max(deriv_res) > tol or lap_res > tol:
-        raise InvalidArgumentError(
-            f"test function {a.name!r} failed the finite-difference check: {out}"
-        )
-    return out
 
 
 def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> TestFunction:
@@ -323,10 +289,10 @@ def s_jn(
 
 
 def _star(m, samples, fp, hbar, sigma):
-    """Star samples (n, d+1, d), their weights (n, d+1) against the anchors, and lam."""
+    """Star samples (n, d+1, d), their weights (n, d+1) against the anchors, and lams."""
     v = _coords(samples, (m.d + 1, m.d))
-    lam = laplace_lambda(fp.frame)
-    return v, star_weights(v, anchor_rows(fp, lam), fp, hbar, sigma), lam
+    anchors, lams = star_anchors(m.d)
+    return v, star_weights(v, anchors, fp, hbar, sigma), lams
 
 
 def dirac_estimate(
@@ -372,13 +338,12 @@ def laplace_estimate(
     """
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    v, w, lam = _star(m, samples, fp, hbar, sigma)
-    lamvec = lam.lams**lambda_power
-    total = float(np.sum((w * _centered(m, a, v)) @ lamvec))
+    v, w, lams = _star(m, samples, fp, hbar, sigma)
+    total = float(np.sum((w * _centered(m, a, v)) @ lams**lambda_power))
     return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
 
 
-def _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a):
+def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
     """Adaptive polar quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball.
 
     The kernel is the anchor kernels exp(log C_d + sigma <v, s_j> / hbar)
@@ -388,15 +353,13 @@ def _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a):
     """
     if m.d != 2:
         raise InvalidArgumentError("quadrature oracles are implemented for d = 2 only")
-    if rule is None:
-        rule = QuadratureRule()
-    anchors = anchor_rows(fp, laplace_lambda(fp.frame))
+    anchors = star_anchors(m.d)[0]
     beta = 1.0 / hbar
     lcd = log_c_d(m.d, beta)
 
     def evaluate(level: int):
-        r, wr = rule.radial_nodes(level, 0.0, fp.delta_u)
-        n_ang = rule.n_angular * (1 << level)
+        r, wr = DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
+        n_ang = DEFAULT_RULE.n_angular * (1 << level)
         x, wx = leggauss(n_ang)
         phi = math.pi * (x + 1.0)
         wphi = math.pi * wx
@@ -410,7 +373,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a):
         total = np.einsum("rp,r,p->", vals, wr, wphi)
         return np.array([total])
 
-    return float(_adaptive(rule, evaluate, "expectation oracle")[0])
+    return float(_adaptive(DEFAULT_RULE, evaluate, "expectation oracle")[0])
 
 
 def dirac_expectation_oracle(
@@ -420,13 +383,12 @@ def dirac_expectation_oracle(
     j: int,
     hbar: float,
     sigma: int = 1,
-    rule: QuadratureRule | None = None,
 ) -> float:
     """Exact expectation of s_jn at fixed hbar, by quadrature (d = 2)."""
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
     mix = np.eye(m.d + 1)[j - 1]
-    return _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a) / hbar
+    return _oracle_quadrature(m, fp, hbar, sigma, mix, a) / hbar
 
 
 def laplace_expectation_oracle(
@@ -435,14 +397,13 @@ def laplace_expectation_oracle(
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
-    rule: QuadratureRule | None = None,
     lambda_power: int = 1,
 ) -> float:
     """Exact expectation of the Laplace estimator at fixed hbar, by quadrature (d = 2)."""
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    mix = laplace_lambda(fp.frame).lams**lambda_power
-    return _oracle_quadrature(m, fp, hbar, sigma, rule, mix, a) / (hbar * hbar)
+    mix = star_anchors(m.d)[1] ** lambda_power
+    return _oracle_quadrature(m, fp, hbar, sigma, mix, a) / (hbar * hbar)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from .manifold import FramedPoint, ManifoldModel, _norms, log_coords  # noqa: F4
 from .specfun import log_c_d
 
 __all__ = [
-    "LambdaWeights",
-    "laplace_lambda",
-    "anchor_rows",
+    "star_anchors",
     "star_weights",
     "WeightedGraphDirac",
     "assemble_dirac",
@@ -45,39 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaWeights:
-    """Averaging weights and the extra anchor direction for the Laplace estimator.
+def star_anchors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor directions and averaging weights of the d+1 star slots.
 
-    ``lams`` has d+1 entries summing to 1: d copies of 1/(d + sqrt(d)) and a
-    final sqrt(d)/(d + sqrt(d)).  ``s_extra`` is the unit tangent vector
-    -(e_1 + ... + e_d)/sqrt(d) in embedding coordinates.
+    In frame log coordinates the anchors are e_1..e_d and the extra direction
+    -(e_1 + ... + e_d)/sqrt(d), whatever the orthonormal frame; ``lams`` holds
+    d copies of 1/(d + sqrt(d)) and a final sqrt(d)/(d + sqrt(d)), summing to
+    1.  Returns (anchors (d+1, d), lams (d+1,)).
     """
-
-    lams: np.ndarray
-    s_extra: np.ndarray
-
-
-def laplace_lambda(frame: np.ndarray) -> LambdaWeights:
-    """Build LambdaWeights from an orthonormal frame of shape (d, embedding_dim)."""
-    f = np.asarray(frame, dtype=float)
-    if f.ndim != 2 or f.shape[0] < 1:
-        raise InvalidArgumentError(f"frame must be 2-d with at least one row, got {f.shape}")
-    d = f.shape[0]
-    if not np.allclose(f @ f.T, np.eye(d), atol=1e-12):
-        raise InvalidArgumentError("frame rows must be orthonormal (tol 1e-12)")
-    u = f.sum(axis=0)
-    norm_u = float(np.linalg.norm(u))
-    if norm_u < 1e-12:
-        raise InvalidArgumentError("frame rows sum to zero; no extra anchor direction")
-    lams = np.full(d + 1, 1.0 / (d + norm_u))
-    lams[d] = norm_u / (d + norm_u)
-    return LambdaWeights(lams=lams, s_extra=-u / norm_u)
-
-
-def anchor_rows(fp: FramedPoint, lam: LambdaWeights) -> np.ndarray:
-    """Log-coordinate anchor directions, one row per star slot: e_1..e_d, s_extra."""
-    return np.vstack([np.eye(fp.d), fp.frame @ lam.s_extra])
+    root = math.sqrt(d)
+    anchors = np.vstack([np.eye(d), np.full(d, -1.0 / root)])
+    lams = np.full(d + 1, 1.0 / (d + root))
+    lams[d] = root / (d + root)
+    return anchors, lams
 
 
 def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
@@ -137,7 +115,7 @@ def assemble_dirac(
 ) -> WeightedGraphDirac:
     """Weight a (n_copies, d+1, d) array of sample log coordinates as one star.
 
-    Slot j of every copy is weighted against anchor j (``anchor_rows``).
+    Slot j of every copy is weighted against anchor j (``star_anchors``).
     """
     v = np.asarray(samples, dtype=float)
     if v.ndim != 3 or v.shape[0] < 1 or v.shape[1:] != (fp.d + 1, m.d):
@@ -146,7 +124,7 @@ def assemble_dirac(
         )
     if not np.all(np.isfinite(v)):
         raise InvalidGraphError("sample log coordinates must be finite")
-    w = star_weights(v, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, sigma)
+    w = star_weights(v, star_anchors(fp.d)[0], fp, hbar, sigma)
     return WeightedGraphDirac(hbar=float(hbar), weights=w.ravel())
 
 

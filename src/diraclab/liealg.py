@@ -31,7 +31,6 @@ __all__ = [
     "MAT_J",
     "HADAMARD",
     "root_block",
-    "build_root_vector",
     "TensorElement",
     "DiagonalObservable",
     "WeightedOperator",
@@ -44,7 +43,6 @@ __all__ = [
     "laplacian_closed_form",
     "psi_reduce",
     "psi_map_to_clifford",
-    "realize_operator_edges",
     "realize_commutator_edges",
 ]
 
@@ -73,32 +71,6 @@ def root_block(s: int) -> np.ndarray:
     if s not in _ROOT_BLOCKS:
         raise InvalidArgumentError(f"root family index must be 1..4, got {s}")
     return np.array(_ROOT_BLOCKS[s], dtype=complex)
-
-
-def _elementary(n: int, i: int, j: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[i - 1, j - 1] = 1.0
-    return out
-
-
-def build_root_vector(i: int, j: int, s: int, n_pairs: int) -> np.ndarray:
-    """Dense 4N x 4N matrix with the s-th root block at word position (i, j).
-
-    The block C_s sits in the 2x2 block at grid position (i, j) and its
-    negated transpose at (j, i), so the matrix pairs the two word indices
-    antisymmetrically. Requires 1 <= i < j <= 2N.
-    """
-    grid = 2 * n_pairs
-    if n_pairs < 1:
-        raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
-    if not (1 <= i < j <= grid):
-        raise InvalidArgumentError(
-            f"word indices must satisfy 1 <= i < j <= {grid}, got ({i}, {j})"
-        )
-    block = root_block(s)
-    return np.kron(_elementary(grid, i, j), block) + np.kron(
-        _elementary(grid, j, i), -block.T
-    )
 
 
 def _validate_word(word, grid: int) -> Word:
@@ -273,31 +245,6 @@ class TensorElement:
         diff = self - other
         return float(np.max(np.abs(diff._coeffs))) if diff._keys.size else 0.0
 
-    def to_json_obj(self) -> dict:
-        terms = []
-        for word in sorted(self.terms):
-            mat = self.terms[word]
-            terms.append(
-                {
-                    "word": [[i, j] for (i, j) in word],
-                    "mat2": [[float(z.real), float(z.imag)] for z in mat.ravel()],
-                }
-            )
-        return {"n_pairs": self.n_pairs, "terms": terms}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "TensorElement":
-        try:
-            n_pairs = int(obj["n_pairs"])
-            terms = {}
-            for t in obj["terms"]:
-                word = tuple((int(i), int(j)) for i, j in t["word"])
-                flat = [complex(re, im) for re, im in t["mat2"]]
-                terms[word] = np.array(flat, dtype=complex).reshape(2, 2)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"malformed element object: {exc}") from exc
-        return cls(n_pairs, terms)
-
     def __repr__(self) -> str:
         return f"TensorElement(n_pairs={self.n_pairs}, words={sorted(self.terms)})"
 
@@ -390,18 +337,6 @@ def _edge_element(n_pairs: int, pairs: np.ndarray, coeffs: np.ndarray) -> Tensor
     return TensorElement._from_arrays(n_pairs, keys, np.ascontiguousarray(coeffs, dtype=complex))
 
 
-def _edge_terms(element: TensorElement, form: str):
-    """0-based block rows, columns and coefficients of a one-pair-word element."""
-    keys = element._keys
-    grid = element.grid
-    bad = (keys == 0) | (keys > grid * grid)
-    if bad.any():
-        word = _key_word(int(keys[bad][0]), grid)
-        raise InvalidArgumentError(f"{form} edge form expects length-one words, got {word}")
-    rows, cols = np.divmod(keys - 1, grid)
-    return rows, cols, element._coeffs
-
-
 def _blocks_matrix(grid: int, rows, cols, upper, lower) -> np.ndarray:
     """Dense 2g x 2g matrix adding upper[k] into the 2x2 block (rows[k],
     cols[k]) and then lower[k] into (cols[k], rows[k]), term by term.
@@ -421,47 +356,33 @@ def _blocks_matrix(grid: int, rows, cols, upper, lower) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Weighted sum of root-vector matrices, kept in symbolic and dense form.
+    """Weighted sum of root-vector matrices in dense form.
 
-    The symbolic element records one term per edge (the upper word only, with
-    coefficient w * C_s); the dense matrix carries the antisymmetric
-    continuation on the mirrored block.
+    Edge (i, j) with weight w puts w * C_s in the 2x2 block at word position
+    (i, j) and its antisymmetric continuation -w * C_s^T at (j, i).
     """
 
     n_pairs: int
     s: int
     weights: dict[tuple[int, int], float]
-    symbolic: TensorElement
     concrete: np.ndarray
 
 
 def build_w(
     weights: Mapping[tuple[int, int], float], s: int, n_pairs: int
 ) -> WeightedOperator:
-    """Assemble the weighted operator sum_edges w_ij * root_vector(i, j, s)."""
+    """Assemble the weighted operator: w_ij * C_s on each edge, continued
+    antisymmetrically."""
     if n_pairs < 1:
         raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
     wts = _validated_weights(weights, 2 * n_pairs)
     block = root_block(s)
     pairs, w = _weight_arrays(wts)
     w = w[:, None, None]
-    upper = w * block
-    symbolic = _edge_element(n_pairs, pairs, upper)
     concrete = _blocks_matrix(
-        2 * n_pairs, pairs[:, 0] - 1, pairs[:, 1] - 1, upper, w * -block.T
+        2 * n_pairs, pairs[:, 0] - 1, pairs[:, 1] - 1, w * block, w * -block.T
     )
-    return WeightedOperator(n_pairs, s, wts, symbolic, concrete)
-
-
-def realize_operator_edges(element: TensorElement) -> np.ndarray:
-    """Dense matrix for an edge-form operator element.
-
-    Each stored term M on word (i, j) contributes kron(E_ij, M) plus the
-    antisymmetric continuation kron(E_ji, -M^T). Only length-one words are
-    meaningful here.
-    """
-    rows, cols, mats = _edge_terms(element, "operator")
-    return _blocks_matrix(element.grid, rows, cols, mats, -mats.transpose(0, 2, 1))
+    return WeightedOperator(n_pairs, s, wts, concrete)
 
 
 def realize_commutator_edges(element: TensorElement) -> np.ndarray:
@@ -473,9 +394,15 @@ def realize_commutator_edges(element: TensorElement) -> np.ndarray:
     exactly with the brute-force matrix commutator for every weight set and
     observable.
     """
-    rows, cols, mats = _edge_terms(element, "commutator")
-    rotated = HADAMARD @ mats @ HADAMARD
-    return _blocks_matrix(element.grid, rows, cols, rotated, rotated.transpose(0, 2, 1))
+    keys = element._keys
+    grid = element.grid
+    bad = (keys == 0) | (keys > grid * grid)
+    if bad.any():
+        word = _key_word(int(keys[bad][0]), grid)
+        raise InvalidArgumentError(f"commutator edge form expects length-one words, got {word}")
+    rows, cols = np.divmod(keys - 1, grid)
+    rotated = HADAMARD @ element._coeffs @ HADAMARD
+    return _blocks_matrix(grid, rows, cols, rotated, rotated.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

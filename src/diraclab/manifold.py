@@ -34,7 +34,6 @@ __all__ = [
     "log_coords",
     "neighbourhood_volume",
     "sample_log_coords",
-    "sample_uniform",
     "sample_uniform_batch",
     "jacobi_expansion_check",
     "JacobiReport",
@@ -398,11 +397,6 @@ def sample_uniform_batch(
     return exp_map(m, fp.point, sample_log_coords(m, fp, rng, size) @ fp.frame)
 
 
-def sample_uniform(m: ManifoldModel, fp: FramedPoint, rng: np.random.Generator) -> np.ndarray:
-    """Draw one point uniformly on the neighbourhood of fp."""
-    return sample_uniform_batch(m, fp, rng, 1)[0]
-
-
 @dataclass(frozen=True)
 class JacobiReport:
     """Differential-of-exp check: rows of (t, pairing, residual) plus a gradient norm.
@@ -422,14 +416,13 @@ def jacobi_expansion_check(
     p: np.ndarray,
     w: np.ndarray,
     t_grid,
-    v: np.ndarray | None = None,
-    eps: float = 1e-5,
 ) -> JacobiReport:
     """Check <w, (d exp_p)_{tv}(t w)> = t + O(t^3) along a unit geodesic direction v.
 
-    ``w`` must be a unit tangent vector at p; ``v`` defaults to a unit tangent
-    vector orthogonal to w (the transverse case, where the cubic term carries
-    the curvature).  The differential is formed by central differences.
+    ``w`` must be a unit tangent vector at p; v is the first frame direction
+    not parallel to w, made orthogonal to it (the transverse case, where the
+    cubic term carries the curvature).  The differential is formed by central
+    differences.
     """
     p = np.asarray(p, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -437,21 +430,16 @@ def jacobi_expansion_check(
         raise InvalidArgumentError("direction w must be a unit vector")
     if m.kind == "sphere" and abs(np.dot(w, p)) > 1e-9:
         raise InvalidArgumentError("direction w must be tangent at p")
-    if v is None:
-        frame = default_frame(m, p)
-        v = None
-        for row in frame:
-            cand = row - np.dot(row, w) * w
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-6:
-                v = cand / nrm
-                break
-        if v is None:
-            raise InvalidArgumentError("could not build a direction orthogonal to w")
+    frame = default_frame(m, p)
+    for row in frame:
+        cand = row - np.dot(row, w) * w
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-6:
+            v = cand / nrm
+            break
     else:
-        v = np.asarray(v, dtype=float)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise InvalidArgumentError("direction v must be a unit vector")
+        raise InvalidArgumentError("could not build a direction orthogonal to w")
+    eps = 1e-5
     rows = []
     for t in t_grid:
         t = float(t)
@@ -471,7 +459,6 @@ def jacobi_expansion_check(
             }
         )
     h = 1e-3
-    frame = default_frame(m, p)
     grads = []
     for j in range(m.d):
         step = h * frame[j]

@@ -124,6 +124,10 @@ class QuadratureRule:
         return half * (x + 1.0), half * w
 
 
+# The one rule every quadrature in the package runs on.
+DEFAULT_RULE = QuadratureRule()
+
+
 def _adaptive(rule: QuadratureRule, evaluate, what: str):
     """Run ``evaluate(level)`` on doubling levels until successive vectors agree.
 
@@ -148,7 +152,7 @@ def _adaptive(rule: QuadratureRule, evaluate, what: str):
     )
 
 
-def lemma_abc(d: int, t: float, rule: QuadratureRule | None = None):
+def lemma_abc(d: int, t: float):
     """Radial coefficient integrals (A, B, C) of the expansion at scale t.
 
     A(t) = int_0^1 (r/t) C_d(1/t)/C_d(r/t) dr
@@ -165,8 +169,6 @@ def lemma_abc(d: int, t: float, rule: QuadratureRule | None = None):
         raise InvalidArgumentError(f"dimension must be >= 3, got {d}")
     if not math.isfinite(t) or t <= 0.0:
         raise InvalidArgumentError(f"scale must be finite and > 0, got {t!r}")
-    if rule is None:
-        rule = QuadratureRule()
     d = int(d)
     t = float(t)
     beta = 1.0 / t
@@ -183,7 +185,7 @@ def lemma_abc(d: int, t: float, rule: QuadratureRule | None = None):
     c_head = 2.0 * math.pi * t * math.exp(log_cd_beta - log_cdm2_beta)
 
     def evaluate(level: int) -> np.ndarray:
-        r, w = rule.radial_nodes(level)
+        r, w = DEFAULT_RULE.radial_nodes(level)
         ratio_d = np.exp(log_cd_beta - _log_c_any(d, r * beta))
         a_val = float(np.sum(w * (r / t) * ratio_d))
         b_val = float(np.sum(w * r * ratio_d))
@@ -192,17 +194,11 @@ def lemma_abc(d: int, t: float, rule: QuadratureRule | None = None):
         c_val = c_head - 2.0 * math.pi * tail - c_const
         return np.array([a_val, b_val, c_val])
 
-    a_val, b_val, c_val = _adaptive(rule, evaluate, "lemma_abc")
+    a_val, b_val, c_val = _adaptive(DEFAULT_RULE, evaluate, "lemma_abc")
     return float(a_val), float(b_val), float(c_val)
 
 
-def vmf_moments(
-    d: int,
-    s,
-    t: float,
-    rule: QuadratureRule | None = None,
-    sigma: int = 1,
-):
+def vmf_moments(d: int, s, t: float, sigma: int = 1):
     """First and second moment integrals of the concentration kernel on the unit ball.
 
     The measure has density C_d(1/t) exp(sigma <s, x> / t) on {|x| <= 1}; its
@@ -230,8 +226,6 @@ def vmf_moments(
         raise InvalidArgumentError(f"scale must be finite and > 0, got {t!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    if rule is None:
-        rule = QuadratureRule()
     d = int(d)
     beta = 1.0 / float(t)
     log_cd = float(_log_c_any(d, beta))
@@ -244,8 +238,8 @@ def vmf_moments(
     )
 
     def evaluate(level: int) -> np.ndarray:
-        r, wr = rule.radial_nodes(level)
-        th, wth = rule.angular_nodes(level)
+        r, wr = DEFAULT_RULE.radial_nodes(level)
+        th, wth = DEFAULT_RULE.angular_nodes(level)
         rr = r[:, None]
         mu = np.cos(th)[None, :]
         # exponent = log C_d + sigma beta r mu <= log C_d + beta = O(log beta).
@@ -258,7 +252,7 @@ def vmf_moments(
         raw_tr = float(np.sum(base * rr * rr))
         return np.array([m1_par, raw_par, raw_tr])
 
-    m1_par, raw_par, raw_tr = _adaptive(rule, evaluate, "vmf_moments")
+    m1_par, raw_par, raw_tr = _adaptive(DEFAULT_RULE, evaluate, "vmf_moments")
     raw_perp = (raw_tr - raw_par) / (d - 1)
     m1 = m1_par * s_arr
     outer = np.outer(s_arr, s_arr)

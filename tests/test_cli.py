@@ -396,12 +396,50 @@ def test_bad_grid_is_a_config_error(tmp_path, capsys):
         (["bound-report", "--grad-sup", "0"], "grad_sup must hold values finite and > 0, got 0.0"),
         (["bound-report", "--grad-sup", "nan"], "grad_sup must hold values finite and > 0, got nan"),
         (["bound-report", "--hbar-grid", "0"], "hbar_grid must hold values finite and > 0, got 0.0"),
+        (["specfun", "--t-grid", "0"], "t_grid must hold values finite and > 0, got 0.0"),
+        (["specfun", "--t-grid", "nan"], "t_grid must hold values finite and > 0, got nan"),
+        (
+            ["bound-report", "--hbar-grid", ","],
+            "--hbar-grid: bad value for hbar_grid: expected at least one value, got ','",
+        ),
+        (
+            ["specfun", "--t-grid", ","],
+            "--t-grid: bad value for t_grid: expected at least one value, got ','",
+        ),
+        (
+            ["dirac-converge", "--n-grid", ","],
+            "--n-grid: bad value for n_grid: expected at least one value, got ','",
+        ),
     ],
 )
 def test_out_of_range_setting_is_a_config_error(tmp_path, capsys, args, message):
     out = tmp_path / "x"
     assert run_cli([*args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_bad_grid_from_a_config_file_or_manifest_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    cfg = tmp_path / "grid.cfg"
+    manifest = tmp_path / "manifest.json"
+    for subcommand, key in (
+        ("specfun", "t_grid"),
+        ("bound-report", "hbar_grid"),
+        ("dirac-converge", "n_grid"),
+    ):
+        cfg.write_text(f"{key} = ,\n")
+        manifest.write_text(json.dumps({"subcommand": subcommand, "config": {key: []}}))
+        for source in (["--config", str(cfg)], ["--from-manifest", str(manifest)]):
+            assert run_cli([subcommand, *source, "--out", str(out)]) == 2
+            assert f"bad value for {key}: expected at least one value" in capsys.readouterr().err
+    for subcommand, key in (("specfun", "t_grid"), ("bound-report", "hbar_grid")):
+        cfg.write_text(f"{key} = 0.2, 0\n")
+        manifest.write_text(json.dumps({"subcommand": subcommand, "config": {key: [0.2, 0.0]}}))
+        for source in (["--config", str(cfg)], ["--from-manifest", str(manifest)]):
+            assert run_cli([subcommand, *source, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: {key} must hold values finite and > 0, got 0.0\n"
     assert not out.exists()
 
 

@@ -14,7 +14,6 @@ from diraclab import (
     OutOfNeighbourhoodError,
     RunConfig,
     TensorElement,
-    anchor_rows,
     convergence_run,
     dirac_estimate,
     dirac_expectation_oracle,
@@ -25,7 +24,6 @@ from diraclab import (
     hoeffding_bound,
     laplace_estimate,
     laplace_expectation_oracle,
-    laplace_lambda,
     linear_coordinate_function,
     log_coords,
     make_manifold,
@@ -36,11 +34,40 @@ from diraclab import (
     s_jn,
     sample_log_coords,
     squared_radius_function,
+    star_anchors,
     star_weights,
-    validate_test_function,
 )
 from diraclab.estimators import CSV_COLUMNS, table_texts
 from diraclab.liealg import MAT_Y
+
+
+def validate_test_function(m, fp, a) -> dict:
+    """Finite-difference check (step 1e-3) of a test function's declared
+    derivatives and Laplacian at the base point.
+
+    Returns the relative residuals; raises InvalidArgumentError when any
+    exceeds 1e-6.
+    """
+    h, tol = 1e-3, 1e-6
+    base = float(a.evaluate(np.zeros(m.d)))
+    deriv_res = []
+    lap_fd = 0.0
+    for j in range(m.d):
+        step = h * np.eye(m.d)[j]
+        up = float(a.evaluate(step))
+        down = float(a.evaluate(-step))
+        fd = (up - down) / (2.0 * h)
+        declared = float(a.frame_derivatives[j])
+        deriv_res.append(abs(fd - declared) / max(1.0, abs(declared)))
+        lap_fd += (up - 2.0 * base + down) / (h * h)
+    lap_declared = float(a.laplacian_at_base)
+    lap_res = abs(lap_fd - lap_declared) / max(1.0, abs(lap_declared))
+    out = {"derivative_residuals": deriv_res, "laplacian_residual": lap_res}
+    if max(deriv_res) > tol or lap_res > tol:
+        raise InvalidArgumentError(
+            f"test function {a.name!r} failed the finite-difference check: {out}"
+        )
+    return out
 
 
 def star_samples(m, fp, n, seed=0):
@@ -193,12 +220,12 @@ def test_dirac_estimate_components_match_column_estimators(kind):
     assert est.shape == (2,)
     # The word-calculus route: the averaged commutator element, reduced to a
     # grade-1 multivector; the reduction hands back the unit i/hbar it removed.
-    w = star_weights(samples, anchor_rows(fp, laplace_lambda(fp.frame)), fp, hbar, 1)
+    w = star_weights(samples, star_anchors(m.d)[0], fp, hbar, 1)
     coeff = (w * (a.evaluate(samples) - a.evaluate(np.zeros(2)))).mean(axis=0)
     terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(3)}
     mv, factor = psi_map_to_clifford(TensorElement(2, terms), 2, hbar)
     assert factor == 1j / hbar
-    assert mv.grade_part(1).approx_equal(mv)
+    assert all(mask.bit_count() == 1 for mask in mv.coeffs)
     word = mv.scale(neighbourhood_volume(m, fp) / hbar)
     for j in (1, 2):
         col = s_jn(m, samples[:, j - 1, :], a, fp, j, hbar)
@@ -370,8 +397,8 @@ def test_fused_route_matches_embedded_reference(kind):
     v = star_samples(m, fp, n, seed=17)
     pts = exp_map(m, fp.point, v @ fp.frame)
     logc = log_coords(m, fp, pts)
-    lam = laplace_lambda(fp.frame)
-    w = star_weights(logc, anchor_rows(fp, lam), fp, hbar, sigma)
+    anchors, lams = star_anchors(m.d)
+    w = star_weights(logc, anchors, fp, hbar, sigma)
     pre = neighbourhood_volume(m, fp) / (n * hbar)
     if kind == "sphere":
         a = embedding_coordinate_function(m, fp, 0)
@@ -386,7 +413,7 @@ def test_fused_route_matches_embedded_reference(kind):
         assert_close_to_sum(s_jn(m, v[:, j - 1], a, fp, j, hbar, sigma), ref[j - 1], scale[j - 1])
 
     sq = squared_radius_function(m, fp)
-    terms = w * np.sum(logc * logc, axis=-1) * lam.lams
+    terms = w * np.sum(logc * logc, axis=-1) * lams
     got = laplace_estimate(m, v, sq, fp, hbar, sigma)
     assert_close_to_sum(got, pre / hbar * np.sum(terms), pre / hbar * np.sum(np.abs(terms)))
 

@@ -18,16 +18,15 @@ from diraclab import (
     NumericFailureError,
     OutOfNeighbourhoodError,
     WeightedGraphDirac,
-    anchor_rows,
     assemble_dirac,
     framed_point,
-    laplace_lambda,
     linear_coordinate_function,
     log_c_d,
     log_coords,
     make_manifold,
     pf_bound_report,
     sample_log_coords,
+    star_anchors,
     star_weights,
 )
 
@@ -75,7 +74,7 @@ def test_star_graphs_id_scheme(tmp_path):
     n = dirac.n_vertices
     assert n == 1 + 3 * (m.d + 1)
     dense = dense_operator(dirac, tmp_path / "op.mtx")
-    anchors = anchor_rows(fp, laplace_lambda(fp.frame))
+    anchors = star_anchors(m.d)[0]
     for k in range(3):
         for j in range(m.d + 1):
             gid = 1 + k * (m.d + 1) + j
@@ -83,16 +82,32 @@ def test_star_graphs_id_scheme(tmp_path):
             assert dense[0, n + gid] == 1j * float(w) / hbar
 
 
-def test_laplace_lambda_is_convex_combination():
-    frame = np.eye(2)
-    lam = laplace_lambda(frame)
-    assert lam.lams.shape == (3,)
-    assert np.all(lam.lams > 0.0)
-    assert np.sum(lam.lams) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(lam.s_extra) == pytest.approx(1.0, abs=1e-12)
-    # The extra direction opposes the frame sum.
+def frame_projected_star(frame):
+    """Anchors and weights as first built from an embedding frame: the extra
+    anchor is the unit vector opposing the frame-row sum u, projected onto the
+    frame; the weights are 1/(d + |u|) and a final |u|/(d + |u|)."""
+    d = frame.shape[0]
     u = frame.sum(axis=0)
-    assert_allclose(lam.s_extra, -u / np.linalg.norm(u), atol=1e-12)
+    norm_u = np.linalg.norm(u)
+    lams = np.full(d + 1, 1.0 / (d + norm_u))
+    lams[d] = norm_u / (d + norm_u)
+    return np.vstack([np.eye(d), frame @ (-u / norm_u)]), lams
+
+
+def test_star_anchors_match_the_frame_projection():
+    rng = np.random.default_rng(8)
+    for d in range(1, 8):
+        anchors, lams = star_anchors(d)
+        for kind in ("flat", "sphere"):
+            ref_anchors, ref_lams = frame_projected_star(framed_point(make_manifold(kind, d)).frame)
+            assert anchors.tobytes() == ref_anchors.tobytes()
+            assert lams.tobytes() == ref_lams.tobytes()
+        # Any orthonormal frame gives the same anchors, up to rounding.
+        for embedding_dim in (d, d + 1):
+            q, _ = np.linalg.qr(rng.standard_normal((embedding_dim, d)))
+            ref_anchors, _ = frame_projected_star(q.T)
+            assert_allclose(anchors, ref_anchors, rtol=0.0, atol=1e-15)
+        assert abs(float(np.sum(lams)) - 1.0) <= 1e-15
 
 
 def test_vmf_weight_matches_log_normalizer_formula():
@@ -123,7 +138,7 @@ def test_star_weights_match_their_former_expression(kind, d):
     fp = framed_point(m)
     rng = np.random.default_rng(21)
     v = sample_log_coords(m, fp, rng, 3000 * (d + 1)).reshape(3000, d + 1, d)
-    anchors = anchor_rows(fp, laplace_lambda(fp.frame))
+    anchors = star_anchors(m.d)[0]
     for hbar in (1.0, 0.3, 0.02):
         for sigma in (1, -1):
             for x, s in ((v, anchors), (v[:, 0], anchors[0]), (v[5, 1], anchors[1])):
@@ -174,13 +189,12 @@ def test_star_weights_take_lists_and_integer_arrays_as_floats():
 def test_vmf_weight_extra_slot_uses_lambda_direction():
     m = make_manifold("flat", 2)
     fp = framed_point(m)
-    lam = laplace_lambda(fp.frame)
-    anchors = anchor_rows(fp, lam)
+    anchors = star_anchors(m.d)[0]
     assert_allclose(anchors[:2], np.eye(2), atol=0.0)
     coords = log_coords(m, fp, np.array([0.1, 0.4]))
     hbar = 0.7
     got = star_weights(coords, anchors[2], fp, hbar, -1)
-    proj = float(np.dot(coords, lam.s_extra))
+    proj = -float(np.sum(coords)) / math.sqrt(2.0)
     ref = math.exp(log_c_d(2, 1.0 / hbar) - proj / hbar)
     assert got == pytest.approx(ref, rel=1e-12)
 

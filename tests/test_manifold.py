@@ -25,7 +25,6 @@ from diraclab import (
     exp_axis,
     neighbourhood_volume,
     sample_log_coords,
-    sample_uniform,
     sample_uniform_batch,
     vol_density,
 )
@@ -204,13 +203,6 @@ def test_sample_batch_shape_and_support(manifold):
     assert np.all(radii <= fp.delta_u + 1e-12)
     if manifold.kind == "sphere":
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-12
-
-
-def test_sample_single_matches_batch_stream(manifold):
-    fp = framed_point(manifold)
-    one = sample_uniform(manifold, fp, np.random.default_rng(99))
-    first = sample_uniform_batch(manifold, fp, np.random.default_rng(99), 1)[0]
-    assert_allclose(one, first)
 
 
 class OnesGenerator:

@@ -17,6 +17,7 @@ from diraclab import (
     log_c_d,
     vmf_moments,
 )
+from diraclab import specfun
 
 
 def half_integer_reference(nu: float, x: np.ndarray) -> np.ndarray:
@@ -126,10 +127,10 @@ def test_lemma_abc_rejects_low_dimension():
 def test_adaptive_failure_carries_best_value():
     rule = QuadratureRule(tol=1e-30, max_refinements=1)
     with pytest.raises(NumericFailureError) as exc_info:
-        lemma_abc(3, 0.2, rule=rule)
+        specfun._adaptive(rule, lambda level: [1.0 / (level + 1)], "halving")
     err = exc_info.value
-    assert err.best is not None
-    assert "deltas" in err.diagnostics
+    assert err.best.tolist() == [0.5]
+    assert err.diagnostics == {"deltas": [0.5]}
 
 
 def moment_reference(t: float, sigma: int) -> tuple[float, float, float]:

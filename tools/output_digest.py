@@ -70,6 +70,8 @@ CASES = (
     ("dirac-flat-dim3", ["dirac-converge", "--manifold", "flat", "--dim", "3"]),
     ("dirac-sphere-dim3", ["dirac-converge", "--manifold", "sphere", "--dim", "3"]),
     ("laplace-flat", ["laplace-converge"]),
+    ("laplace-sphere", ["laplace-converge", "--manifold", "sphere"]),
+    ("laplace-flat-dim3", ["laplace-converge", "--dim", "3"]),
     ("bound-flat", ["bound-report", "--manifold", "flat", "--dump-operators", "{dump}"]),
     ("bound-sphere", ["bound-report", "--manifold", "sphere", "--dump-operators", "{dump}"]),
     ("algebra-check-config", ["algebra-check", "--config", "{config}"]),
