@@ -25,7 +25,6 @@ import json
 import time
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidArgumentError
 from .graphdirac import star_anchors, star_weights
@@ -39,7 +38,7 @@ from .manifold import (
     neighbourhood_volume,
     vol_density,
 )
-from .specfun import DEFAULT_RULE, _adaptive, log_c_d
+from .specfun import DEFAULT_RULE, _adaptive, _gauss_legendre, log_c_d
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -360,7 +359,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
     def evaluate(level: int):
         r, wr = DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
         n_ang = DEFAULT_RULE.n_angular * (1 << level)
-        x, wx = leggauss(n_ang)
+        x, wx = _gauss_legendre(n_ang)
         phi = math.pi * (x + 1.0)
         wphi = math.pi * wx
         cs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)

@@ -95,15 +95,22 @@ class WeightedGraphDirac:
         return self.weights.size + 1
 
     def export_matrix_market(self, path) -> None:
-        """Write the operator in MatrixMarket coordinate format, row-major order."""
+        """Write the operator in MatrixMarket coordinate format, row-major order.
+
+        Each value is formatted once; the lower block's text is its negation,
+        which equals repr(-v) for every float (signed zeros, infinities and
+        NaN included).  Each block is joined once, line endings included.
+        """
         n = self.n_vertices
-        vals = [float(w) / self.hbar for w in self.weights]
-        lines = ["%%MatrixMarket matrix coordinate complex general"]
-        lines.append(f"{2 * n} {2 * n} {2 * len(vals)}")
-        lines.extend(f"1 {n + g} 0.0 {v!r}" for g, v in enumerate(vals, start=2))
-        lines.extend(f"{n + g} 1 0.0 {-v!r}" for g, v in enumerate(vals, start=2))
+        with np.errstate(over="ignore"):  # a value past the float range is written as inf
+            scaled = np.asarray(self.weights, dtype=float) / self.hbar
+        vals = [repr(v) for v in scaled.tolist()]
+        neg = (t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in vals)
+        upper = "".join([f"1 {n + g} 0.0 {t}\n" for g, t in enumerate(vals, start=2)])
+        lower = "".join([f"{n + g} 1 0.0 {t}\n" for g, t in enumerate(neg, start=2)])
+        header = "%%MatrixMarket matrix coordinate complex general\n"
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines((header, f"{2 * n} {2 * n} {2 * len(vals)}\n", upper, lower))
 
 
 def assemble_dirac(

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     InvalidArgumentError,
     OutOfInjectivityError,
     SamplingFailureError,
 )
+from .specfun import _gauss_legendre
 
 __all__ = [
     "ManifoldModel",
@@ -284,7 +284,7 @@ def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint) -> float:
     if d == 2:
         return 2.0 * math.pi * (1.0 - math.cos(delta))
     n = 256
-    x, w = leggauss(n)
+    x, w = _gauss_legendre(n)
     r = 0.5 * delta * (x + 1.0)
     wr = 0.5 * delta * w
     vals = r ** (d - 1) * _sinc(r) ** (d - 1)
@@ -309,8 +309,10 @@ def sample_log_coords(
     the first ``size`` proposals: their directions are drawn straight into the
     result and scaled there, and the rest are drawn into a block and dropped.
     The sphere holds a round's directions and radius uniforms whole, since the
-    acceptance uniforms come after them in the stream; it evaluates the
-    density block by block, only up to the last acceptance kept.
+    acceptance uniforms come after them in the stream; it decides proposals
+    block by block, only up to the last acceptance kept, by a squeeze test
+    that evaluates the density only where its bounds do not settle the
+    decision (``_squeeze_accept``).
     """
     return _sample_log_coords(m, fp, rng, size)[0]
 
@@ -353,21 +355,54 @@ def _sample_log_coords(m, fp, rng, size):
         for start in range(0, draw, _BLOCK):
             stop = min(draw, start + _BLOCK)
             accept = rng.random(out=block[: stop - start])
-            radii = u[start:stop] ** (1.0 / d)
-            radii *= fp.delta_u
-            dens = _sinc(radii)
-            if d != 2:
-                dens = dens ** (d - 1)
-            hits = np.flatnonzero(accept < dens)[: size - filled]
+            ub = u[start:stop]
+            take = _squeeze_accept(accept, ub, d, fp.delta_u)
+            hits = np.flatnonzero(take)[: size - filled]
             if filled + hits.size == size:
                 proposals += int(hits[-1]) + 1
             else:
                 proposals += stop - start
-            filled = _place(out, filled, radii[hits], dirs[start:stop][hits])
+            radii = ub[hits] ** (1.0 / d)
+            radii *= fp.delta_u
+            filled = _place(out, filled, radii, np.take(dirs, hits + start, axis=0))
             if filled == size:
                 _skip(rng.random, block, draw - stop)
                 break
     return out, rounds, proposals
+
+
+# Absolute margin of the squeeze test, far above the few ulps by which the
+# computed density and its computed bounds can stray from the exact values.
+_SQUEEZE_MARGIN = 1e-12
+
+
+def _squeeze_accept(accept: np.ndarray, u: np.ndarray, d: int, delta: float) -> np.ndarray:
+    """``accept < sinc(r) ** (d - 1)`` with r = delta * u ** (1/d), decision
+    for decision, evaluating the density only where the bounds do not settle it.
+
+    For r < pi, lo = 1 - r**2/6 <= sinc(r) <= lo + r**4/120 = hi (at d > 2 both
+    raised to the power d - 1, lo clipped at 0).  A uniform below lo is
+    accepted outright, one at or above hi rejected; only the band between gets
+    the exact density, computed as the unbounded test computes it.
+    """
+    r2 = u * (delta * delta) if d == 2 else u ** (2.0 / d) * (delta * delta)
+    lo = 1.0 - r2 / 6.0
+    r2 *= r2
+    r2 /= 120.0
+    hi = np.add(lo, r2, out=r2)
+    if d != 2:
+        lo = np.maximum(lo, 0.0, out=lo) ** (d - 1)
+        hi **= d - 1
+    take = accept < lo - _SQUEEZE_MARGIN
+    band = np.flatnonzero(~take & (accept < hi + _SQUEEZE_MARGIN))
+    if band.size:
+        radii = u[band] ** (1.0 / d)
+        radii *= delta
+        dens = _sinc(radii)
+        if d != 2:
+            dens = dens ** (d - 1)
+        take[band] = accept[band] < dens
+    return take
 
 
 def _skip(draw, buf: np.ndarray, count: int) -> None:

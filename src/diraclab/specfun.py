@@ -8,6 +8,7 @@ O(log beta) even when the raw normalizers under- or overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +84,19 @@ def log_c_d(d: int, beta: float) -> float:
     return float(_log_c_any(int(d), float(beta)))
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``: the n Gauss-Legendre nodes and weights on [-1, 1].
+
+    Computed once per n and shared by every caller, so both arrays are
+    read-only.
+    """
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Adaptive Gauss-Legendre product rule on radial and angular factors.
@@ -112,14 +126,14 @@ class QuadratureRule:
         Weights are positive and sum to b - a.
         """
         n = self.n_radial * (1 << level)
-        x, w = leggauss(n)
+        x, w = _gauss_legendre(n)
         half = 0.5 * (b - a)
         return a + half * (x + 1.0), half * w
 
     def angular_nodes(self, level: int):
         """Gauss-Legendre nodes and weights on the polar interval [0, pi]."""
         n = self.n_angular * (1 << level)
-        x, w = leggauss(n)
+        x, w = _gauss_legendre(n)
         half = 0.5 * math.pi
         return half * (x + 1.0), half * w
 

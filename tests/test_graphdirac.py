@@ -265,6 +265,35 @@ def test_matrix_market_round_trip(tmp_path):
     assert_allclose(dense, ref, atol=1e-15)
 
 
+def former_matrix_market(dirac, path):
+    """The writer as it stood before it formatted each value once: one repr
+    per block entry, the lower block's from the negated float."""
+    n = dirac.n_vertices
+    vals = [float(w) / dirac.hbar for w in dirac.weights]
+    lines = ["%%MatrixMarket matrix coordinate complex general"]
+    lines.append(f"{2 * n} {2 * n} {2 * len(vals)}")
+    lines.extend(f"1 {n + g} 0.0 {v!r}" for g, v in enumerate(vals, start=2))
+    lines.extend(f"{n + g} 1 0.0 {-v!r}" for g, v in enumerate(vals, start=2))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_matrix_market_export_matches_the_former_writer(tmp_path):
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    special += [-1.5, -2.2250738585072014e-308, 1.0, 0.1]
+    drawn = np.random.default_rng(3).lognormal(0.0, 4.0, 500)
+    weights = np.concatenate([special, drawn, -drawn[:50]])
+    m, fp, samples = make_samples(n_copies=10_000, seed=7)
+    cases = [WeightedGraphDirac(hbar=h, weights=weights) for h in (0.37, 1e-300, 3.0, -0.5)]
+    cases.append(WeightedGraphDirac(hbar=1.0, weights=np.array([])))
+    cases.append(assemble_dirac(samples, m, fp, 0.05))
+    for k, dirac in enumerate(cases):
+        got, want = tmp_path / f"new{k}.mtx", tmp_path / f"old{k}.mtx"
+        dirac.export_matrix_market(got)
+        former_matrix_market(dirac, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_spectral_radius_pinned_values():
     dirac = WeightedGraphDirac(hbar=0.5, weights=np.array([3.0, 4.0]))
     assert pf_bound_report(dirac, [1.0, 2.0, 2.0], 1.0)["rho"] == 10.0

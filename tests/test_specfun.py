@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from diraclab import (
@@ -131,6 +132,18 @@ def test_adaptive_failure_carries_best_value():
     err = exc_info.value
     assert err.best.tolist() == [0.5]
     assert err.diagnostics == {"deltas": [0.5]}
+
+
+@pytest.mark.parametrize("n", [2, 48, 96, 256])
+def test_gauss_legendre_nodes_are_cached_read_only_copies_of_leggauss(n):
+    x, w = specfun._gauss_legendre(n)
+    ref_x, ref_w = leggauss(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+    again = specfun._gauss_legendre(n)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def moment_reference(t: float, sigma: int) -> tuple[float, float, float]:

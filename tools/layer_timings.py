@@ -11,14 +11,18 @@ star copy holds d + 1 = 3 points at d = 2):
 - ``weights_reduction.{flat,sphere}``: ``dirac_estimate`` on those points
   (star weights, test-function values, weighted mean) for the default test
   function of each manifold (``linear-x1`` flat, ``embedding-x1`` sphere);
-- ``laplace.flat``: ``laplace_estimate`` on squared radius.
+- ``laplace.flat``: ``laplace_estimate`` on squared radius;
+- ``export.matrix_market``: ``WeightedGraphDirac.export_matrix_market`` of a
+  star of 1e4 flat copies (``assemble_dirac`` at hbar = 0.2), written into a
+  temporary directory, in ns per written entry (two per leaf).
 
 Each call gets a fresh generator with the same seed, so every repeat does the
 same work; the first call of each kind is a warm-up and is not counted.
 
 ``peak_bytes_per_point`` holds, for each of those calls, the peak of the
 memory it allocates (``tracemalloc``, one extra call, result included) over
-the number of sample points: the layer rows of peak memory against n.
+the number of sample points (written entries for the export): the layer rows
+of peak memory against n.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIES = 100_000
+EXPORT_COPIES = 10_000
 REPEATS = 31
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -77,6 +83,7 @@ def main(argv=None) -> int:
         linear_coordinate_function,
         squared_radius_function,
     )
+    from diraclab.graphdirac import assemble_dirac
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
 
     points = COPIES * 3
@@ -101,12 +108,23 @@ def main(argv=None) -> int:
             calls["laplace.flat"] = (
                 lambda m=m, v=v, sq=sq, fp=fp: laplace_estimate(m, v, sq, fp, 0.2, sigma=1)
             )
+    m = make_manifold("flat", 2)
+    fp = framed_point(m)
+    star = sample_log_coords(m, fp, np.random.default_rng(1), EXPORT_COPIES * 3)
+    dirac = assemble_dirac(star.reshape(EXPORT_COPIES, 3, 2), m, fp, 0.2)
+    work = tempfile.TemporaryDirectory(prefix="layer-timings-")
+    path = os.path.join(work.name, "op.mtx")
+    calls["export.matrix_market"] = lambda: dirac.export_matrix_market(path)
+    counts = {name: points for name in calls}
+    counts["export.matrix_market"] = 2 * dirac.weights.size
     result = {"copies": COPIES, "points": points, "unit": "ns per sample point"}
-    for name, fn in calls.items():
-        result[name] = _summary(_time(fn, REPEATS), points)
-    result["peak_bytes_per_point"] = {
-        name: round(_peak_bytes(fn) / points, 2) for name, fn in calls.items()
-    }
+    result["export_entries"] = counts["export.matrix_market"]
+    with work:
+        for name, fn in calls.items():
+            result[name] = _summary(_time(fn, REPEATS), counts[name])
+        result["peak_bytes_per_point"] = {
+            name: round(_peak_bytes(fn) / counts[name], 2) for name, fn in calls.items()
+        }
     print(json.dumps(result, indent=1))
     return 0
 

@@ -74,6 +74,16 @@ CASES = (
     ("laplace-flat-dim3", ["laplace-converge", "--dim", "3"]),
     ("bound-flat", ["bound-report", "--manifold", "flat", "--dump-operators", "{dump}"]),
     ("bound-sphere", ["bound-report", "--manifold", "sphere", "--dump-operators", "{dump}"]),
+    (
+        "bound-sphere-sign-1",
+        ["bound-report", "--manifold", "sphere", "--sign", "-1", "--n-copies", "400",
+         "--dump-operators", "{dump}"],
+    ),
+    (
+        "dirac-sphere-dump",
+        ["dirac-converge", "--manifold", "sphere", "--n-grid", "100,1000", "--repeats", "2",
+         "--dump-operators", "{dump}"],
+    ),
     ("algebra-check-config", ["algebra-check", "--config", "{config}"]),
     ("specfun-config", ["specfun", "--config", "{config}"]),
     ("geometry-check-config", ["geometry-check", "--config", "{config}"]),
