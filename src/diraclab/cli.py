@@ -30,7 +30,6 @@ import time
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .clifford import Multivector, mv_mul
 from .errors import ConfigError, DiracLabError, InvalidArgumentError, NumericFailureError
@@ -615,6 +614,9 @@ def _pearson_chisquare(observed, expected) -> tuple[float, float]:
             f"by a relative {rel_diff:.3e}"
         )
     stat = float(np.sum((f_obs - f_exp) ** 2 / f_exp))
+    # Imported here, its only use, so that no other subcommand loads scipy.
+    from scipy import special
+
     return stat, float(special.chdtrc(f_obs.size - 1, stat))
 
 

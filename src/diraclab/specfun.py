@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .errors import InvalidArgumentError, NumericFailureError
 
@@ -30,42 +29,182 @@ __all__ = [
 def bessel_i_scaled(nu: float, x) -> float | np.ndarray:
     """Exponentially scaled modified Bessel function exp(-x) I_nu(x).
 
-    Orders down to -1/2 are accepted; the negative half-integer order backs
-    the one-dimensional normalizer that ratio integrands occasionally need.
-    Scalar in, scalar out; ndarray in, ndarray out.
+    The order is one finite scalar; orders down to -1/2 are accepted, and the
+    negative half-integer order backs the one-dimensional normalizer that
+    ratio integrands occasionally need.  At x = 0 the value is 1 for nu = 0,
+    0 for nu > 0 and +inf (the limit) for nu = -1/2.  Scalar in, scalar out;
+    ndarray in, ndarray out.
     """
-    if not np.all(np.isfinite(nu)):
+    if np.ndim(nu) != 0:
+        raise InvalidArgumentError(f"bessel order must be a scalar, got shape {np.shape(nu)}")
+    nu = float(nu)
+    if not math.isfinite(nu):
         raise InvalidArgumentError("bessel order must be finite")
-    if np.any(np.asarray(nu) < -0.5):
+    if nu < -0.5:
         raise InvalidArgumentError(f"bessel order must be >= -1/2, got {nu}")
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
+    x_val = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x_val)):
         raise InvalidArgumentError("bessel argument must be finite")
-    if np.any(x_arr < 0.0):
+    if np.any(x_val < 0.0):
         raise InvalidArgumentError(f"bessel argument must be >= 0, got {x}")
-    out = special.ive(nu, x_arr)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
+    return _ive(nu, x_val)
+
+
+# exp(-x) I_nu(x) is summed from its power series up to x = 25 + nu**2 / 2
+# and from Hankel's asymptotic series above (Abramowitz & Stegun 9.6.10 and
+# 9.7.1).  Above the switch, the exponentially small part that Hankel's series
+# leaves out is below exp(-2 x) <= exp(-50) of the value, and
+# (4 nu**2 - 1) / (8 x) < 1 keeps its terms falling from the first.
+def _switch(nu: float) -> float:
+    return 25.0 + 0.5 * nu * nu
+
+
+# A series stops once its terms have fallen exp(-40), about 4e-18, below its
+# largest; by then they fall geometrically, so the tail is as small.
+_TAIL = 40.0
+# The power series' running sum is scaled down by an exact power of two when
+# it passes 2**512, which leaves it room to grow before it could overflow.
+_BIG = 2.0**512
+_SMALL = 2.0**-512
+# log 2 split so that an integer below 2**21 times the high part is exact.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+# The term counts are taken at a power of two beyond the extreme argument of
+# a call (its largest for the power series, its smallest for Hankel's), kept
+# on the series' side of the switch: relative to the sum, what a fixed number
+# of terms leaves out only grows towards the switch, from either side.  The
+# evaluating loops run these counts and test nothing per term.
+@functools.lru_cache(maxsize=256)
+def _series_terms(nu: float, x: float) -> tuple[int, bool]:
+    """Power-series terms enough for arguments up to x, and whether the sum
+    can pass 2**512 there."""
+    log_h2 = 2.0 * math.log(0.5 * x)
+    n = 0
+    log_t = top = 0.0
+    while log_t >= top - _TAIL:
+        n += 1
+        log_t += log_h2 - math.log(n * (n + nu))
+        top = max(top, log_t)
+    return n, top + math.log(n + 1) >= 512 * math.log(2.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _hankel_terms(nu: float, x: float) -> int:
+    """Hankel-series terms enough for arguments from x up."""
+    mu = 4.0 * nu * nu
+    n = 0
+    log_u = 0.0
+    while log_u >= -_TAIL:
+        factor = abs(mu - (2 * n + 1) ** 2)
+        if factor == 0.0:
+            # Half-integer order: this term and every later one vanish.
+            break
+        n += 1
+        log_u += math.log(factor / (8.0 * n * x))
+    return n
+
+
+def _two_sum(a, b):
+    """a + b and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _ive_series(nu: float, x):
+    """exp(-x) I_nu(x) from the power series, for 0 < x <= the switch point.
+
+    I_nu(x) = (x/2)**nu / Gamma(nu + 1) * sum_k t_k, with t_0 = 1 and
+    t_k = t_{k-1} (x/2)**2 / (k (k + nu)).  The sum is carried as s * 2**e;
+    the leading factor's exponent nu log(x/2) - lgamma(nu + 1) - x + e log 2
+    is summed as an unevaluated pair, so that its size (over 1000 at nu = 50)
+    adds no rounding of its own.
+    """
+    xp = math if isinstance(x, float) else np
+    x_max = x if xp is math else float(x.max())
+    n, rescale = _series_terms(nu, min(_switch(nu), math.ldexp(1.0, math.frexp(x_max)[1])))
+    h = 0.5 * x
+    t = 1.0 if xp is math else np.ones_like(x)
+    s = 1.0 if xp is math else np.ones_like(x)
+    e = 0
+    for k in range(1, n + 1):
+        # h twice, not h * h once: a rounded square would enter t_k k times.
+        t *= h
+        t *= h / (k * (k + nu))
+        s += t
+        if rescale:
+            big = s > _BIG
+            scale = _SMALL**big
+            s *= scale
+            t *= scale
+            e = e + 512 * big
+    m, f = xp.frexp(s)
+    e = e + (f - 1)
+    hi, lo = nu * xp.log(h), 0.0
+    for part in (-math.lgamma(nu + 1.0), -x, e * _LN2_HI, e * _LN2_LO):
+        hi, err = _two_sum(hi, part)
+        lo = lo + err
+    r = (2.0 * m) * xp.exp(hi)
+    return r + r * lo
+
+
+def _ive_hankel(nu: float, x):
+    """exp(-x) I_nu(x) from Hankel's series, for x above the switch point:
+    sum_k u_k / sqrt(2 pi x), u_0 = 1, u_k = -u_{k-1} (4 nu**2 - (2k - 1)**2) / (8 k x).
+    """
+    xp = math if isinstance(x, float) else np
+    x_min = x if xp is math else float(x.min())
+    n = _hankel_terms(nu, max(_switch(nu), math.ldexp(0.5, math.frexp(x_min)[1])))
+    mu = 4.0 * nu * nu
+    w = 0.125 / x
+    u = 1.0 if xp is math else np.ones_like(x)
+    s = 1.0 if xp is math else np.ones_like(x)
+    for k in range(1, n + 1):
+        u *= w
+        u *= ((2 * k - 1) ** 2 - mu) / k
+        s += u
+    return s / xp.sqrt(2.0 * math.pi * x)
+
+
+def _ive(nu: float, x):
+    """exp(-x) I_nu(x) for a float nu >= -1/2 and a float, or a float array, x >= 0.
+
+    A float x is worked on as a Python float throughout and returns a float.
+    """
+    at_zero = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
+    switch = _switch(nu)
+    if isinstance(x, float):
+        if x == 0.0:
+            return at_zero
+        return _ive_series(nu, x) if x <= switch else _ive_hankel(nu, x)
+    out = np.full_like(x, at_zero)
+    low = (x > 0.0) & (x <= switch)
+    if np.any(low):
+        out[low] = _ive_series(nu, x[low])
+    high = x > switch
+    if np.any(high):
+        out[high] = _ive_hankel(nu, x[high])
     return out
 
 
-def _log_bessel_i(nu: float, x) -> np.ndarray:
+def _log_bessel_i(nu: float, x):
     """log I_nu(x) for x > 0, via the scaled function: x + log(ive(nu, x))."""
-    x_arr = np.asarray(x, dtype=float)
-    return x_arr + np.log(special.ive(nu, x_arr))
+    return x + np.log(_ive(nu, x))
 
 
-def _log_c_any(d: int, beta) -> np.ndarray:
+def _log_c_any(d: int, beta):
     """log of the concentration normalizer for any dimension d >= 1.
 
-    C_d(b) = b^(d/2 - 1) / ((2 pi)^(d/2) I_{d/2-1}(b)).
+    C_d(b) = b^(d/2 - 1) / ((2 pi)^(d/2) I_{d/2-1}(b)).  A float beta is
+    worked on as a float, an array as an array.
     """
-    beta_arr = np.asarray(beta, dtype=float)
     nu = 0.5 * d - 1.0
     return (
-        nu * np.log(beta_arr)
+        nu * np.log(beta)
         - 0.5 * d * math.log(2.0 * math.pi)
-        - _log_bessel_i(nu, beta_arr)
+        - _log_bessel_i(nu, beta)
     )
 
 

@@ -107,21 +107,36 @@ def test_geometry_check_passes_everywhere(tmp_path, capsys):
 
 
 def test_cli_run_loads_no_scipy_stats(tmp_path):
-    # A fresh interpreter: this test module imports scipy.stats itself.
+    # A fresh interpreter: this test module imports scipy itself.  The Monte
+    # Carlo, bound and kernel-table runs load no scipy module at all;
+    # geometry-check loads scipy.special for its p-value, but not scipy.stats.
     src = os.path.dirname(os.path.dirname(os.path.abspath(diraclab.__file__)))
+    small = ["--n-grid", "60,120", "--repeats", "2"]
+    runs = [
+        ["dirac-converge", *small],
+        ["laplace-converge", *small],
+        ["bound-report", "--n-copies", "8", "--hbar-grid", "1.0,0.5"],
+        ["specfun", "--t-grid", "0.3"],
+    ]
     code = (
-        "import sys\n"
-        "import diraclab, diraclab.cli\n"
-        "assert diraclab.cli.main(['geometry-check', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        "import json, sys\n"
+        "import diraclab.cli\n"
+        "def loaded(prefix):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(prefix))\n"
+        "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
+        "for i, argv in enumerate(runs):\n"
+        "    assert diraclab.cli.main([*argv, '--out', f'{out}/{i}']) == 0, argv\n"
+        "before = loaded('scipy')\n"
+        "assert diraclab.cli.main(['geometry-check', '--out', f'{out}/g']) == 0\n"
+        "print(json.dumps([before, loaded('scipy.stats')]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "g")],
+        [sys.executable, "-c", code, str(tmp_path), json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
 
 
 def _assert_matches_scipy_chisquare(counts, expected):

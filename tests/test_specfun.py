@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
+from scipy import special
 
 from diraclab import (
     InvalidArgumentError,
@@ -53,9 +54,57 @@ def test_bessel_scalar_in_scalar_out():
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
 
+# scipy.special.ive (Amos's algorithm) is the independent route.  At nu = 50
+# and x near 1e-3 its own error reaches 1.3e-13 (against 40-digit
+# arithmetic), where bessel_i_scaled's stays below 5e-14, so the bound there
+# covers the sum of both.
+SCIPY_ORDERS = (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0, 10.0, 20.0, 50.0)
+
+
+@pytest.mark.parametrize("nu", SCIPY_ORDERS)
+def test_bessel_scaled_matches_scipy(nu):
+    switch = specfun._switch(nu)
+    x = np.concatenate(
+        [
+            np.geomspace(1e-3, 1e6, 20001),
+            [1e-300, np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)],
+        ]
+    )
+    ref = special.ive(nu, x)
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    tol = 2e-13 if nu == 50.0 else 1e-13
+    got = bessel_i_scaled(nu, x)
+    assert np.max(np.abs(got[normal] / ref[normal] - 1.0)) <= tol
+    # The float path, on every 97th point and the four added ones.
+    for i in [*range(0, x.size - 4, 97), *range(x.size - 4, x.size)]:
+        if normal[i]:
+            assert abs(bessel_i_scaled(nu, float(x[i])) / ref[i] - 1.0) <= tol
+
+
+def test_bessel_scaled_exact_values_at_zero():
+    for x in (0.0, np.zeros(3)):
+        for nu, value in ((0.0, 1.0), (0.5, 0.0), (1.0, 0.0), (7.5, 0.0), (-0.5, math.inf)):
+            got = bessel_i_scaled(nu, x)
+            assert np.all(got == value)
+            assert isinstance(got, float) == np.isscalar(x)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 102])
+def test_log_c_d_matches_scipy_reference(d):
+    nu = 0.5 * d - 1.0
+    beta = np.geomspace(1e-3, 1e6, 401)
+    ref = nu * np.log(beta) - 0.5 * d * math.log(2.0 * math.pi) - (beta + np.log(special.ive(nu, beta)))
+    got = np.array([log_c_d(d, float(b)) for b in beta])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_bessel_rejects_bad_inputs():
     with pytest.raises(InvalidArgumentError):
         bessel_i_scaled(-1.0, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        bessel_i_scaled(np.array([0.5, 1.0]), 1.0)
+    with pytest.raises(InvalidArgumentError):
+        bessel_i_scaled(math.nan, 1.0)
     with pytest.raises(InvalidArgumentError):
         bessel_i_scaled(0.5, -1.0)
     with pytest.raises(InvalidArgumentError):

@@ -16,13 +16,22 @@ star copy holds d + 1 = 3 points at d = 2):
   star of 1e4 flat copies (``assemble_dirac`` at hbar = 0.2), written into a
   temporary directory, in ns per written entry (two per leaf).
 
+Three rows carry their own unit:
+
+- ``specfun.log_c_d``: ``log_c_d(2, 10.0)``, in us per scalar call (each
+  sample times 1000 calls);
+- ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384 radial
+  quadrature nodes of refinement level 3 scaled to [0, 10], in ns per value;
+- ``import.diraclab_cli``: ``import diraclab.cli`` in a fresh interpreter, in
+  ms, over 5 interpreters.
+
 Each call gets a fresh generator with the same seed, so every repeat does the
 same work; the first call of each kind is a warm-up and is not counted.
 
 ``peak_bytes_per_point`` holds, for each of those calls, the peak of the
 memory it allocates (``tracemalloc``, one extra call, result included) over
 the number of sample points (written entries for the export): the layer rows
-of peak memory against n.
+of peak memory against n.  The three rows above have no peak-memory row.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,14 +50,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIES = 100_000
 EXPORT_COPIES = 10_000
 REPEATS = 31
+LOG_C_D_CALLS = 1000
+IMPORT_RUNS = 5
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 
-def _summary(samples: list, points: int) -> dict:
-    ns = sorted(s * 1e9 / points for s in samples)
-    q1, med, q3 = statistics.quantiles(ns, n=4)
-    return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "count": len(ns)}
+def _summary(samples: list, points: int, scale: float = 1e9) -> dict:
+    """Median and quartiles of seconds * scale / points."""
+    values = sorted(s * scale / points for s in samples)
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(med, 1), "q1": round(q1, 1), "q3": round(q3, 1), "count": len(values)}
 
 
 def _time(fn, repeats: int) -> list:
@@ -69,6 +82,17 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def _import_seconds(src: str) -> list:
+    """Seconds to import diraclab.cli, each in a fresh interpreter."""
+    code = "import time\nt = time.perf_counter()\nimport diraclab.cli\nprint(time.perf_counter() - t)"
+    env = dict(os.environ, PYTHONPATH=src)
+    return [
+        float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout)
+        for _ in range(IMPORT_RUNS)
+    ]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding diraclab/")
@@ -85,6 +109,7 @@ def main(argv=None) -> int:
     )
     from diraclab.graphdirac import assemble_dirac
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
+    from diraclab.specfun import DEFAULT_RULE, bessel_i_scaled, log_c_d
 
     points = COPIES * 3
     calls = {}
@@ -125,6 +150,20 @@ def main(argv=None) -> int:
         result["peak_bytes_per_point"] = {
             name: round(_peak_bytes(fn) / counts[name], 2) for name, fn in calls.items()
         }
+    result["specfun.log_c_d"] = {
+        **_summary(_time(lambda: [log_c_d(2, 10.0) for _ in range(LOG_C_D_CALLS)], REPEATS),
+                   LOG_C_D_CALLS, 1e6),
+        "unit": "us per call",
+    }
+    nodes = 10.0 * DEFAULT_RULE.radial_nodes(3)[0]
+    result["specfun.bessel_i_scaled"] = {
+        **_summary(_time(lambda: bessel_i_scaled(0.5, nodes), REPEATS), nodes.size),
+        "unit": "ns per value",
+    }
+    result["import.diraclab_cli"] = {
+        **_summary(_import_seconds(os.path.abspath(args.src)), 1, 1e3),
+        "unit": "ms",
+    }
     print(json.dumps(result, indent=1))
     return 0
 
