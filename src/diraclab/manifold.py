@@ -341,7 +341,7 @@ def _sample_log_coords(m, fp, rng, size):
             radii = rng.random(out=block[: stop - start]) ** (1.0 / d)
             radii *= fp.delta_u
             _place(out, start, radii, out[start:stop])
-        _skip_uniforms(rng, block, draw - size)
+        _skip(rng.random, block, draw - size)
         return out, 1, size
     filled = rounds = proposals = 0
     while filled < size:
@@ -366,7 +366,7 @@ def _sample_log_coords(m, fp, rng, size):
             radii *= fp.delta_u
             filled = _place(out, filled, radii, np.take(dirs, hits + start, axis=0))
             if filled == size:
-                _skip_uniforms(rng, block, draw - stop)
+                _skip(rng.random, block, draw - stop)
                 break
     return out, rounds, proposals
 
@@ -410,23 +410,6 @@ def _skip(draw, buf: np.ndarray, count: int) -> None:
     drop them: the stream moves on as if they had been kept."""
     for start in range(0, count, buf.size):
         draw(out=buf[: min(buf.size, count - start)])
-
-
-def _skip_uniforms(rng, buf: np.ndarray, count: int) -> None:
-    """Move ``rng`` on past ``count`` values of ``rng.random``, as if drawn
-    and dropped.
-
-    PCG64 and PCG64DXSM spend one 64-bit output on each double, so their
-    state is advanced by ``count`` outputs, unless it holds half of an output
-    for a 32-bit draw, which ``advance`` would drop.  Any other generator
-    draws into ``buf``: Philox's ``advance`` counts blocks of outputs, and
-    MT19937 and SFC64 have none.
-    """
-    bits = getattr(rng, "bit_generator", None)
-    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)) and not bits.state["has_uint32"]:
-        bits.advance(count)
-    else:
-        _skip(rng.random, buf, count)
 
 
 def _place(out: np.ndarray, at: int, radii: np.ndarray, dirs: np.ndarray) -> int:

@@ -69,6 +69,8 @@ _SMALL = 2.0**-512
 # log 2 split so that an integer below 2**21 times the high part is exact.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# Below this, x / 2 is subnormal and may round (to 0 at x = 5e-324).
+_HALF_EXACT = 2.0**-1021
 
 
 # The term counts are taken at a power of two beyond the extreme argument of
@@ -113,6 +115,16 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _log_half(x):
+    """log(x / 2) for x > 0, from log(x) - log(2) where x / 2 would round."""
+    if isinstance(x, float):
+        return math.log(0.5 * x) if x >= _HALF_EXACT else math.log(x) - math.log(2.0)
+    small = x < _HALF_EXACT
+    out = np.log(np.where(small, x, 0.5 * x))
+    out[small] -= math.log(2.0)
+    return out
+
+
 def _ive_series(nu: float, x):
     """exp(-x) I_nu(x) from the power series, for 0 < x <= the switch point.
 
@@ -142,7 +154,7 @@ def _ive_series(nu: float, x):
             e = e + 512 * big
     m, f = xp.frexp(s)
     e = e + (f - 1)
-    hi, lo = nu * xp.log(h), 0.0
+    hi, lo = nu * _log_half(x), 0.0
     for part in (-math.lgamma(nu + 1.0), -x, e * _LN2_HI, e * _LN2_LO):
         hi, err = _two_sum(hi, part)
         lo = lo + err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -54,10 +55,11 @@ def test_bessel_scalar_in_scalar_out():
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
 
-# scipy.special.ive (Amos's algorithm) is the independent route.  At nu = 50
-# and x near 1e-3 its own error reaches 1.3e-13 (against 40-digit
-# arithmetic), where bessel_i_scaled's stays below 5e-14, so the bound there
-# covers the sum of both.
+# scipy.special.ive (Amos's algorithm) is the independent route, held to
+# 1e-13.  At nu = 50 no route can meet that against it: near x = 1e-3 scipy's
+# own error reaches 1.34e-13 (against 40-digit arithmetic).  There the bound
+# is scipy's error plus the 6.5e-14 of bessel_i_scaled, and the exact sums of
+# test_bessel_scaled_matches_exact_sums_at_order_50 hold the route to 1e-13.
 SCIPY_ORDERS = (-0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0, 10.0, 20.0, 50.0)
 
 
@@ -67,7 +69,7 @@ def test_bessel_scaled_matches_scipy(nu):
     x = np.concatenate(
         [
             np.geomspace(1e-3, 1e6, 20001),
-            [1e-300, np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)],
+            [5e-324, 1e-300, np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)],
         ]
     )
     ref = special.ive(nu, x)
@@ -75,10 +77,38 @@ def test_bessel_scaled_matches_scipy(nu):
     tol = 2e-13 if nu == 50.0 else 1e-13
     got = bessel_i_scaled(nu, x)
     assert np.max(np.abs(got[normal] / ref[normal] - 1.0)) <= tol
-    # The float path, on every 97th point and the four added ones.
-    for i in [*range(0, x.size - 4, 97), *range(x.size - 4, x.size)]:
+    # The float path, on every 97th point and the five added ones.
+    for i in [*range(0, x.size - 5, 97), *range(x.size - 5, x.size)]:
         if normal[i]:
             assert abs(bessel_i_scaled(nu, float(x[i])) / ref[i] - 1.0) <= tol
+
+
+def exact_ive(n: int, x: float) -> float:
+    """exp(-x) I_n(x) for an integer order n, from the power series summed in
+    60-digit decimal arithmetic.  Every term is positive, so no digit cancels,
+    and only the final conversion to a float rounds."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        h = decimal.Decimal(x) / 2
+        t = s = h**n / math.factorial(n)
+        k = 0
+        while k < h or t > s * decimal.Decimal("1e-50"):
+            k += 1
+            t = t * h * h / (k * (k + n))
+            s += t
+        return float(s * (-decimal.Decimal(x)).exp())
+
+
+def test_bessel_scaled_matches_exact_sums_at_order_50():
+    # Every 13th point of the scipy grid up to twice the switch point, and the
+    # switch point with its neighbours: the power series, the rescaled sum and
+    # Hankel's series where it is least accurate.
+    switch = specfun._switch(50.0)
+    grid = np.geomspace(1e-3, 1e6, 20001)[::13]
+    x = np.concatenate([grid[grid <= 2.0 * switch], [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)]])
+    ref = np.array([exact_ive(50, float(v)) for v in x])
+    assert np.max(np.abs(bessel_i_scaled(50.0, x) / ref - 1.0)) <= 1e-13
+    assert max(abs(bessel_i_scaled(50.0, float(v)) / r - 1.0) for v, r in zip(x, ref)) <= 1e-13
 
 
 def test_bessel_scaled_exact_values_at_zero():
@@ -87,6 +117,21 @@ def test_bessel_scaled_exact_values_at_zero():
             got = bessel_i_scaled(nu, x)
             assert np.all(got == value)
             assert isinstance(got, float) == np.isscalar(x)
+
+
+def test_bessel_scaled_at_subnormal_arguments():
+    # Below 2**-1021, x / 2 rounds (to 0 at 5e-324).  The closed forms of
+    # exp(-x) I_nu(x) there: 1 at nu = 0, sqrt(2 / (pi x)) at nu = -1/2 and
+    # sqrt(2 x / pi) at nu = 1/2.
+    x = np.array([5e-324, 1e-320, 1e-310, 2.0**-1021, 1e-300])
+    closed = {0.0: np.ones_like(x), -0.5: math.sqrt(2.0 / math.pi) / np.sqrt(x), 0.5: math.sqrt(2.0 / math.pi) * np.sqrt(x)}
+    for nu, ref in closed.items():
+        assert_allclose(bessel_i_scaled(nu, x), ref, rtol=1e-13, atol=0.0)
+        for v, r in zip(x, ref):
+            assert abs(bessel_i_scaled(nu, float(v)) / r - 1.0) <= 1e-13
+    # C_d(beta) tends to one over the area of the unit (d-1)-sphere.
+    assert abs(log_c_d(2, 5e-324) + math.log(2.0 * math.pi)) <= 1e-13
+    assert abs(log_c_d(3, 5e-324) + math.log(4.0 * math.pi)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 102])
