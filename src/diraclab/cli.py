@@ -598,10 +598,10 @@ def _pearson_chisquare(observed, expected) -> tuple[float, float]:
     """Pearson's chi-square statistic of ``observed`` against ``expected``
     counts and its upper-tail p-value on k - 1 degrees of freedom.
 
-    The arithmetic of ``scipy.stats.chisquare`` (float64 terms
-    (f - e)^2 / e, summed; p = chdtrc(k - 1, stat)), bit for bit, with its
-    check that both totals agree to a relative sqrt(eps): counts that miss a
-    sample raise ``InvalidArgumentError``.
+    The statistic is the arithmetic of ``scipy.stats.chisquare`` (float64
+    terms (f - e)^2 / e, summed), bit for bit, with its check that both
+    totals agree to a relative sqrt(eps): counts that miss a sample raise
+    ``InvalidArgumentError``.  The p-value is ``_chisquare_sf``.
     """
     f_obs = np.asarray(observed, dtype=np.float64)
     f_exp = np.asarray(expected, dtype=np.float64)
@@ -614,10 +614,53 @@ def _pearson_chisquare(observed, expected) -> tuple[float, float]:
             f"by a relative {rel_diff:.3e}"
         )
     stat = float(np.sum((f_obs - f_exp) ** 2 / f_exp))
-    # Imported here, its only use, so that no other subcommand loads scipy.
-    from scipy import special
+    return stat, _chisquare_sf(f_obs.size - 1, stat)
 
-    return stat, float(special.chdtrc(f_obs.size - 1, stat))
+
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+
+
+def _chisquare_sf(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square on ``dof`` >= 1 degrees of freedom.
+
+    With y = x/2 and h = 0 (even dof) or 1/2 (odd dof), the closed forms of
+    Abramowitz & Stegun 26.4.4-26.4.5 read p = sum of t_i over i < dof // 2,
+    plus erfc(sqrt y) for odd dof, with t_i = e^-y y^(i+h) / Gamma(i+h+1).
+    Below y = 700 the terms are e^-y times a running product of the ratios
+    y/(i+h), so the only rounding in the exponent is that of exp(-y) itself:
+    relative error about 1e-15.  From y = 700 on, e^-y nears the end of the
+    normal range, and each term is formed in log space instead, so the sum
+    underflows only where p does; each exponent then carries a rounding of
+    about ulp(y).
+    """
+    if math.isnan(x):
+        return x
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    n, h = dof // 2, 0.5 * (dof % 2)
+    p = 0.0
+    if h:
+        # sqrt(y) rounds to z, and erfc's relative slope near 2z turns that
+        # into up to 2y ulp of error in erfc(z) (1e-14 at y = 50).  So erfc is
+        # moved back to the exact root to first order: its derivative is
+        # -(2/sqrt(pi)) e^-u^2, and sqrt(y) - z = (y - z^2) / 2z, with
+        # y - z^2 taken exactly on the integer ratios of y and z.
+        z = math.sqrt(y)
+        (ny, dy), (nz, dz) = y.as_integer_ratio(), z.as_integer_ratio()
+        root_error = (ny * dz * dz - nz * nz * dy) / (dy * dz * dz) / (2.0 * z)
+        p = math.erfc(z) - _TWO_OVER_SQRT_PI * math.exp(-y) * root_error
+    if y < 700.0:
+        ratio = total = 1.0 if n else 0.0
+        for i in range(1, n):
+            ratio *= y / (i + h)
+            total += ratio
+        first = _TWO_OVER_SQRT_PI * z if h else 1.0
+        return p + math.exp(-y) * first * total
+    log_y = math.log(y)
+    return p + math.fsum(math.exp((i + h) * log_y - y - math.lgamma(i + h + 1.0)) for i in range(n))
 
 
 def _cmd_geometry_check(sub, values, args) -> int:

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 import diraclab
 from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w
-from diraclab.cli import _pearson_chisquare, _random_operator, main
+from diraclab.cli import _chisquare_sf, _pearson_chisquare, _random_operator, main
 
 SMALL = ["--n-grid", "60,120", "--repeats", "2"]
 
@@ -106,29 +107,26 @@ def test_geometry_check_passes_everywhere(tmp_path, capsys):
     assert all(row["passed"] for row in rows)
 
 
-def test_cli_run_loads_no_scipy_stats(tmp_path):
-    # A fresh interpreter: this test module imports scipy itself.  The Monte
-    # Carlo, bound and kernel-table runs load no scipy module at all;
-    # geometry-check loads scipy.special for its p-value, but not scipy.stats.
+def test_cli_runs_load_no_scipy(tmp_path):
+    # A fresh interpreter: this test module imports scipy itself.  All six
+    # subcommands run in it, and none may load any scipy module.
     src = os.path.dirname(os.path.dirname(os.path.abspath(diraclab.__file__)))
     small = ["--n-grid", "60,120", "--repeats", "2"]
     runs = [
+        ["algebra-check", "--seed", "3"],
+        ["specfun", "--t-grid", "0.3"],
+        ["geometry-check"],
         ["dirac-converge", *small],
         ["laplace-converge", *small],
         ["bound-report", "--n-copies", "8", "--hbar-grid", "1.0,0.5"],
-        ["specfun", "--t-grid", "0.3"],
     ]
     code = (
         "import json, sys\n"
         "import diraclab.cli\n"
-        "def loaded(prefix):\n"
-        "    return sorted(m for m in sys.modules if m.startswith(prefix))\n"
         "out, runs = sys.argv[1], json.loads(sys.argv[2])\n"
         "for i, argv in enumerate(runs):\n"
         "    assert diraclab.cli.main([*argv, '--out', f'{out}/{i}']) == 0, argv\n"
-        "before = loaded('scipy')\n"
-        "assert diraclab.cli.main(['geometry-check', '--out', f'{out}/g']) == 0\n"
-        "print(json.dumps([before, loaded('scipy.stats')]))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -136,18 +134,83 @@ def test_cli_run_loads_no_scipy_stats(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _reference_sf(dof, x):
+    """P(chi-square on dof degrees of freedom > x) to 50 digits, as mpmath's
+    regularized upper incomplete gamma Q(dof/2, x/2)."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+
+
+def _assert_near_reference(dof, x):
+    """_chisquare_sf(dof, x) against the 50-digit route.
+
+    The bound is relative.  Below y = x/2 = 700 the terms are e^-y times
+    running products of ratios: 2e-15 up to dof = 40 (max 9e-16 seen), and
+    2e-15 max(5, y) above, where the rounding grows with the number of
+    factors (4.9e-15 seen at dof = 1399).  From y = 700 on each term is
+    formed in log space and its exponent rounds near ulp(y): 2e-15 y (up to
+    8e-16 y seen).
+    Each term may also round once in the subnormal range, so dof steps of
+    2^-1074 are allowed on top; below that, p is 0.0.
+    """
+    y = x / 2
+    p = _chisquare_sf(dof, x)
+    ref = _reference_sf(dof, x)
+    rel = 2e-15 if dof <= 40 and y < 700 else 2e-15 * max(5.0, y)
+    assert abs(p - ref) <= rel * ref + dof * 2.0**-1074, (dof, x, p, ref)
+
+
+def test_chisquare_sf_matches_50_digit_reference():
+    rng = np.random.default_rng(2604)
+    ys = np.concatenate([
+        np.geomspace(1e-12, 1.0, 7),
+        np.linspace(1.0, 50.0, 25),
+        rng.uniform(0.0, 50.0, 10),
+        np.linspace(50.0, 700.0, 6)[1:],
+        # e^-y underflows from y = 745 on, while p stays above the smallest
+        # double up to about y = 830 at dof = 40.
+        [700.0, 720.0, 745.5, 760.0, 800.0, 850.0],
+    ])
+    for dof in range(1, 41):
+        for y in ys:
+            _assert_near_reference(dof, 2 * y)
+
+
+@pytest.mark.parametrize("dof", [101, 1000, 5001])
+def test_chisquare_sf_matches_reference_at_many_degrees_of_freedom(dof):
+    # Across the bulk of the distribution: below y = 700 at 101, on both
+    # sides of it at 1000, above it at 5001.
+    half = dof / 2
+    for y in half + np.linspace(-6.0, 10.0, 9) * math.sqrt(half):
+        _assert_near_reference(dof, 2 * y)
+
+
+def test_chisquare_sf_edge_values():
+    for dof in (1, 2, 3, 19, 20, 40, 1001):
+        for x in (0.0, -0.0, -1.0, 5e-324):
+            assert float.hex(_chisquare_sf(dof, x)) == float.hex(1.0), (dof, x)
+        for x in (1e300, math.inf):
+            assert float.hex(_chisquare_sf(dof, x)) == float.hex(0.0), (dof, x)
+        assert math.isnan(_chisquare_sf(dof, math.nan))
 
 
 def _assert_matches_scipy_chisquare(counts, expected):
+    """The statistic is scipy's bit for bit.  The p-value is held to the
+    50-digit reference and to scipy's within 1e-14 relative, a bound that
+    grows as y/50 from y = x/2 = 50 on because scipy's own error does (3.6e-14
+    at y = 506 against the reference)."""
     ref = stats.chisquare(counts, expected)
     stat, p_val = _pearson_chisquare(counts, expected)
     assert float.hex(stat) == float.hex(float(ref.statistic))
-    assert float.hex(p_val) == float.hex(float(ref.pvalue))
+    _assert_near_reference(len(counts) - 1, stat)
+    assert p_val == pytest.approx(float(ref.pvalue), rel=1e-14 * max(1.0, stat / 100), abs=0.0)
     return p_val
 
 
-def test_pearson_chisquare_is_scipy_chisquare_bit_for_bit():
+def test_pearson_chisquare_matches_scipy_chisquare():
     rng = np.random.default_rng(20240)
     expected = np.full(20, 20000 / 20)
     for _ in range(200):
@@ -158,7 +221,7 @@ def test_pearson_chisquare_is_scipy_chisquare_bit_for_bit():
         _assert_matches_scipy_chisquare(rng.multinomial(20000, np.full(20, 0.05)), expected)
 
 
-def test_geometry_check_chisquare_p_is_scipy_chisquare_bit_for_bit(tmp_path, capsys, monkeypatch):
+def test_geometry_check_chisquare_p_matches_scipy_chisquare(tmp_path, capsys, monkeypatch):
     seen = []
 
     def recording(observed, expected):
