@@ -31,7 +31,6 @@ from .estimators import (
     dirac_expectation_oracle,
     embedding_coordinate_function,
     hbar_schedule,
-    hoeffding_bound,
     laplace_estimate,
     laplace_expectation_oracle,
     linear_coordinate_function,

@@ -137,7 +137,6 @@ _PARSERS = {
     "lambda_power": _one_of(int, 1, 2),
     "family_check": _parse_bool,
     "threads": int,
-    "hoeffding_eps": float,
     "t_grid": _csv_of(float),
     "hbar_grid": _csv_of(float),
     "n_copies": int,
@@ -231,8 +230,9 @@ def _manifest_text(value) -> str:
 
 
 def _load_manifest(path: str, sub: _Subcommand) -> dict:
-    """The settings of a manifest written by ``sub``, each through its parser;
-    a string stands only for a string setting."""
+    """The settings of a manifest written by ``sub`` at this artifact
+    version, each through its parser; a string stands only for a string
+    setting."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -240,6 +240,11 @@ def _load_manifest(path: str, sub: _Subcommand) -> dict:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ConfigError(f"manifest {path} holds no config object")
+    if manifest.get("artifact_version") != ARTIFACT_VERSION:
+        raise ConfigError(
+            f"manifest {path} has artifact version {manifest.get('artifact_version')!r}, "
+            f"this diraclab writes version {ARTIFACT_VERSION!r}"
+        )
     if manifest.get("subcommand") != sub.name:
         raise ConfigError(
             f"manifest {path} was written by {manifest.get('subcommand')!r}, "

@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "ARTIFACT_VERSION",
     "hbar_schedule",
-    "hoeffding_bound",
     "TestFunction",
     "linear_coordinate_function",
     "squared_radius_function",
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 20260816
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 CSV_COLUMNS = (
     "mode",
@@ -78,7 +77,8 @@ CSV_COLUMNS = (
     "oracle",
     "target",
     "abs_err",
-    "hoeffding",
+    "bias",
+    "z",
 )
 
 
@@ -89,24 +89,6 @@ def hbar_schedule(n: int, alpha: float) -> float:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidArgumentError(f"alpha must be finite and > 0, got {alpha!r}")
     return float(n) ** (-alpha)
-
-
-def hoeffding_bound(n: int, eps: float, alpha: float, d: int) -> float:
-    """Two-sided concentration bound 2 exp(-eps^2 n / C_d(n^alpha)^2).
-
-    Evaluated in log space; when the exponent is astronomically negative the
-    bound underflows cleanly to 0.0.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidArgumentError(f"sample count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidArgumentError(f"eps must be finite and > 0, got {eps!r}")
-    hb = hbar_schedule(n, alpha)
-    lcd = log_c_d(d, 1.0 / hb)
-    log_inner = math.log(eps * eps * n) - 2.0 * lcd
-    if log_inner > 700.0:
-        return 0.0
-    return 2.0 * math.exp(-math.exp(log_inner))
 
 
 @dataclass(frozen=True)
@@ -422,7 +404,6 @@ class RunConfig:
     lambda_power: int = 1
     family_check: bool = False
     threads: int = 1
-    hoeffding_eps: float = 0.1
 
     def __post_init__(self) -> None:
         if self.mode not in ("dirac", "laplace"):
@@ -457,10 +438,6 @@ class RunConfig:
             )
         if not isinstance(self.threads, (int, np.integer)) or self.threads < 1:
             raise InvalidArgumentError(f"threads must be an integer >= 1, got {self.threads!r}")
-        if not (math.isfinite(self.hoeffding_eps) and self.hoeffding_eps > 0.0):
-            raise InvalidArgumentError(
-                f"hoeffding eps must be finite and > 0, got {self.hoeffding_eps!r}"
-            )
 
 
 def _cell(v) -> str:
@@ -524,7 +501,6 @@ def _resolved_metadata(cfg: RunConfig, m, fp, a, vol) -> dict:
         "delta_u": fp.delta_u,
         "lambda_power": cfg.lambda_power,
         "family_check": cfg.family_check,
-        "hoeffding_eps": cfg.hoeffding_eps,
         "neighbourhood_volume": vol,
         "normalization": "neighbourhood volume times kernel mean",
         "seed_scheme": "SeedSequence([master_seed, n_index, repeat_index])",
@@ -542,6 +518,13 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     own generator from SeedSequence([master_seed, n_index, repeat_index]), so
     results do not depend on scheduling or thread count.  An empty n grid
     yields an empty report.
+
+    Each row (one per n and component) holds the mean over the repeats and
+    its standard error, the oracle (the estimator's exact expectation at that
+    hbar; NaN unless d = 2), the limit target, ``abs_err`` = |mean - target|,
+    ``bias`` = oracle - target, the finite-scale bias, and ``z`` =
+    (mean - oracle) / se, the Monte Carlo error in standard errors.  ``z`` is
+    NaN when the oracle is NaN or se is 0 (a single repeat).
 
     ``report.timing`` holds the run's wall seconds, the seconds spent in each
     stage (``sampling`` and ``estimation`` summed over repeats, and worker
@@ -601,7 +584,6 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     oracle_calls = 0
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
-        hf = hoeffding_bound(n, cfg.hoeffding_eps, cfg.alpha, m.d)
         t_oracle = time.perf_counter()
         if m.d != 2:
             oracles = [math.nan] * n_components
@@ -645,7 +627,8 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
                     "oracle": oracles[c],
                     "target": targets[c],
                     "abs_err": abs(mean - targets[c]),
-                    "hoeffding": hf,
+                    "bias": oracles[c] - targets[c],
+                    "z": (mean - oracles[c]) / se if se > 0.0 else math.nan,
                 }
             )
         if family:

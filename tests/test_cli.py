@@ -16,6 +16,7 @@ from scipy import stats
 import diraclab
 from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w
 from diraclab.cli import _chisquare_sf, _pearson_chisquare, _random_operator, main
+from diraclab.estimators import ARTIFACT_VERSION
 
 SMALL = ["--n-grid", "60,120", "--repeats", "2"]
 
@@ -337,6 +338,7 @@ def test_unknown_config_key_reports_line_number(tmp_path, capsys):
         ("geometry-check", "dim = 2\nsign = -1\n", "sign"),
         ("bound-report", "n_copies = 8\nrepeats = 2\n", "repeats"),
         ("laplace-converge", "mode = laplace\nhbar_grid = 1.0\n", "hbar_grid"),
+        ("dirac-converge", "mode = dirac\nhoeffding_eps = 0.1\n", "hoeffding_eps"),
     )
     for subcommand, text, key in cases:
         cfg = tmp_path / "bad.cfg"
@@ -348,6 +350,8 @@ def test_unknown_config_key_reports_line_number(tmp_path, capsys):
     # Flags follow the same declaration.
     assert run_cli(["algebra-check", "--threads", "2", "--out", str(tmp_path / "x")]) == 2
     assert "--threads" in capsys.readouterr().err
+    assert run_cli(["dirac-converge", "--hoeffding-eps", "0.1", "--out", str(tmp_path / "x")]) == 2
+    assert "--hoeffding-eps" in capsys.readouterr().err
 
 
 def test_bad_config_value_reports_line_number(tmp_path, capsys):
@@ -381,6 +385,17 @@ def test_manifest_subcommand_mismatch_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "manifest" in err
+    # A manifest of another artifact version is rejected, naming both versions.
+    manifest = json.loads((out / "manifest.json").read_text())
+    edited = tmp_path / "v1.json"
+    edited.write_text(json.dumps({**manifest, "artifact_version": "1"}))
+    code = run_cli([
+        "dirac-converge", "--from-manifest", str(edited), "--out", str(tmp_path / "z"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'1'" in err and repr(ARTIFACT_VERSION) in err
+    assert not (tmp_path / "z").exists()
 
 
 def test_manifest_values_go_through_the_setting_parsers(tmp_path, capsys):
@@ -501,19 +516,20 @@ def test_bad_grid_from_a_config_file_or_manifest_is_a_config_error(tmp_path, cap
     out = tmp_path / "x"
     cfg = tmp_path / "grid.cfg"
     manifest = tmp_path / "manifest.json"
+    header = {"artifact_version": ARTIFACT_VERSION}
     for subcommand, key in (
         ("specfun", "t_grid"),
         ("bound-report", "hbar_grid"),
         ("dirac-converge", "n_grid"),
     ):
         cfg.write_text(f"{key} = ,\n")
-        manifest.write_text(json.dumps({"subcommand": subcommand, "config": {key: []}}))
+        manifest.write_text(json.dumps({**header, "subcommand": subcommand, "config": {key: []}}))
         for source in (["--config", str(cfg)], ["--from-manifest", str(manifest)]):
             assert run_cli([subcommand, *source, "--out", str(out)]) == 2
             assert f"bad value for {key}: expected at least one value" in capsys.readouterr().err
     for subcommand, key in (("specfun", "t_grid"), ("bound-report", "hbar_grid")):
         cfg.write_text(f"{key} = 0.2, 0\n")
-        manifest.write_text(json.dumps({"subcommand": subcommand, "config": {key: [0.2, 0.0]}}))
+        manifest.write_text(json.dumps({**header, "subcommand": subcommand, "config": {key: [0.2, 0.0]}}))
         for source in (["--config", str(cfg)], ["--from-manifest", str(manifest)]):
             assert run_cli([subcommand, *source, "--out", str(out)]) == 2
             err = capsys.readouterr().err

@@ -21,7 +21,6 @@ from diraclab import (
     exp_map,
     framed_point,
     hbar_schedule,
-    hoeffding_bound,
     laplace_estimate,
     laplace_expectation_oracle,
     linear_coordinate_function,
@@ -88,19 +87,6 @@ def test_hbar_schedule_validation():
         hbar_schedule(0, 0.2)
     with pytest.raises(InvalidArgumentError):
         hbar_schedule(10, 0.0)
-
-
-def test_hoeffding_bound_saturates_to_zero():
-    # Large deviations at moderate n push the log-space exponent past the
-    # overflow guard on both evaluation branches.
-    assert hoeffding_bound(100, 0.1, 0.25, 3) == 0.0
-
-
-def test_hoeffding_bound_decreases_with_n():
-    vals = [hoeffding_bound(n, 0.05, 0.45, 2) for n in (10, 20, 40, 80)]
-    assert all(v > 0.0 for v in vals[:1])
-    assert all(vals[k + 1] <= vals[k] for k in range(len(vals) - 1))
-    assert all(0.0 <= v <= 2.0 for v in vals)
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])
@@ -334,7 +320,16 @@ def test_convergence_run_row_structure():
         assert row["estimate_se"] >= 0.0
         assert math.isfinite(row["estimate_mean"])
         assert row["abs_err"] == abs(row["estimate_mean"] - row["target"])
+        assert row["bias"] == row["oracle"] - row["target"]
+        z = (row["estimate_mean"] - row["oracle"]) / row["estimate_se"]
+        assert row["z"] == z
     assert report.wall_time_s is None or report.wall_time_s >= 0.0
+    # z is NaN, never a division by zero, when the oracle is missing (d = 3)
+    # or the standard error is 0 (one repeat); bias is NaN with the oracle.
+    for overrides in ({"dim": 3}, {"repeats": 1}):
+        for row in convergence_run(small_config(**overrides)).rows:
+            assert math.isnan(row["z"])
+            assert math.isnan(row["bias"]) == math.isnan(row["oracle"])
 
 
 def test_convergence_run_is_deterministic_and_thread_independent():

@@ -42,7 +42,7 @@ CONFIGS = {
     "dirac-config": (
         "mode = dirac\nmanifold = sphere\nalpha = 0.25\nn_grid = 100, 1000\nrepeats = 4\n"
         "sign = -1\ntest_function = auto\ndelta_u = 0.9\nlambda_power = 1\n"
-        "family_check = yes\nthreads = 2\nhoeffding_eps = 0.2\n"
+        "family_check = yes\nthreads = 2\n"
     ),
     "laplace-config": (
         "mode = laplace\ntest_function = squared-radius\nlambda_power = 2\n"
