@@ -27,10 +27,11 @@ import time
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graphdirac import star_anchors, star_weights
+from .graphdirac import _checked_norms, _weights, star_anchors, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
+    _exp_axis,
     _sample_log_coords,
     exp_axis,
     framed_point,
@@ -98,13 +99,16 @@ class TestFunction:
     ``evaluate`` maps frame log coordinates (..., d) at the base point to
     values (...); the base point itself is the zero vector.
     ``frame_derivatives[j-1]`` is e_j(a) at the base point; ``laplacian_at_base``
-    is the Laplace-Beltrami value there.
+    is the Laplace-Beltrami value there.  ``_evaluate_norms``, set only for
+    functions that use r = |v|, maps (v, r) to the values of ``evaluate(v)``,
+    so that the estimators can pass on the norms their sample check computed.
     """
 
     name: str
     evaluate: object
     frame_derivatives: np.ndarray
     laplacian_at_base: float
+    _evaluate_norms: object = field(default=None, repr=False, compare=False)
 
 
 def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> TestFunction:
@@ -160,11 +164,15 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
     def evaluate(v):
         return exp_axis(m, fp, v, axis)
 
+    def evaluate_norms(v, r):
+        return _exp_axis(m, fp, v, axis, r)
+
     return TestFunction(
         name=f"embedding-x{axis + 1}",
         evaluate=evaluate,
         frame_derivatives=derivs,
         laplacian_at_base=lap,
+        _evaluate_norms=evaluate_norms if m.kind == "sphere" else None,
     )
 
 
@@ -242,9 +250,13 @@ def _coords(samples, tail: tuple) -> np.ndarray:
     return v
 
 
-def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray) -> np.ndarray:
-    """a(x) - a(p) at log coordinates v."""
-    return np.asarray(a.evaluate(v), dtype=float) - float(a.evaluate(np.zeros(m.d)))
+def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray, r=None) -> np.ndarray:
+    """a(x) - a(p) at log coordinates v, as a fresh array; r, when given, is |v|."""
+    if r is None or a._evaluate_norms is None:
+        values = a.evaluate(v)
+    else:
+        values = a._evaluate_norms(v, r)
+    return np.asarray(values, dtype=float) - float(a.evaluate(np.zeros(m.d)))
 
 
 def s_jn(
@@ -269,13 +281,6 @@ def s_jn(
     return neighbourhood_volume(m, fp) * float(np.sum(w * _centered(m, a, v))) / (len(v) * hbar)
 
 
-def _star(m, samples, fp, hbar, sigma):
-    """Star samples (n, d+1, d), their weights (n, d+1) against the anchors, and lams."""
-    v = _coords(samples, (m.d + 1, m.d))
-    anchors, lams = star_anchors(m.d)
-    return v, star_weights(v, anchors, fp, hbar, sigma), lams
-
-
 def dirac_estimate(
     m: ManifoldModel,
     samples,
@@ -292,12 +297,20 @@ def dirac_estimate(
     ``a`` is one test function, giving the (d,) components, or a sequence of
     them, giving one row per function; the weights are computed once.
     """
-    v, w, _ = _star(m, samples, fp, hbar, sigma)
-    # Only the d frame slots enter; the extra anchor serves the Laplacian.
-    v, w = v[:, : m.d], w[:, : m.d]
+    v = _coords(samples, (m.d + 1, m.d))
+    # Every slot is checked, but only the d frame slots enter; the extra
+    # anchor serves the Laplacian.
+    r = _checked_norms(v, fp, hbar, sigma)[:, : m.d].copy()
+    v = v[:, : m.d]
+    w = _weights(v, np.eye(m.d), fp, hbar, sigma)
     funcs = [a] if isinstance(a, TestFunction) else list(a)
     scale = neighbourhood_volume(m, fp) / hbar
-    comps = np.array([(w * _centered(m, f, v)).mean(axis=0) * scale for f in funcs])
+    comps = []
+    for f in funcs:
+        terms = _centered(m, f, v, r)
+        terms *= w
+        comps.append(terms.mean(axis=0) * scale)
+    comps = np.array(comps)
     return comps[0] if isinstance(a, TestFunction) else comps
 
 
@@ -319,8 +332,12 @@ def laplace_estimate(
     """
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    v, w, lams = _star(m, samples, fp, hbar, sigma)
-    total = float(np.sum((w * _centered(m, a, v)) @ lams**lambda_power))
+    v = _coords(samples, (m.d + 1, m.d))
+    r = _checked_norms(v, fp, hbar, sigma)
+    anchors, lams = star_anchors(m.d)
+    terms = _centered(m, a, v, r)
+    terms *= _weights(v, anchors, fp, hbar, sigma)
+    total = float(np.sum(terms @ lams**lambda_power))
     return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
 
 

@@ -65,17 +65,34 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
     holds the matching anchor directions s and broadcasts against it.  Every
     sample must be finite and lie strictly inside the neighbourhood of fp.
     """
+    logc = np.asarray(logc, dtype=float)
+    _checked_norms(logc, fp, hbar, sigma)
+    return _weights(logc, anchors, fp, hbar, sigma)
+
+
+def _checked_norms(logc: np.ndarray, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
+    """Check ``star_weights``' arguments and return |v| for every sample in
+    ``logc``, so that a caller that needs the norms does not compute them again."""
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    logc = np.asarray(logc, dtype=float)
-    if not np.all(_norms(logc) < fp.delta_u):
+    r = _norms(logc)
+    if not np.all(r < fp.delta_u):
         if not np.all(np.isfinite(logc)):
             raise InvalidArgumentError("sample log coordinates must be finite")
         raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
-    proj = np.einsum("...d,...d->...", logc, anchors)
-    return np.exp(log_c_d(fp.d, 1.0 / hbar) + sigma * proj / hbar)
+    return r
+
+
+def _weights(logc: np.ndarray, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
+    """``star_weights`` on arguments already checked, computed in one array."""
+    out = np.einsum("...d,...d->...", logc, anchors)
+    out *= sigma
+    out /= hbar
+    out += log_c_d(fp.d, 1.0 / hbar)
+    # A single sample gives a numpy scalar, which has no buffer to write into.
+    return np.exp(out, out=out) if out.ndim else np.exp(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -219,14 +219,23 @@ def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
     coordinate (elementwise, near a zero coordinate, up to 1e-11 relative).
     """
     v = np.asarray(v, dtype=float)
+    return _exp_axis(m, fp, v, axis, None if m.kind == "flat" else _norms(v))
+
+
+def _exp_axis(m: ManifoldModel, fp: FramedPoint, v: np.ndarray, axis: int, r) -> np.ndarray:
+    """``exp_axis`` with r = |v| given by the caller (``None`` on flat space,
+    which does not use it)."""
     col = fp.frame[:, axis]
     along = v[..., 0] * col[0]
     for k in range(1, fp.d):
         along += v[..., k] * col[k]
     if m.kind == "flat":
         return fp.point[axis] + along
-    r = _norms(v)
-    return np.cos(r) * fp.point[axis] + _sinc(r) * along
+    out = np.cos(r)
+    out *= fp.point[axis]
+    along *= _sinc(r)
+    out += along
+    return out
 
 
 def log_map(m: ManifoldModel, p: np.ndarray, q) -> np.ndarray:
@@ -312,7 +321,9 @@ def sample_log_coords(
     acceptance uniforms come after them in the stream; it decides proposals
     block by block, only up to the last acceptance kept, by a squeeze test
     that evaluates the density only where its bounds do not settle the
-    decision (``_squeeze_accept``).
+    decision (``_squeeze_accept``).  It writes the kept points over the first
+    round's directions and copies them out once the uniforms are freed, so at
+    its peak it holds that round's directions and one more result.
     """
     return _sample_log_coords(m, fp, rng, size)[0]
 
@@ -327,13 +338,13 @@ def _sample_log_coords(m, fp, rng, size):
         raise InvalidArgumentError(f"size must be >= 0, got {size}")
     size = int(size)
     d = m.d
-    out = np.empty((size, d))
     if size == 0:
-        return out, 0, 0
+        return np.empty((0, d)), 0, 0
     block = np.empty(_BLOCK * d)
     if m.kind == "flat":
         # One round of max(2 size, 64) proposals; the first size are kept.
         draw = max(2 * size, 64)
+        out = np.empty((size, d))
         rng.standard_normal(out=out)
         _skip(rng.standard_normal, block, (draw - size) * d)
         for start in range(0, size, _BLOCK):
@@ -351,6 +362,11 @@ def _sample_log_coords(m, fp, rng, size):
         want = size - filled
         draw = max(2 * want, 64)
         dirs = rng.standard_normal((draw, d))
+        if rounds == 1:
+            # The kept rows overwrite the first round's directions: a kept
+            # row's index never exceeds its proposal's, so each direction is
+            # read before its row is written.
+            out = dirs
         u = rng.random(draw)
         for start in range(0, draw, _BLOCK):
             stop = min(draw, start + _BLOCK)
@@ -368,7 +384,8 @@ def _sample_log_coords(m, fp, rng, size):
             if filled == size:
                 _skip(rng.random, block, draw - stop)
                 break
-    return out, rounds, proposals
+        del dirs, u, ub
+    return out[:size].copy(), rounds, proposals
 
 
 # Absolute margin of the squeeze test, far above the few ulps by which the

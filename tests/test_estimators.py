@@ -208,6 +208,9 @@ def test_dirac_estimate_components_match_column_estimators(kind):
     # grade-1 multivector; the reduction hands back the unit i/hbar it removed.
     w = star_weights(samples, star_anchors(m.d)[0], fp, hbar, 1)
     coeff = (w * (a.evaluate(samples) - a.evaluate(np.zeros(2)))).mean(axis=0)
+    # dirac_estimate weights the frame slots alone and reuses its check's
+    # norms, and gives this public route's numbers bit for bit.
+    assert np.array_equal(est, coeff[:2] * (neighbourhood_volume(m, fp) / hbar))
     terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(3)}
     mv, factor = psi_map_to_clifford(TensorElement(2, terms), 2, hbar)
     assert factor == 1j / hbar
@@ -275,6 +278,48 @@ def test_laplace_oracle_matches_bessel_closed_form():
         ref = beta * bessel_ratio(1.0, beta) - 2.0 * bessel_ratio(2.0, beta)
         got = laplace_expectation_oracle(m, a, fp, hbar)
         assert got == pytest.approx(ref, abs=1e-8)
+
+
+def test_dirac_oracle_tends_to_a_difference_across_the_neighbourhood():
+    # The kernel's mass sits in a layer of width hbar at the anchor s_j on the
+    # boundary of the ball, so as hbar -> 0 the oracle of s_jn tends to
+    # a(p + delta_u s_j) - a(p), not to e_j(a)(p).  For a = v1^2 (flat, d = 2,
+    # delta_u = 1) that is 1, though e_1(a)(p) = 0.
+    m = make_manifold("flat", 2)
+    fp = framed_point(m, delta_u=1.0)
+    a = {f.name: f for f in polynomial_family(m, fp)}["poly-v1sq"]
+    assert a.frame_derivatives[0] == 0.0
+    limit = float(a.evaluate(fp.delta_u * np.eye(2)[0]) - a.evaluate(np.zeros(2)))
+    assert limit == 1.0
+    got = [dirac_expectation_oracle(m, a, fp, 1, h) for h in (0.5, 0.2, 0.1, 0.05, 0.02)]
+    assert_allclose(got, [0.244437, 0.507795, 0.705516, 0.839291, 0.932325], rtol=0, atol=1e-6)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert got[-1] < limit
+
+
+def test_star_laplacian_has_an_anchor_moment_defect():
+    # sum_j lambda_j s_j s_j^T = (I + 11^T / sqrt(d)) / (d + sqrt(d)) is not a
+    # multiple of I, so the Laplace oracle tends to a multiple of
+    # sum_j lambda_j a(s_j) (flat, delta_u = 1), and a harmonic function can
+    # get a nonzero limit.  On v1 v2 (Laplacian 0) over squared radius that
+    # ratio is lambda_{d+1} / 2, which the oracles approach as hbar falls.
+    d = 2
+    anchors, lams = star_anchors(d)
+    moment = np.einsum("j,jk,jl->kl", lams, anchors, anchors)
+    assert_allclose(moment, (np.eye(d) + np.ones((d, d)) / math.sqrt(d)) / (d + math.sqrt(d)),
+                    rtol=0, atol=1e-15)
+    m = make_manifold("flat", d)
+    fp = framed_point(m, delta_u=1.0)
+    family = {f.name: f for f in polynomial_family(m, fp)}
+    assert family["poly-v1v2"].laplacian_at_base == 0.0
+    ratios = [
+        laplace_expectation_oracle(m, family["poly-v1v2"], fp, h)
+        / laplace_expectation_oracle(m, family["poly-radsq"], fp, h)
+        for h in (0.2, 0.1, 0.05)
+    ]
+    assert_allclose(ratios, [0.123441, 0.164435, 0.185972], rtol=0, atol=1e-6)
+    assert all(x < y for x, y in zip(ratios, ratios[1:]))
+    assert ratios[-1] < lams[d] / 2 == pytest.approx(0.2071068, abs=1e-7)
 
 
 def test_oracles_require_two_dimensions():
@@ -436,6 +481,17 @@ def test_estimators_reject_bad_samples(kind):
     nan[2, 0, 1] = np.nan
     outside = v.copy()
     outside[4, 0] = [0.0, fp.delta_u]
+    # The same faults in the extra slot d + 1, which dirac_estimate checks
+    # but does not weight.
+    nan_extra = v.copy()
+    nan_extra[1, m.d, 0] = np.nan
+    outside_extra = v.copy()
+    outside_extra[3, m.d] = [fp.delta_u, 0.0]
+    for estimate in estimators[:2]:
+        with pytest.raises(InvalidArgumentError):
+            estimate(nan_extra)
+        with pytest.raises(OutOfNeighbourhoodError):
+            estimate(outside_extra)
     for estimate in estimators:
         estimate(v)
         with pytest.raises(InvalidArgumentError):

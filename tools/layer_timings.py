@@ -31,7 +31,10 @@ same work; the first call of each kind is a warm-up and is not counted.
 ``peak_bytes_per_point`` holds, for each of those calls, the peak of the
 memory it allocates (``tracemalloc``, one extra call, result included) over
 the number of sample points (written entries for the export): the layer rows
-of peak memory against n.  The three rows above have no peak-memory row.
+of peak memory against n.  The three rows above have no peak-memory row.  Two
+rows there have no timing row: ``repeat.{flat,sphere}``, one Monte Carlo
+repeat of a convergence run, ``sample_log_coords`` then ``dirac_estimate`` on
+its result, as in the ``weights_reduction`` rows.
 """
 
 from __future__ import annotations
@@ -113,6 +116,7 @@ def main(argv=None) -> int:
 
     points = COPIES * 3
     calls = {}
+    repeats = {}
     for kind in ("flat", "sphere"):
         m = make_manifold(kind, 2)
         fp = framed_point(m)
@@ -127,6 +131,14 @@ def main(argv=None) -> int:
         )
         calls[f"weights_reduction.{kind}"] = (
             lambda m=m, v=v, a=a, fp=fp: dirac_estimate(m, v, a, fp, 0.2, sigma=1)
+        )
+        repeats[f"repeat.{kind}"] = lambda m=m, a=a, fp=fp: dirac_estimate(
+            m,
+            sample_log_coords(m, fp, np.random.default_rng(1), points).reshape(COPIES, 3, 2),
+            a,
+            fp,
+            0.2,
+            sigma=1,
         )
         if kind == "flat":
             sq = squared_radius_function(m, fp)
@@ -150,6 +162,8 @@ def main(argv=None) -> int:
         result["peak_bytes_per_point"] = {
             name: round(_peak_bytes(fn) / counts[name], 2) for name, fn in calls.items()
         }
+        for name, fn in repeats.items():
+            result["peak_bytes_per_point"][name] = round(_peak_bytes(fn) / points, 2)
     result["specfun.log_c_d"] = {
         **_summary(_time(lambda: [log_c_d(2, 10.0) for _ in range(LOG_C_D_CALLS)], REPEATS),
                    LOG_C_D_CALLS, 1e6),

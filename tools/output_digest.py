@@ -79,6 +79,13 @@ CASES = (
         ["bound-report", "--manifold", "sphere", "--sign", "-1", "--n-copies", "400",
          "--dump-operators", "{dump}"],
     ),
+    # delta_u = 2.5 on the 3-sphere accepts few proposals, so the sampler runs
+    # several rounds per repeat.
+    (
+        "dirac-sphere-wide",
+        ["dirac-converge", "--manifold", "sphere", "--dim", "3", "--delta-u", "2.5",
+         "--n-grid", "100,1000", "--repeats", "4"],
+    ),
     (
         "dirac-sphere-dump",
         ["dirac-converge", "--manifold", "sphere", "--n-grid", "100,1000", "--repeats", "2",
