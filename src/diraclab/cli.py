@@ -38,6 +38,7 @@ from .estimators import (
     CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
     RunConfig,
+    _json_text,
     convergence_run,
     dirac_estimate,
     hbar_schedule,
@@ -292,10 +293,6 @@ def _resolve(args, sub: _Subcommand) -> dict:
 def _write_text(out_dir: str, name: str, text: str) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _write_outputs(

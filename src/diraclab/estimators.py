@@ -13,7 +13,7 @@ Normalization: the samples are uniform on the neighbourhood, so the sample
 mean estimates (1/Vol) times the kernel integral; every estimator multiplies
 by the neighbourhood volume so that its expectation is the integral itself,
 which is the quantity with the stated small-hbar limits.  The quadrature
-oracles compute those integrals directly.
+oracles compute those integrals directly, in any dimension.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ from .manifold import (
     ManifoldModel,
     _exp_axis,
     _sample_log_coords,
+    _sinc,
     exp_axis,
     framed_point,
     make_manifold,
     neighbourhood_volume,
-    vol_density,
 )
-from .specfun import DEFAULT_RULE, _adaptive, _gauss_legendre, log_c_d
+from .specfun import DEFAULT_RULE, _adaptive, _shell_moments
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 20260816
-ARTIFACT_VERSION = "2"
+ARTIFACT_VERSION = "3"
 
 CSV_COLUMNS = (
     "mode",
@@ -102,6 +102,8 @@ class TestFunction:
     is the Laplace-Beltrami value there.  ``_evaluate_norms``, set only for
     functions that use r = |v|, maps (v, r) to the values of ``evaluate(v)``,
     so that the estimators can pass on the norms their sample check computed.
+    ``_shell``, set where the oracles apply, maps radii r to (c0, g, H), H (d, d)
+    or 0.0, with a(exp(r u)) - a(p) = c0 + g <frame_derivatives, u> + r^2 u^T H u.
     """
 
     name: str
@@ -109,6 +111,7 @@ class TestFunction:
     frame_derivatives: np.ndarray
     laplacian_at_base: float
     _evaluate_norms: object = field(default=None, repr=False, compare=False)
+    _shell: object = field(default=None, repr=False, compare=False)
 
 
 def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> TestFunction:
@@ -126,6 +129,7 @@ def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> Tes
         evaluate=evaluate,
         frame_derivatives=derivs,
         laplacian_at_base=0.0,
+        _shell=lambda r: (0.0, r, 0.0),
     )
 
 
@@ -141,6 +145,7 @@ def squared_radius_function(m: ManifoldModel, fp: FramedPoint) -> TestFunction:
         evaluate=evaluate,
         frame_derivatives=np.zeros(m.d),
         laplacian_at_base=2.0 * m.d,
+        _shell=lambda r: (r * r, 0.0, 0.0),
     )
 
 
@@ -156,10 +161,11 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
             f"axis must lie in 0..{m.embedding_dim - 1}, got {axis}"
         )
     derivs = fp.frame[:, axis].copy()
+    base = float(fp.point[axis])
     if m.kind == "sphere":
-        lap = -float(m.d) * float(fp.point[axis])
+        lap, shell = -float(m.d) * base, lambda r: ((np.cos(r) - 1.0) * base, np.sin(r), 0.0)
     else:
-        lap = 0.0
+        lap, shell = 0.0, lambda r: (0.0, r, 0.0)
 
     def evaluate(v):
         return exp_axis(m, fp, v, axis)
@@ -173,20 +179,24 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
         frame_derivatives=derivs,
         laplacian_at_base=lap,
         _evaluate_norms=evaluate_norms if m.kind == "sphere" else None,
+        _shell=shell,
     )
 
 
 def _polynomial(m: ManifoldModel, fp: FramedPoint, name: str, terms) -> TestFunction:
     """Polynomial in the first two log coordinates, given as (coeff, (p1, p2)) terms."""
     derivs = np.zeros(m.d)
-    lap = 0.0
+    hess = np.zeros((m.d, m.d))
     for coeff, (p1, p2) in terms:
-        if (p1, p2) == (1, 0):
-            derivs[0] += coeff
-        elif (p1, p2) == (0, 1):
-            derivs[1] += coeff
-        elif (p1, p2) == (2, 0) or (p1, p2) == (0, 2):
-            lap += 2.0 * coeff
+        # The coordinate index of each factor of the monomial.
+        factors = [0] * p1 + [1] * p2
+        if len(factors) == 1:
+            derivs[factors[0]] += coeff
+        elif len(factors) == 2:
+            hess[tuple(factors)] += coeff
+    hess = 0.5 * (hess + hess.T)
+    lap = 2.0 * float(np.trace(hess))
+    quadratic = max(p1 + p2 for _, (p1, p2) in terms) <= 2
 
     def evaluate(v, _terms=tuple(terms)):
         v = np.asarray(v, dtype=float)
@@ -200,6 +210,7 @@ def _polynomial(m: ManifoldModel, fp: FramedPoint, name: str, terms) -> TestFunc
         evaluate=evaluate,
         frame_derivatives=derivs,
         laplacian_at_base=lap,
+        _shell=(lambda r: (0.0, r, hess)) if quadratic else None,
     )
 
 
@@ -342,34 +353,30 @@ def laplace_estimate(
 
 
 def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
-    """Adaptive polar quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball.
+    """Adaptive radial quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball.
 
     The kernel is the anchor kernels exp(log C_d + sigma <v, s_j> / hbar)
-    combined with the weights ``mix`` (d+1); the caller applies its own
-    prefactor.  Only d = 2 is supported; higher dimensions would need a
-    product rule over the sphere of directions.
+    combined with the weights ``mix`` (d+1), G the volume density; the caller
+    applies its own prefactor.  The angular integrals are closed form, from
+    ``a._shell`` and ``_shell_moments``, so the rule is radial in any d.
     """
-    if m.d != 2:
-        raise InvalidArgumentError("quadrature oracles are implemented for d = 2 only")
+    if a._shell is None:
+        raise InvalidArgumentError(f"no quadrature oracle for {a.name!r}: not of degree <= 2")
     anchors = star_anchors(m.d)[0]
-    beta = 1.0 / hbar
-    lcd = log_c_d(m.d, beta)
+    weight = float(np.sum(mix))
+    slope = float(a.frame_derivatives @ (mix @ anchors))
 
     def evaluate(level: int):
-        r, wr = DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
-        n_ang = DEFAULT_RULE.n_angular * (1 << level)
-        x, wx = _gauss_legendre(n_ang)
-        phi = math.pi * (x + 1.0)
-        wphi = math.pi * wx
-        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        v = r[:, None, None] * cs[None, :, :]
-        da = _centered(m, a, v)
-        dens = vol_density(m, fp.point, v)
-        proj = np.einsum("rpd,sd->rps", v, anchors)
-        kern = np.exp(lcd + sigma * beta * proj) @ mix
-        vals = kern * da * dens * r[:, None]
-        total = np.einsum("rp,r,p->", vals, wr, wphi)
-        return np.array([total])
+        r, w = DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
+        c0, g, hess = a._shell(r)
+        hess = np.zeros((m.d, m.d)) + hess
+        curve = float(np.einsum("j,jk,kl,jl->", mix, anchors, hess, anchors))
+        mass, mean, perp = _shell_moments(m.d, 1.0 / hbar, r, sigma)
+        if m.kind == "sphere":
+            mass *= _sinc(r) ** (m.d - 1)
+        quad = perp * (np.trace(hess) * weight - curve) + (1.0 - (m.d - 1) * perp) * curve
+        shell = c0 * weight + g * mean * slope + r * r * quad
+        return np.array([np.sum(w * mass * shell)])
 
     return float(_adaptive(DEFAULT_RULE, evaluate, "expectation oracle")[0])
 
@@ -382,7 +389,7 @@ def dirac_expectation_oracle(
     hbar: float,
     sigma: int = 1,
 ) -> float:
-    """Exact expectation of s_jn at fixed hbar, by quadrature (d = 2)."""
+    """Exact expectation of s_jn at fixed hbar, by quadrature (not for cubic ``a``)."""
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
     mix = np.eye(m.d + 1)[j - 1]
@@ -397,7 +404,8 @@ def laplace_expectation_oracle(
     sigma: int = 1,
     lambda_power: int = 1,
 ) -> float:
-    """Exact expectation of the Laplace estimator at fixed hbar, by quadrature (d = 2)."""
+    """Exact expectation of the Laplace estimator at fixed hbar, by quadrature
+    (not for cubic ``a``)."""
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
     mix = star_anchors(m.d)[1] ** lambda_power
@@ -476,6 +484,20 @@ def table_texts(columns, rows) -> tuple:
     return "\n".join(csv_lines) + "\n", "\n".join(dat_lines) + "\n"
 
 
+def _json_text(obj) -> str:
+    """Sorted, indented JSON with a final newline, with every non-finite float
+    written as null: JSON (RFC 8259) has no NaN or Infinity."""
+
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+
+    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 @dataclass
 class ConvergenceReport:
     """Rows of a convergence experiment plus its resolved metadata.
@@ -500,7 +522,7 @@ class ConvergenceReport:
             "rows": self.rows,
             "family": self.family_rows,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload)
 
 
 def _resolved_metadata(cfg: RunConfig, m, fp, a, vol) -> dict:
@@ -538,10 +560,10 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
 
     Each row (one per n and component) holds the mean over the repeats and
     its standard error, the oracle (the estimator's exact expectation at that
-    hbar; NaN unless d = 2), the limit target, ``abs_err`` = |mean - target|,
+    hbar), the limit target, ``abs_err`` = |mean - target|,
     ``bias`` = oracle - target, the finite-scale bias, and ``z`` =
     (mean - oracle) / se, the Monte Carlo error in standard errors.  ``z`` is
-    NaN when the oracle is NaN or se is 0 (a single repeat).
+    NaN when se is 0 (a single repeat).
 
     ``report.timing`` holds the run's wall seconds, the seconds spent in each
     stage (``sampling`` and ``estimation`` summed over repeats, and worker
@@ -579,7 +601,11 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
             est = np.array([[value]])
         return est, t1 - t0, time.perf_counter() - t1, rounds, proposals
 
-    n_components = m.d if cfg.mode == "dirac" else 1
+    if cfg.mode == "dirac":
+        targets = [float(x) for x in a.frame_derivatives]
+    else:
+        targets = [float(a.laplacian_at_base)]
+    n_components = len(targets)
     tasks = [(n_idx, rep) for n_idx in range(len(cfg.n_grid)) for rep in range(cfg.repeats)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -598,30 +624,21 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
 
     rows = []
     family_rows = []
-    oracle_calls = 0
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
         t_oracle = time.perf_counter()
-        if m.d != 2:
-            oracles = [math.nan] * n_components
-        elif cfg.mode == "dirac":
+        if cfg.mode == "dirac":
             oracles = [
                 dirac_expectation_oracle(m, a, fp, j, hbar, sigma=cfg.sigma)
                 for j in range(1, m.d + 1)
             ]
-            oracle_calls += len(oracles)
         else:
             oracles = [
                 laplace_expectation_oracle(
                     m, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
                 )
             ]
-            oracle_calls += 1
         stages["oracles"] += time.perf_counter() - t_oracle
-        if cfg.mode == "dirac":
-            targets = [float(x) for x in a.frame_derivatives]
-        else:
-            targets = [float(a.laplacian_at_base)]
         for c in range(n_components):
             vals = results[n_idx, :, 0, c]
             mean = float(np.mean(vals))
@@ -667,7 +684,7 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
         "sampler_rounds": sum(rounds for *_, rounds, _ in outs),
         "proposals_evaluated": sum(proposals for *_, proposals in outs),
         "repeats": len(tasks),
-        "oracle_calls": oracle_calls,
+        "oracle_calls": len(cfg.n_grid) * n_components,
     }
     wall = time.perf_counter() - t_start
     timing = {"wall_time_s": wall, "stages_s": stages, "counters": counters}

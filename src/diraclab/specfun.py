@@ -201,11 +201,6 @@ def _ive(nu: float, x):
     return out
 
 
-def _log_bessel_i(nu: float, x):
-    """log I_nu(x) for x > 0, via the scaled function: x + log(ive(nu, x))."""
-    return x + np.log(_ive(nu, x))
-
-
 def _log_c_any(d: int, beta):
     """log of the concentration normalizer for any dimension d >= 1.
 
@@ -216,7 +211,7 @@ def _log_c_any(d: int, beta):
     return (
         nu * np.log(beta)
         - 0.5 * d * math.log(2.0 * math.pi)
-        - _log_bessel_i(nu, beta)
+        - (beta + np.log(_ive(nu, beta)))
     )
 
 
@@ -250,7 +245,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Adaptive Gauss-Legendre product rule on radial and angular factors.
+    """Adaptive Gauss-Legendre rule on a radial interval.
 
     Node counts double on each refinement level; evaluation stops when two
     successive levels agree within ``tol`` (absolute) and raises
@@ -259,13 +254,12 @@ class QuadratureRule:
     """
 
     n_radial: int = 48
-    n_angular: int = 48
     tol: float = 1e-10
     max_refinements: int = 10
 
     def __post_init__(self) -> None:
-        if self.n_radial < 2 or self.n_angular < 2:
-            raise InvalidArgumentError("quadrature node counts must be >= 2")
+        if self.n_radial < 2:
+            raise InvalidArgumentError("quadrature node count must be >= 2")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidArgumentError(f"tolerance must be finite and > 0, got {self.tol}")
         if self.max_refinements < 1:
@@ -280,13 +274,6 @@ class QuadratureRule:
         x, w = _gauss_legendre(n)
         half = 0.5 * (b - a)
         return a + half * (x + 1.0), half * w
-
-    def angular_nodes(self, level: int):
-        """Gauss-Legendre nodes and weights on the polar interval [0, pi]."""
-        n = self.n_angular * (1 << level)
-        x, w = _gauss_legendre(n)
-        half = 0.5 * math.pi
-        return half * (x + 1.0), half * w
 
 
 # The one rule every quadrature in the package runs on.
@@ -315,6 +302,25 @@ def _adaptive(rule: QuadratureRule, evaluate, what: str):
         best=prev,
         diagnostics={"deltas": deltas},
     )
+
+
+def _shell_moments(d: int, beta: float, r: np.ndarray, sigma: int):
+    """The kernel C_d(beta) exp(sigma beta <v, s>) on the spheres |v| = r.
+
+    Returns its mass on each sphere, r^(d-1) C_d(beta) / C_d(kappa) with
+    kappa = beta r, and two moments of the directions u = v / r it weights:
+    E<u, s> = sigma A, and A / kappa, which gives E[u u^T] =
+    (A / kappa) I + (1 - d A / kappa) s s^T, with A = I_{d/2}(kappa) /
+    I_{d/2-1}(kappa) (Mardia & Jupp, Directional Statistics, 2000).
+    """
+    nu = 0.5 * d - 1.0
+    kappa = beta * r
+    i_nu = _ive(nu, kappa)
+    # Where I_nu(kappa) underflows (large d), the mass is 0 and A is its limit kappa / d.
+    ratio = np.divide(_ive(nu + 1.0, kappa), i_nu, out=kappa / d, where=i_nu > 0.0)
+    # C_d(beta) / C_d(kappa) = r^(-nu) I_nu(kappa) / I_nu(beta), each I_nu scaled.
+    mass = r ** (0.5 * d) * np.exp(kappa - beta) * i_nu / _ive(nu, float(beta))
+    return mass, sigma * ratio, ratio / kappa
 
 
 def lemma_abc(d: int, t: float):
@@ -393,33 +399,13 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
     d = int(d)
     beta = 1.0 / float(t)
-    log_cd = float(_log_c_any(d, beta))
-    # Surface measure of the (d-2)-sphere: the azimuthal factor of the polar
-    # decomposition around s.  For d = 2 it is 2 (the two half-circles).
-    log_omega = (
-        math.log(2.0)
-        + 0.5 * (d - 1) * math.log(math.pi)
-        - math.lgamma(0.5 * (d - 1))
-    )
 
     def evaluate(level: int) -> np.ndarray:
-        r, wr = DEFAULT_RULE.radial_nodes(level)
-        th, wth = DEFAULT_RULE.angular_nodes(level)
-        rr = r[:, None]
-        mu = np.cos(th)[None, :]
-        # exponent = log C_d + sigma beta r mu <= log C_d + beta = O(log beta).
-        kernel = np.exp(log_cd + log_omega + sigma * beta * rr * mu)
-        base = kernel * rr ** (d - 1) * np.sin(th)[None, :] ** (d - 2)
-        base *= wr[:, None] * wth[None, :]
-        proj = rr * mu
-        m1_par = float(np.sum(base * proj))
-        raw_par = float(np.sum(base * proj * proj))
-        raw_tr = float(np.sum(base * rr * rr))
-        return np.array([m1_par, raw_par, raw_tr])
+        r, w = DEFAULT_RULE.radial_nodes(level)
+        mass, mean, perp = _shell_moments(d, beta, r, sigma)
+        w = w * mass * r
+        par = 1.0 - (d - 1) * perp
+        return np.array([np.sum(w * mean), np.sum(w * r * par), np.sum(w * r * perp)])
 
-    m1_par, raw_par, raw_tr = _adaptive(DEFAULT_RULE, evaluate, "vmf_moments")
-    raw_perp = (raw_tr - raw_par) / (d - 1)
-    m1 = m1_par * s_arr
-    outer = np.outer(s_arr, s_arr)
-    m2 = raw_perp * (np.eye(d) - outer) + raw_par * outer
-    return m1, m2
+    m1_par, raw_par, raw_perp = _adaptive(DEFAULT_RULE, evaluate, "vmf_moments")
+    return m1_par * s_arr, raw_perp * np.eye(d) + (raw_par - raw_perp) * np.outer(s_arr, s_arr)

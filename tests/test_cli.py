@@ -264,6 +264,30 @@ def test_converge_writes_report(tmp_path, capsys):
     assert "threads" not in manifest["config"]
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 lacks."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("args", [["--repeats", "1"], ["--dim", "3", "--repeats", "2"]])
+def test_converge_json_is_strict_json(tmp_path, capsys, args):
+    # One repeat leaves z without a standard error; it is written as null.
+    # At d = 3 the oracle, bias and z columns hold numbers.
+    out = tmp_path / "d"
+    assert run_cli(["dirac-converge", "--n-grid", "60,120", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = strict_json((out / "report.json").read_text())["rows"]
+    for name in ("manifest.json", "timing.json"):
+        strict_json((out / name).read_text())
+    for row in rows:
+        assert all(isinstance(row[k], float) for k in ("oracle", "bias", "estimate_mean"))
+        assert (row["z"] is None) == (args[1] == "1")
+
+
 REGENERATED = (
     ("algebra-check", ["--seed", "4"]),
     ("specfun", ["--t-grid", "0.2,0.1", "--sign", "-1", "--dim", "4"]),
@@ -385,16 +409,17 @@ def test_manifest_subcommand_mismatch_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "manifest" in err
-    # A manifest of another artifact version is rejected, naming both versions.
+    # A manifest of another artifact version, here the one before d >= 3
+    # reports had oracles, is rejected, naming both versions.
     manifest = json.loads((out / "manifest.json").read_text())
-    edited = tmp_path / "v1.json"
-    edited.write_text(json.dumps({**manifest, "artifact_version": "1"}))
+    edited = tmp_path / "v2.json"
+    edited.write_text(json.dumps({**manifest, "artifact_version": "2"}))
     code = run_cli([
         "dirac-converge", "--from-manifest", str(edited), "--out", str(tmp_path / "z"),
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert "'1'" in err and repr(ARTIFACT_VERSION) in err
+    assert "'2'" in err and repr(ARTIFACT_VERSION) in err
     assert not (tmp_path / "z").exists()
 
 

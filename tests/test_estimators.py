@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy import special
 
@@ -24,6 +25,7 @@ from diraclab import (
     laplace_estimate,
     laplace_expectation_oracle,
     linear_coordinate_function,
+    log_c_d,
     log_coords,
     make_manifold,
     neighbourhood_volume,
@@ -35,7 +37,9 @@ from diraclab import (
     squared_radius_function,
     star_anchors,
     star_weights,
+    vol_density,
 )
+from diraclab import specfun
 from diraclab.estimators import CSV_COLUMNS, table_texts
 from diraclab.liealg import MAT_Y
 
@@ -322,12 +326,96 @@ def test_star_laplacian_has_an_anchor_moment_defect():
     assert ratios[-1] < lams[d] / 2 == pytest.approx(0.2071068, abs=1e-7)
 
 
-def test_oracles_require_two_dimensions():
-    m = make_manifold("flat", 3)
-    fp = framed_point(m)
-    a = linear_coordinate_function(m, fp, 1)
-    with pytest.raises(InvalidArgumentError):
-        dirac_expectation_oracle(m, a, fp, 1, 0.5)
+def polar_oracle_reference(m, fp, hbar, sigma, mix, a):
+    """The oracles' integral by an adaptive product rule over radius and polar
+    angle (d = 2 only): kernel(v) (a(exp v) - a(p)) times the volume density,
+    with the kernel the anchor kernels exp(log C_d + sigma <v, s_j> / hbar)
+    combined with the weights ``mix``.  It evaluates the test function itself,
+    not its shell form."""
+    assert m.d == 2
+    anchors = star_anchors(m.d)[0]
+    beta = 1.0 / hbar
+    lcd = log_c_d(m.d, beta)
+    base = float(a.evaluate(np.zeros(m.d)))
+
+    def evaluate(level: int):
+        r, wr = specfun.DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
+        x, wx = leggauss(48 * (1 << level))
+        phi = math.pi * (x + 1.0)
+        wphi = math.pi * wx
+        cs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        v = r[:, None, None] * cs[None, :, :]
+        da = a.evaluate(v) - base
+        dens = vol_density(m, fp.point, v)
+        proj = np.einsum("rpd,sd->rps", v, anchors)
+        kern = np.exp(lcd + sigma * beta * proj) @ mix
+        vals = kern * da * dens * r[:, None]
+        return np.array([np.einsum("rp,r,p->", vals, wr, wphi)])
+
+    return float(specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "polar reference")[0])
+
+
+ORACLE_FUNCTIONS = (
+    "linear-x1", "linear-x2", "squared-radius", "embedding-x1", "embedding-x2", "embedding-x3",
+    "poly-v1sq", "poly-v1v2", "poly-radsq",
+)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("delta_u", [None, 0.5])
+def test_oracles_match_the_polar_reference(kind, sigma, delta_u):
+    m = make_manifold(kind, 2)
+    fp = framed_point(m, delta_u=delta_u)
+    family = {f.name: f for f in polynomial_family(m, fp)}
+    funcs = [
+        family[name] if name in family else resolve_test_function(m, fp, "dirac", name)
+        for name in ORACLE_FUNCTIONS
+        if not (name == "embedding-x3" and kind == "flat")
+    ]
+    lams = star_anchors(m.d)[1]
+    for n in (1e3, 1e4, 1e5):
+        hbar = n ** -0.2
+        for a in funcs:
+            pairs = [
+                (
+                    dirac_expectation_oracle(m, a, fp, j, hbar, sigma),
+                    polar_oracle_reference(m, fp, hbar, sigma, np.eye(m.d + 1)[j - 1], a) / hbar,
+                )
+                for j in (1, 2)
+            ]
+            pairs.append((
+                laplace_expectation_oracle(m, a, fp, hbar, sigma),
+                polar_oracle_reference(m, fp, hbar, sigma, lams, a) / hbar**2,
+            ))
+            for got, ref in pairs:
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (a.name, n, got, ref)
+
+
+def test_oracle_of_a_cubic_function_is_refused():
+    # The cubic family members have no shell form of degree <= 2.
+    for d in (2, 3):
+        m = make_manifold("flat", d)
+        fp = framed_point(m)
+        family = {f.name: f for f in polynomial_family(m, fp)}
+        for name in ("poly-v1cube", "poly-v1sqv2", "poly-v1v2sq"):
+            with pytest.raises(InvalidArgumentError):
+                dirac_expectation_oracle(m, family[name], fp, 1, 0.5)
+            with pytest.raises(InvalidArgumentError):
+                laplace_expectation_oracle(m, family[name], fp, 0.5)
+
+
+@pytest.mark.parametrize(
+    "mode, kind", [("dirac", "flat"), ("dirac", "sphere"), ("laplace", "flat")]
+)
+def test_monte_carlo_means_sit_near_their_oracles_at_d3(mode, kind):
+    report = convergence_run(
+        RunConfig(mode=mode, manifold=kind, dim=3, n_grid=(1000, 10000), repeats=50)
+    )
+    assert len(report.rows) == (6 if mode == "dirac" else 2)
+    for row in report.rows:
+        assert math.isfinite(row["oracle"]) and math.isfinite(row["bias"])
+        assert abs(row["z"]) <= 3.0, row
 
 
 def test_run_config_validation():
@@ -369,12 +457,11 @@ def test_convergence_run_row_structure():
         z = (row["estimate_mean"] - row["oracle"]) / row["estimate_se"]
         assert row["z"] == z
     assert report.wall_time_s is None or report.wall_time_s >= 0.0
-    # z is NaN, never a division by zero, when the oracle is missing (d = 3)
-    # or the standard error is 0 (one repeat); bias is NaN with the oracle.
-    for overrides in ({"dim": 3}, {"repeats": 1}):
-        for row in convergence_run(small_config(**overrides)).rows:
-            assert math.isnan(row["z"])
-            assert math.isnan(row["bias"]) == math.isnan(row["oracle"])
+    # z is NaN, never a division by zero, when the standard error is 0 (one
+    # repeat); the oracle and bias are still numbers.
+    for row in convergence_run(small_config(repeats=1)).rows:
+        assert math.isnan(row["z"])
+        assert math.isfinite(row["oracle"]) and math.isfinite(row["bias"])
 
 
 def test_convergence_run_is_deterministic_and_thread_independent():

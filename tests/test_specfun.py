@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -16,8 +17,12 @@ from diraclab import (
     NumericFailureError,
     QuadratureRule,
     bessel_i_scaled,
+    dirac_expectation_oracle,
+    framed_point,
     lemma_abc,
+    linear_coordinate_function,
     log_c_d,
+    make_manifold,
     vmf_moments,
 )
 from diraclab import specfun
@@ -263,6 +268,84 @@ def test_vmf_moments_match_closed_forms(t, sigma):
     assert m2[1, 1] == pytest.approx(lam_perp, abs=5e-10)
     off_diag = m2 - np.diag(np.diag(m2))
     assert np.max(np.abs(off_diag)) <= 5e-10
+
+
+def polar_moments_reference(t: float, sigma: int) -> tuple[float, float, float]:
+    """d = 2: (parallel first moment, parallel and transverse second moments)
+    of the kernel measure at scale t, by an adaptive product rule over radius
+    and the angle to s."""
+    beta = 1.0 / t
+    log_cd = log_c_d(2, beta)
+
+    def evaluate(level: int) -> np.ndarray:
+        r, wr = specfun.DEFAULT_RULE.radial_nodes(level)
+        x, wx = leggauss(48 * (1 << level))
+        th, wth = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wx
+        rr, mu = r[:, None], np.cos(th)[None, :]
+        # Twice the half-plane 0 <= theta <= pi.
+        base = 2.0 * np.exp(log_cd + sigma * beta * rr * mu) * rr * wr[:, None] * wth[None, :]
+        par = rr * mu
+        return np.array([np.sum(base * par), np.sum(base * par**2), np.sum(base * (rr**2 - par**2))])
+
+    m1_par, lam_par, lam_perp = specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "polar moments")
+    return m1_par, lam_par, lam_perp
+
+
+@pytest.mark.parametrize("t", [0.5, 0.2, 0.1, 0.05, 0.02])
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_vmf_moments_match_the_polar_reference_at_d2(t, sigma):
+    s = np.array([0.6, -0.8])
+    m1, m2 = vmf_moments(2, s, t, sigma=sigma)
+    m1_par, lam_par, lam_perp = polar_moments_reference(t, sigma)
+    perp = np.array([0.8, 0.6])
+    assert abs(m1 @ s - m1_par) <= 1e-12 * abs(m1_par)
+    assert np.max(np.abs(m1 - (m1 @ s) * s)) <= 1e-15
+    assert abs(s @ m2 @ s - lam_par) <= 1e-12 * lam_par
+    assert abs(perp @ m2 @ perp - lam_perp) <= 1e-12 * lam_perp
+    assert abs(perp @ m2 @ s) <= 1e-15
+
+
+def test_vmf_moments_at_large_dimension():
+    # At d = 160 exp(-x) I_nu(x) underflows on the innermost radial nodes,
+    # where the kernel's mass is below the smallest float; the moments stay
+    # finite.  The reference is the same radial integral in 20-digit
+    # arithmetic.  The parallel moment, 1 - (d - 1) A / kappa on each sphere,
+    # carries the Bessel ratio's rounding times about d.
+    d, t = 160, 0.3
+    s = np.eye(d)[0]
+    m1, m2 = vmf_moments(d, s, t)
+    with mpmath.workdps(20):
+        beta, nu = 1 / mpmath.mpf(t), mpmath.mpf(d) / 2 - 1
+
+        def log_c(k):
+            return nu * mpmath.log(k) - mpmath.log(mpmath.besseli(nu, k))
+
+        def moment(f):
+            def integrand(r):
+                k = beta * r
+                ratio = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+                return r ** (d + 1) * mpmath.exp(log_c(beta) - log_c(k)) * f(ratio, k)
+
+            return float(mpmath.quad(integrand, [0, 1]))
+
+        m1_ref = moment(lambda a, k: a / k * beta)
+        perp_ref = moment(lambda a, k: a / k)
+        par_ref = moment(lambda a, k: 1 - (d - 1) * a / k)
+    assert abs(m1[0] / m1_ref - 1.0) <= 1e-12
+    assert abs(m2[1, 1] / perp_ref - 1.0) <= 1e-12
+    assert abs(m2[0, 0] / par_ref - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [0.5, 0.2, 0.1, 0.05])
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_flat_d3_dirac_oracle_is_the_first_moment_over_t(t, sigma):
+    # Flat, a = v1, delta_u = 1: the oracle of s_1n is the kernel's first
+    # moment along s = e_1 over t, whose d = 3 closed form is elementary.
+    m = make_manifold("flat", 3)
+    fp = framed_point(m, delta_u=1.0)
+    a = linear_coordinate_function(m, fp, 1)
+    got = dirac_expectation_oracle(m, a, fp, 1, t, sigma)
+    assert abs(got - moment_reference(t, sigma)[0] / t) <= 1e-10
 
 
 def test_vmf_first_moment_aligns_with_axis():

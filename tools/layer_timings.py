@@ -16,10 +16,14 @@ star copy holds d + 1 = 3 points at d = 2):
   star of 1e4 flat copies (``assemble_dirac`` at hbar = 0.2), written into a
   temporary directory, in ns per written entry (two per leaf).
 
-Three rows carry their own unit:
+These rows carry their own unit:
 
 - ``specfun.log_c_d``: ``log_c_d(2, 10.0)``, in us per scalar call (each
   sample times 1000 calls);
+- ``estimators.oracle.{flat,sphere,flat_d3}``: ``dirac_expectation_oracle``
+  of the manifold's default test function, component 1, at hbar = 1e4**-0.2
+  (flat and sphere at d = 2, flat at d = 3), in ms per call;
+- ``specfun.vmf_moments``: ``vmf_moments(3, e_3, 0.1)``, in ms per call;
 - ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384 radial
   quadrature nodes of refinement level 3 scaled to [0, 10], in ns per value;
 - ``import.diraclab_cli``: ``import diraclab.cli`` in a fresh interpreter, in
@@ -31,7 +35,7 @@ same work; the first call of each kind is a warm-up and is not counted.
 ``peak_bytes_per_point`` holds, for each of those calls, the peak of the
 memory it allocates (``tracemalloc``, one extra call, result included) over
 the number of sample points (written entries for the export): the layer rows
-of peak memory against n.  The three rows above have no peak-memory row.  Two
+of peak memory against n.  The rows above have no peak-memory row.  Two
 rows there have no timing row: ``repeat.{flat,sphere}``, one Monte Carlo
 repeat of a convergence run, ``sample_log_coords`` then ``dirac_estimate`` on
 its result, as in the ``weights_reduction`` rows.
@@ -105,14 +109,16 @@ def main(argv=None) -> int:
 
     from diraclab.estimators import (
         dirac_estimate,
+        dirac_expectation_oracle,
         embedding_coordinate_function,
         laplace_estimate,
         linear_coordinate_function,
+        resolve_test_function,
         squared_radius_function,
     )
     from diraclab.graphdirac import assemble_dirac
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
-    from diraclab.specfun import DEFAULT_RULE, bessel_i_scaled, log_c_d
+    from diraclab.specfun import DEFAULT_RULE, bessel_i_scaled, log_c_d, vmf_moments
 
     points = COPIES * 3
     calls = {}
@@ -168,6 +174,19 @@ def main(argv=None) -> int:
         **_summary(_time(lambda: [log_c_d(2, 10.0) for _ in range(LOG_C_D_CALLS)], REPEATS),
                    LOG_C_D_CALLS, 1e6),
         "unit": "us per call",
+    }
+    for name, kind, d in (("flat", "flat", 2), ("sphere", "sphere", 2), ("flat_d3", "flat", 3)):
+        m = make_manifold(kind, d)
+        fp = framed_point(m)
+        a = resolve_test_function(m, fp, "dirac", "auto")
+        result[f"estimators.oracle.{name}"] = {
+            **_summary(_time(lambda m=m, a=a, fp=fp: dirac_expectation_oracle(
+                m, a, fp, 1, 1e4 ** -0.2), REPEATS), 1, 1e3),
+            "unit": "ms per call",
+        }
+    result["specfun.vmf_moments"] = {
+        **_summary(_time(lambda: vmf_moments(3, [0.0, 0.0, 1.0], 0.1), REPEATS), 1, 1e3),
+        "unit": "ms per call",
     }
     nodes = 10.0 * DEFAULT_RULE.radial_nodes(3)[0]
     result["specfun.bessel_i_scaled"] = {
