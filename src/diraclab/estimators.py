@@ -27,11 +27,10 @@ import time
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graphdirac import _checked_norms, _weights, star_anchors, star_weights
+from .graphdirac import _check_samples, _weights, star_anchors, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
-    _exp_axis,
     _sample_log_coords,
     _sinc,
     exp_axis,
@@ -99,9 +98,7 @@ class TestFunction:
     ``evaluate`` maps frame log coordinates (..., d) at the base point to
     values (...); the base point itself is the zero vector.
     ``frame_derivatives[j-1]`` is e_j(a) at the base point; ``laplacian_at_base``
-    is the Laplace-Beltrami value there.  ``_evaluate_norms``, set only for
-    functions that use r = |v|, maps (v, r) to the values of ``evaluate(v)``,
-    so that the estimators can pass on the norms their sample check computed.
+    is the Laplace-Beltrami value there.
     ``_shell``, set where the oracles apply, maps radii r to (c0, g, H), H (d, d)
     or 0.0, with a(exp(r u)) - a(p) = c0 + g <frame_derivatives, u> + r^2 u^T H u.
     """
@@ -110,7 +107,6 @@ class TestFunction:
     evaluate: object
     frame_derivatives: np.ndarray
     laplacian_at_base: float
-    _evaluate_norms: object = field(default=None, repr=False, compare=False)
     _shell: object = field(default=None, repr=False, compare=False)
 
 
@@ -170,15 +166,11 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
     def evaluate(v):
         return exp_axis(m, fp, v, axis)
 
-    def evaluate_norms(v, r):
-        return _exp_axis(m, fp, v, axis, r)
-
     return TestFunction(
         name=f"embedding-x{axis + 1}",
         evaluate=evaluate,
         frame_derivatives=derivs,
         laplacian_at_base=lap,
-        _evaluate_norms=evaluate_norms if m.kind == "sphere" else None,
         _shell=shell,
     )
 
@@ -261,13 +253,9 @@ def _coords(samples, tail: tuple) -> np.ndarray:
     return v
 
 
-def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray, r=None) -> np.ndarray:
-    """a(x) - a(p) at log coordinates v, as a fresh array; r, when given, is |v|."""
-    if r is None or a._evaluate_norms is None:
-        values = a.evaluate(v)
-    else:
-        values = a._evaluate_norms(v, r)
-    return np.asarray(values, dtype=float) - float(a.evaluate(np.zeros(m.d)))
+def _centered(m: ManifoldModel, a: TestFunction, v: np.ndarray) -> np.ndarray:
+    """a(x) - a(p) at log coordinates v, as a fresh array."""
+    return np.asarray(a.evaluate(v), dtype=float) - float(a.evaluate(np.zeros(m.d)))
 
 
 def s_jn(
@@ -311,14 +299,14 @@ def dirac_estimate(
     v = _coords(samples, (m.d + 1, m.d))
     # Every slot is checked, but only the d frame slots enter; the extra
     # anchor serves the Laplacian.
-    r = _checked_norms(v, fp, hbar, sigma)[:, : m.d].copy()
+    _check_samples(v, fp, hbar, sigma)
     v = v[:, : m.d]
     w = _weights(v, np.eye(m.d), fp, hbar, sigma)
     funcs = [a] if isinstance(a, TestFunction) else list(a)
     scale = neighbourhood_volume(m, fp) / hbar
     comps = []
     for f in funcs:
-        terms = _centered(m, f, v, r)
+        terms = _centered(m, f, v)
         terms *= w
         comps.append(terms.mean(axis=0) * scale)
     comps = np.array(comps)
@@ -344,9 +332,9 @@ def laplace_estimate(
     if lambda_power not in (1, 2):
         raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
     v = _coords(samples, (m.d + 1, m.d))
-    r = _checked_norms(v, fp, hbar, sigma)
+    _check_samples(v, fp, hbar, sigma)
     anchors, lams = star_anchors(m.d)
-    terms = _centered(m, a, v, r)
+    terms = _centered(m, a, v)
     terms *= _weights(v, anchors, fp, hbar, sigma)
     total = float(np.sum(terms @ lams**lambda_power))
     return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)

@@ -66,23 +66,21 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
     sample must be finite and lie strictly inside the neighbourhood of fp.
     """
     logc = np.asarray(logc, dtype=float)
-    _checked_norms(logc, fp, hbar, sigma)
+    _check_samples(logc, fp, hbar, sigma)
     return _weights(logc, anchors, fp, hbar, sigma)
 
 
-def _checked_norms(logc: np.ndarray, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
-    """Check ``star_weights``' arguments and return |v| for every sample in
-    ``logc``, so that a caller that needs the norms does not compute them again."""
+def _check_samples(logc: np.ndarray, fp: FramedPoint, hbar: float, sigma: int) -> None:
+    """Check ``star_weights``' arguments: hbar, the sign, and that every sample
+    in ``logc`` is finite and strictly inside the neighbourhood of fp."""
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    r = _norms(logc)
-    if not np.all(r < fp.delta_u):
+    if not np.all(_norms(logc) < fp.delta_u):
         if not np.all(np.isfinite(logc)):
             raise InvalidArgumentError("sample log coordinates must be finite")
         raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
-    return r
 
 
 def _weights(logc: np.ndarray, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:

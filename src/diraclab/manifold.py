@@ -219,18 +219,13 @@ def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
     coordinate (elementwise, near a zero coordinate, up to 1e-11 relative).
     """
     v = np.asarray(v, dtype=float)
-    return _exp_axis(m, fp, v, axis, None if m.kind == "flat" else _norms(v))
-
-
-def _exp_axis(m: ManifoldModel, fp: FramedPoint, v: np.ndarray, axis: int, r) -> np.ndarray:
-    """``exp_axis`` with r = |v| given by the caller (``None`` on flat space,
-    which does not use it)."""
     col = fp.frame[:, axis]
     along = v[..., 0] * col[0]
     for k in range(1, fp.d):
         along += v[..., k] * col[k]
     if m.kind == "flat":
         return fp.point[axis] + along
+    r = _norms(v)
     out = np.cos(r)
     out *= fp.point[axis]
     along *= _sinc(r)

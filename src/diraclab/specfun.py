@@ -250,12 +250,14 @@ class QuadratureRule:
     Node counts double on each refinement level; evaluation stops when two
     successive levels agree within ``tol`` (absolute) and raises
     NumericFailureError, carrying the best estimate, when ``max_refinements``
-    levels do not reach agreement.
+    levels do not reach agreement.  The default ladder tops out at 48 * 2^6 =
+    3072 nodes, because ``leggauss(n)`` solves a dense n x n eigenproblem:
+    each further level would cost 8x the time and 4x the memory.
     """
 
     n_radial: int = 48
     tol: float = 1e-10
-    max_refinements: int = 10
+    max_refinements: int = 6
 
     def __post_init__(self) -> None:
         if self.n_radial < 2:
@@ -284,12 +286,20 @@ def _adaptive(rule: QuadratureRule, evaluate, what: str):
     """Run ``evaluate(level)`` on doubling levels until successive vectors agree.
 
     ``evaluate`` returns a 1-d array of simultaneously refined values.  All
-    components must move less than ``rule.tol`` between levels.
+    components must move less than ``rule.tol`` between levels.  A level
+    whose values are not all finite raises at once, since no finer level
+    can repair it.
     """
     prev = None
     deltas = []
     for level in range(rule.max_refinements + 1):
         cur = np.asarray(evaluate(level), dtype=float)
+        if not np.all(np.isfinite(cur)):
+            raise NumericFailureError(
+                f"{what}: quadrature values are not finite at refinement level {level}",
+                best=prev,
+                diagnostics={"deltas": deltas, "level": level},
+            )
         if prev is not None:
             delta = float(np.max(np.abs(cur - prev)))
             deltas.append(delta)

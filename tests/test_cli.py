@@ -606,6 +606,17 @@ def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
     assert "unknown test function" in capsys.readouterr().err
 
 
+def test_specfun_quadrature_failures_exit_1(tmp_path, capsys):
+    # t = 1e-5 does not converge on the default ladder; at d = 400 and
+    # t = 0.3 the kernel mass is 0/0, which fails at the first level.
+    assert run_cli(["specfun", "--t-grid", "1e-5", "--out", str(tmp_path / "a")]) == 1
+    assert "did not converge to 1e-10 after 6 refinements" in capsys.readouterr().err
+    with np.errstate(all="ignore"):
+        code = run_cli(["specfun", "--dim", "400", "--t-grid", "0.3", "--out", str(tmp_path / "b")])
+    assert code == 1
+    assert "not finite at refinement level 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["dirac", "laplace"])
 def test_converge_timing_stages_and_thread_independent_bytes(tmp_path, capsys, mode):
     for manifold in ("flat", "sphere"):

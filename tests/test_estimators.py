@@ -16,6 +16,7 @@ from diraclab import (
     RunConfig,
     TensorElement,
     convergence_run,
+    default_frame,
     dirac_estimate,
     dirac_expectation_oracle,
     embedding_coordinate_function,
@@ -210,11 +211,9 @@ def test_dirac_estimate_components_match_column_estimators(kind):
     assert est.shape == (2,)
     # The word-calculus route: the averaged commutator element, reduced to a
     # grade-1 multivector; the reduction hands back the unit i/hbar it removed.
-    w = star_weights(samples, star_anchors(m.d)[0], fp, hbar, 1)
+    anchors, lams = star_anchors(m.d)
+    w = star_weights(samples, anchors, fp, hbar, 1)
     coeff = (w * (a.evaluate(samples) - a.evaluate(np.zeros(2)))).mean(axis=0)
-    # dirac_estimate weights the frame slots alone and reuses its check's
-    # norms, and gives this public route's numbers bit for bit.
-    assert np.array_equal(est, coeff[:2] * (neighbourhood_volume(m, fp) / hbar))
     terms = {((1, 2 + slot),): (1j / hbar) * coeff[slot] * MAT_Y for slot in range(3)}
     mv, factor = psi_map_to_clifford(TensorElement(2, terms), 2, hbar)
     assert factor == 1j / hbar
@@ -224,6 +223,33 @@ def test_dirac_estimate_components_match_column_estimators(kind):
         col = s_jn(m, samples[:, j - 1, :], a, fp, j, hbar)
         assert est[j - 1] == pytest.approx(col, abs=1e-12)
         assert word.component(1 << (j - 1)) == pytest.approx(col, abs=1e-12)
+    # dirac_estimate weights the frame slots alone, and both estimators give
+    # the public route's numbers bit for bit: star_weights times
+    # (evaluate - base) on the full star.  Every embedding axis, on the
+    # default and on a rotated base point and frame.
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal(m.embedding_dim)
+    if kind == "sphere":
+        p /= np.linalg.norm(p)
+    rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    rotated = framed_point(m, point=p, frame=rot @ default_frame(m, p))
+    for fp in (fp, rotated):
+        samples = star_samples(m, fp, 30, seed=4)
+        vol = neighbourhood_volume(m, fp)
+        w = star_weights(samples, anchors, fp, hbar, 1)
+        funcs = [resolve_test_function(m, fp, "dirac", "auto")] + [
+            embedding_coordinate_function(m, fp, axis) for axis in range(m.embedding_dim)
+        ]
+        rows = dirac_estimate(m, samples, funcs, fp, hbar)
+        for f, row in zip(funcs, rows):
+            terms = w * (f.evaluate(samples) - f.evaluate(np.zeros(2)))
+            est = dirac_estimate(m, samples, f, fp, hbar)
+            assert np.array_equal(est, terms.mean(axis=0)[:2] * (vol / hbar))
+            assert np.array_equal(row, est)
+            for power in (1, 2):
+                total = float(np.sum(terms @ lams**power))
+                lap = laplace_estimate(m, samples, f, fp, hbar, lambda_power=power)
+                assert lap == vol * total / (len(samples) * hbar * hbar)
 
 
 def test_laplace_estimate_constant_is_zero():

@@ -231,6 +231,42 @@ def test_adaptive_failure_carries_best_value():
     err = exc_info.value
     assert err.best.tolist() == [0.5]
     assert err.diagnostics == {"deltas": [0.5]}
+    # A level that turns non-finite after finite ones hands back the last finite values.
+    rule = QuadratureRule(tol=1e-30)
+    with pytest.raises(NumericFailureError, match="not finite at refinement level 2") as exc_info:
+        specfun._adaptive(rule, lambda level: [1.0 / (level + 1) if level < 2 else math.inf], "inf")
+    assert exc_info.value.best.tolist() == [0.5]
+    assert exc_info.value.diagnostics == {"deltas": [0.5], "level": 2}
+
+
+def test_adaptive_stops_at_the_first_non_finite_level():
+    calls = []
+
+    def evaluate(level):
+        calls.append(level)
+        return [math.nan]
+
+    with pytest.raises(NumericFailureError, match="not finite at refinement level 0") as exc_info:
+        specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "nan")
+    assert calls == [0]
+    assert exc_info.value.best is None
+
+
+def test_default_ladder_stops_at_3072_nodes(monkeypatch):
+    # lemma_abc at t = 1e-5 has not converged by the top level: it raises
+    # instead of building ever larger dense eigenproblems in leggauss.
+    sizes = []
+    real = specfun._gauss_legendre
+
+    def recording(n):
+        sizes.append(n)
+        return real(n)
+
+    monkeypatch.setattr(specfun, "_gauss_legendre", recording)
+    with pytest.raises(NumericFailureError, match="after 6 refinements") as exc_info:
+        lemma_abc(3, 1e-5)
+    assert max(sizes) == 48 * 2**6
+    assert len(exc_info.value.diagnostics["deltas"]) == 6
 
 
 @pytest.mark.parametrize("n", [2, 48, 96, 256])

@@ -72,6 +72,16 @@ CASES = (
     ("laplace-flat", ["laplace-converge"]),
     ("laplace-sphere", ["laplace-converge", "--manifold", "sphere"]),
     ("laplace-flat-dim3", ["laplace-converge", "--dim", "3"]),
+    # Sphere embedding functions other than the default x1: x3 is the axis
+    # of the base point, where p[axis] != 0.
+    (
+        "dirac-sphere-x3",
+        ["dirac-converge", "--manifold", "sphere", "--test-function", "embedding-x3"],
+    ),
+    (
+        "laplace-sphere-x1",
+        ["laplace-converge", "--manifold", "sphere", "--test-function", "embedding-x1"],
+    ),
     ("bound-flat", ["bound-report", "--manifold", "flat", "--dump-operators", "{dump}"]),
     ("bound-sphere", ["bound-report", "--manifold", "sphere", "--dump-operators", "{dump}"]),
     (
