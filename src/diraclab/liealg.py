@@ -7,6 +7,12 @@ into the corresponding 2x2 blocks of a 4N x 4N matrix. On top of that sit
 antisymmetric weighted operators, the Dirac operators obtained from their
 entrywise real parts, closed-form commutators with diagonal observables, and
 the reduction of degree-two words into a Clifford algebra.
+
+The word calculus (sums, products, the reduction) runs on numpy elementwise
+float64 arithmetic and makes no BLAS call: a product of two 2x2 coefficients
+forms entry [p, q] as x_0 y_0 + x_1 y_1 with x_k = M1[p, k], y_k = M2[k, q],
+each complex product written out as (xr*yr - xi*yi) + i(xr*yi + xi*yr). Its
+bits are therefore the same on every BLAS build.
 """
 
 from __future__ import annotations
@@ -136,7 +142,10 @@ class TensorElement:
     coefficient array, in the order each word first appeared; ``terms`` is a
     read-only word -> coefficient view of them. Sums, products and the
     reduction add coefficients of equal words one at a time in that order, so
-    every result is bit-identical to accumulating the terms in a dict.
+    every result is bit-identical to accumulating the terms in a dict. A
+    product's coefficient has entries x_0 y_0 + x_1 y_1, each complex product
+    x y formed as (xr*yr - xi*yi) + i(xr*yi + xi*yr) in float64 arithmetic;
+    no operation on an element makes a BLAS call.
     """
 
     __slots__ = ("n_pairs", "_keys", "_coeffs", "_terms")
@@ -213,16 +222,19 @@ class TensorElement:
         )
 
     def mul(self, other: "TensorElement") -> "TensorElement":
-        """Free product: words concatenate, coefficients multiply as matrices.
+        """Free product: words concatenate, coefficients multiply as matrices
+        (see ``_mat2_products`` for the product rule).
 
         Raises UnsupportedDegreeError when a product word would exceed two
         index pairs.
         """
         self._check_same(other)
+        if not (self._keys.size and other._keys.size):
+            return TensorElement(self.n_pairs)
         area = self.grid**2
         deg1 = _degree(self._keys, area)
         deg2 = _degree(other._keys, area)
-        if deg1.size and deg2.size and deg1.max() + deg2.max() > 2:
+        if deg1.max() + deg2.max() > 2:
             raise UnsupportedDegreeError(
                 "product would create a word with more than two pairs"
             )
@@ -233,12 +245,14 @@ class TensorElement:
             right,
             np.where(right == 0, left, 1 + area + (left - 1) * area + (right - 1)),
         )
-        coeffs = np.matmul(self._coeffs[:, None], other._coeffs[None, :])
         # Two products can share a word only if word lengths vary in both
         # factors, as in () * (p,) = (p,) * ().
-        distinct = np.unique(deg1).size < 2 or np.unique(deg2).size < 2
+        distinct = deg1.min() == deg1.max() or deg2.min() == deg2.max()
         return _collected(
-            self.n_pairs, keys.ravel(), coeffs.reshape(-1, 2, 2), distinct=distinct
+            self.n_pairs,
+            keys.ravel(),
+            _mat2_products(self._coeffs, other._coeffs),
+            distinct=distinct,
         )
 
     def max_abs_diff(self, other: "TensorElement") -> float:
@@ -247,6 +261,32 @@ class TensorElement:
 
     def __repr__(self) -> str:
         return f"TensorElement(n_pairs={self.n_pairs}, words={sorted(self.terms)})"
+
+
+def _mat2_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product a[s] @ b[t] of two (T, 2, 2) complex stacks, in (s, t)
+    row-major order, shape (len(a) * len(b), 2, 2).
+
+    Entry [p, q] is formed in float64 real arithmetic from x_k = a[s][p, k]
+    and y_k = b[t][k, q]: re = (x0r*y0r - x0i*y0i) + (x1r*y1r - x1i*y1i) and
+    im = (x0r*y0i + x0i*y0r) + (x1r*y1i + x1i*y1r), each product and sum
+    rounded once (no fused multiply-add). No BLAS call is made, so the bits
+    do not depend on the BLAS build.
+    """
+    # Entry [p, k] of every coefficient along one contiguous axis.
+    ar, ai, br, bi = (
+        np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (a.real, a.imag, b.real, b.imag)
+    )
+    ar, ai = ar[:, :, None, :, None], ai[:, :, None, :, None]  # (p, k, 1, s, 1)
+    br, bi = br[None, :, :, None, :], bi[None, :, :, None, :]  # (1, k, q, 1, t)
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    out = np.empty((a.shape[0], b.shape[0], 2, 2, 2))  # (s, t, p, q, re|im)
+    out[..., 0] = (re[:, 0] + re[:, 1]).transpose(2, 3, 0, 1)
+    out[..., 1] = (im[:, 0] + im[:, 1]).transpose(2, 3, 0, 1)
+    return out.view(complex).reshape(-1, 2, 2)
 
 
 def _collected(
@@ -267,10 +307,14 @@ def _collected(
         later = np.ones(keys.size, dtype=bool)
         later[first] = False
         sums = coeffs[first[order]]
+        # np.add.at keeps the input order of the sums: np.add.reduceat regroups
+        # them (the half-reduction misses 0.0); a masked pass per rank is slower.
         np.add.at(sums, slot[inverse[later]], coeffs[later])
         keys, coeffs = keys[first[order]], sums
     keep = coeffs.any(axis=(1, 2))
-    return TensorElement._from_arrays(n_pairs, keys[keep], coeffs[keep])
+    if not keep.all():
+        keys, coeffs = keys[keep], coeffs[keep]
+    return TensorElement._from_arrays(n_pairs, keys, coeffs)
 
 
 class DiagonalObservable:
@@ -338,19 +382,20 @@ def _edge_element(n_pairs: int, pairs: np.ndarray, coeffs: np.ndarray) -> Tensor
 
 
 def _blocks_matrix(grid: int, rows, cols, upper, lower) -> np.ndarray:
-    """Dense 2g x 2g matrix adding upper[k] into the 2x2 block (rows[k],
-    cols[k]) and then lower[k] into (cols[k], rows[k]), term by term.
+    """Dense 2g x 2g matrix with upper[k] in the 2x2 block (rows[k], cols[k])
+    and lower[k] added into (cols[k], rows[k]).
 
-    Each block is added to zeros in the order a sum of Kronecker products
-    kron(E_ij, upper) + kron(E_ji, lower) would add it, so for finite blocks
-    the result is bit-identical to that sum without forming any g x g
+    The (rows[k], cols[k]) pairs are distinct, so each block starts from zero
+    and meets at most one upper and one lower term, and a two-term sum from
+    zero does not depend on the order of its terms. So for finite blocks the
+    result is bit-identical to the sum of Kronecker products
+    kron(E_ij, upper) + kron(E_ji, lower) without forming any g x g
     elementary matrix.
     """
     out = np.zeros((grid, 2, grid, 2), dtype=complex)
-    at_rows = np.stack([rows, cols], axis=1).ravel()
-    at_cols = np.stack([cols, rows], axis=1).ravel()
-    blocks = np.stack([upper, lower], axis=1).reshape(-1, 2, 2)
-    np.add.at(out, (at_rows, slice(None), at_cols, slice(None)), blocks)
+    # + 0.0 turns -0.0 into the 0.0 that a sum starting from zeros gives.
+    out[rows, :, cols, :] = np.add(upper, 0.0)
+    out[cols, :, rows, :] += lower
     return out.reshape(2 * grid, 2 * grid)
 
 

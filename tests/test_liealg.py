@@ -280,13 +280,28 @@ def ref_scale(a, value):
     return {w: value * m for w, m in a.items()}
 
 
+def ref_mat2_product(m1, m2):
+    """The 2x2 product rule on Python floats: entry [p, q] is x0*y0 + x1*y1
+    with x = m1[p, k], y = m2[k, q], each complex product written out as
+    (xr*yr - xi*yi) + i(xr*yi + xi*yr)."""
+    out = np.empty((2, 2), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            x0, x1 = complex(m1[p, 0]), complex(m1[p, 1])
+            y0, y1 = complex(m2[0, q]), complex(m2[1, q])
+            re = (x0.real * y0.real - x0.imag * y0.imag) + (x1.real * y1.real - x1.imag * y1.imag)
+            im = (x0.real * y0.imag + x0.imag * y0.real) + (x1.real * y1.imag + x1.imag * y1.real)
+            out[p, q] = complex(re, im)
+    return out
+
+
 def ref_mul(a, b):
     out = {}
     for w1, m1 in a.items():
         for w2, m2 in b.items():
             if len(w1) + len(w2) > 2:
                 raise UnsupportedDegreeError("degree")
-            ref_add_term(out, w1 + w2, m1 @ m2)
+            ref_add_term(out, w1 + w2, ref_mat2_product(m1, m2))
     return ref_pruned(out)
 
 
@@ -401,6 +416,26 @@ def test_products_of_words_of_degree_one_match_dict_algorithm(data):
     assert_same_terms(psi_reduce(left - right), ref_psi_reduce(both))
 
 
+# Signed zeros, subnormals, values whose products overflow, and ordinary doubles.
+_EXTREME = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.0e-309, 1e300, -1e300, 1.0, -1.0, 0.1, -2.75, 3.3e-7]
+)
+
+
+def test_single_word_products_follow_the_product_rule_bit_for_bit():
+    rng = np.random.default_rng(71)
+    words = [(), ((1, 2),), ((2, 1),)]
+    for _ in range(400):
+        w1, w2 = rng.choice(len(words), size=2)
+        # Pairs of doubles viewed as complex, so every part keeps its bits.
+        m1, m2 = (rng.choice(_EXTREME, 8).view(complex).reshape(2, 2) for _ in range(2))
+        a = TensorElement(1, {words[w1]: m1})
+        b = TensorElement(1, {words[w2]: m2})
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = a.mul(b)
+        assert_same_terms(product, ref_pruned({words[w1] + words[w2]: ref_mat2_product(m1, m2)}))
+
+
 def test_mul_rejects_degree_three_products():
     one = TensorElement(2, {((1, 2),): MAT_X})
     two = TensorElement(2, {((1, 2), (3, 4)): MAT_Y, (): MAT_J})
@@ -481,11 +516,12 @@ def test_block_placement_matches_kron_reference_bit_for_bit():
             )
         # General coefficients, with words that share blocks: a pair and its
         # mirror, and a diagonal pair whose two contributions land together.
+        # About a third of the real and imaginary parts are -0.0.
         words = [((1, grid),), ((grid, 1),), ((n_pairs, n_pairs),), ((grid, grid - 1),)]
-        element = TensorElement(
-            n_pairs,
-            {w: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for w in words},
-        )
+        parts = rng.normal(size=(len(words), 2, 2, 2))
+        parts[rng.random(parts.shape) < 0.3] = -0.0
+        coeffs = parts.view(complex)[..., 0]
+        element = TensorElement(n_pairs, dict(zip(words, coeffs)))
         assert np.array_equal(
             bits(realize_commutator_edges(element)), bits(kron_commutator_edges(element))
         )

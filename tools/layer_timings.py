@@ -26,6 +26,12 @@ These rows carry their own unit:
 - ``specfun.vmf_moments``: ``vmf_moments(3, e_3, 0.1)``, in ms per call;
 - ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384 radial
   quadrature nodes of refinement level 3 scaled to [0, 10], in ns per value;
+- ``liealg.mul``: ``TensorElement.mul`` on the 100 double commutators of a
+  default ``algebra-check`` (``C * D`` and ``D * C`` with C the closed-form
+  commutator of the Dirac operator D), in ns per coefficient product
+  (2 E^2 for an operator of E edges);
+- ``liealg.psi_reduce``: ``psi_reduce`` on those 100 double commutators, in us
+  per call;
 - ``import.diraclab_cli``: ``import diraclab.cli`` in a fresh interpreter, in
   ms, over 5 interpreters.
 
@@ -116,7 +122,14 @@ def main(argv=None) -> int:
         resolve_test_function,
         squared_radius_function,
     )
+    from diraclab.cli import _random_instance
+    from diraclab.estimators import DEFAULT_MASTER_SEED
     from diraclab.graphdirac import assemble_dirac
+    from diraclab.liealg import (
+        commutator_closed_form,
+        double_commutator_closed_form,
+        psi_reduce,
+    )
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
     from diraclab.specfun import DEFAULT_RULE, bessel_i_scaled, log_c_d, vmf_moments
 
@@ -192,6 +205,22 @@ def main(argv=None) -> int:
     result["specfun.bessel_i_scaled"] = {
         **_summary(_time(lambda: bessel_i_scaled(0.5, nodes), REPEATS), nodes.size),
         "unit": "ns per value",
+    }
+    # algebra-check draws 200 instances for its commutator check, then the
+    # 100 whose double commutators it reduces.
+    rng = np.random.default_rng(np.random.SeedSequence([DEFAULT_MASTER_SEED, 1]))
+    instances = [_random_instance(rng) for _ in range(300)][200:]
+    factors = [(commutator_closed_form(dirac, obs), dirac.symbolic) for dirac, obs in instances]
+    products = sum(2 * len(dirac.weights) ** 2 for dirac, _obs in instances)
+    result["liealg.mul"] = {
+        **_summary(_time(lambda: [(c.mul(d), d.mul(c)) for c, d in factors], REPEATS), products),
+        "unit": "ns per product",
+        "products": products,
+    }
+    doubles = [double_commutator_closed_form(dirac, obs) for dirac, obs in instances]
+    result["liealg.psi_reduce"] = {
+        **_summary(_time(lambda: [psi_reduce(x) for x in doubles], REPEATS), len(doubles), 1e6),
+        "unit": "us per call",
     }
     result["import.diraclab_cli"] = {
         **_summary(_import_seconds(os.path.abspath(args.src)), 1, 1e3),
