@@ -63,6 +63,7 @@ from .liealg import (
     realize_commutator_edges,
 )
 from .manifold import (
+    _radial_density,
     exp_map,
     framed_point,
     jacobi_expansion_check,
@@ -168,14 +169,32 @@ class _Subcommand:
     """One subcommand, declared once: the settings it reads with their
     defaults drive its flags, its config-file keys, its manifest echo and the
     manifest reload.  ``fixed`` entries are echoed to the manifest with one
-    value that a config file or manifest may repeat but not change."""
+    value that a config file or manifest may repeat but not change.  The
+    handler computes the run's ``_Outputs``; ``line`` formats a printed row."""
 
     name: str
     help: str
     handler: Callable
+    line: str
     defaults: dict
     fixed: dict = dataclasses.field(default_factory=dict)
     dumps_operators: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outputs:
+    """What a handler computed.  ``tables`` maps a file stem to (columns,
+    rows), each written as .csv and .dat; the first stem names the structured
+    .json, which holds ``json_text`` or, by default, the config, the first
+    table's rows under "rows" and every other table's rows under its stem.
+    ``timing`` joins the wall time, ``resolved`` (settings whose default the
+    run resolved) the manifest; ``operators`` maps a dump file to its operator."""
+
+    tables: dict
+    timing: dict = dataclasses.field(default_factory=dict)
+    json_text: str | None = None
+    resolved: dict = dataclasses.field(default_factory=dict)
+    operators: dict = dataclasses.field(default_factory=dict)
 
 
 def _flag(key: str) -> str:
@@ -295,32 +314,37 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_outputs(
-    sub: _Subcommand, values: dict, timing: dict, tables: dict, json_text=None, **resolved
-) -> None:
-    """Write one run's artifacts into its ``out`` directory.
-
-    ``manifest.json`` echoes the settings less the execution-only ones, the
-    fixed entries and ``resolved`` (settings whose default the run resolved).
-    ``tables`` maps a file stem to (columns, rows), each written as .csv and
-    .dat.  The first stem names the structured .json, which holds
-    ``json_text`` or, by default, the config, the first table's rows under
-    "rows" and every other table's rows under its stem.
-    """
+def _run(sub: _Subcommand, values: dict, dump_dir: str | None) -> int:
+    """Time ``sub``'s handler on the resolved ``values`` and put out its
+    ``_Outputs``: ``manifest.json`` (the settings less the execution-only
+    ones, with the fixed and the resolved ones), the tables, ``timing.json``
+    and the operator dumps.  Each row of the first table is printed through
+    ``sub.line``, with status ok or FAIL from its "passed" entry; the exit
+    code is 1 exactly when one of those rows has not passed, else 0."""
+    t0 = time.perf_counter()
+    outputs = sub.handler(sub, values, bool(dump_dir))
+    timing = {**outputs.timing, "wall_time_s": time.perf_counter() - t0}
     config = {k: v for k, v in values.items() if k not in _EXECUTION_ONLY}
-    config.update(sub.fixed, **resolved)
+    config.update(sub.fixed, **outputs.resolved)
     out_dir = values["out"]
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"artifact_version": ARTIFACT_VERSION, "subcommand": sub.name, "config": config}
     _write_text(out_dir, "manifest.json", _json_text(manifest))
     payload = {"config": config}
-    for idx, (stem, (columns, rows)) in enumerate(tables.items()):
+    for idx, (stem, (columns, rows)) in enumerate(outputs.tables.items()):
         csv_text, dat_text = table_texts(columns, rows)
         _write_text(out_dir, stem + ".csv", csv_text)
         _write_text(out_dir, stem + ".dat", dat_text)
         payload["rows" if idx == 0 else stem] = rows
-    _write_text(out_dir, next(iter(tables)) + ".json", json_text or _json_text(payload))
+    first, (_, rows) = next(iter(outputs.tables.items()))
+    _write_text(out_dir, first + ".json", outputs.json_text or _json_text(payload))
     _write_text(out_dir, "timing.json", _json_text(timing))
+    for name, dirac in outputs.operators.items():
+        os.makedirs(dump_dir, exist_ok=True)
+        dirac.export_matrix_market(os.path.join(dump_dir, name))
+    for row in rows:
+        print(sub.line.format(status="ok" if row.get("passed", True) else "FAIL", **row))
+    return 0 if all(row.get("passed", True) for row in rows) else 1
 
 
 def _require_positive(values: dict, *keys: str) -> None:
@@ -381,11 +405,12 @@ def _word_path_components(m, fp, a, v, hbar: float) -> list:
     return [scaled.component(1 << k) for k in range(m.d)]
 
 
-def _algebra_rows(seed: int) -> tuple[list, dict]:
+def _cmd_algebra_check(sub, values, dump) -> _Outputs:
     """The algebra-check rows, and their timing: seconds per check row in
     ``stages_s`` and, in ``counters``, the instances checked and the word
     products the free product formed (two per ordered pair of edges per
     double commutator)."""
+    seed = values["seed"]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     checks = []  # (check, instances, max error, threshold, seconds)
     products = 0
@@ -460,32 +485,23 @@ def _algebra_rows(seed: int) -> tuple[list, dict]:
         _check_row(check, err, threshold, column="max_err", instances=n)
         for check, n, err, threshold, _ in checks
     ]
-    counters = {"instances": sum(n for _, n, *_ in checks), "word_products": products}
-    return rows, {"stages_s": {c[0]: c[-1] for c in checks}, "counters": counters}
-
-
-def _cmd_algebra_check(sub, values, args) -> int:
-    t0 = time.perf_counter()
-    rows, timing = _algebra_rows(values["seed"])
     columns = ("check", "instances", "max_err", "threshold", "passed")
-    timing = {"wall_time_s": time.perf_counter() - t0, **timing}
-    _write_outputs(sub, values, timing, {"algebra_check": (columns, rows)})
-    for row in rows:
-        status = "ok" if row["passed"] else "FAIL"
-        print(f"{status:4s} {row['check']}: max err {row['max_err']:.3e}")
-    return 0 if all(row["passed"] for row in rows) else 1
+    counters = {"instances": sum(n for _, n, *_ in checks), "word_products": products}
+    return _Outputs(
+        {"algebra_check": (columns, rows)},
+        {"stages_s": {c[0]: c[-1] for c in checks}, "counters": counters},
+    )
 
 
 # ---------------------------------------------------------------------------
 # specfun table
 
 
-def _cmd_specfun(sub, values, args) -> int:
+def _cmd_specfun(sub, values, dump) -> _Outputs:
     dim = values["dim"]
     if dim < 3:
         raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
     _require_positive(values, "t_grid")
-    t0 = time.perf_counter()
     direction = np.zeros(dim)
     direction[0] = 1.0
     rows = []
@@ -504,14 +520,7 @@ def _cmd_specfun(sub, values, args) -> int:
             }
         )
     columns = ("t", "A", "B", "C", "m1_par_over_t", "m2_norm_over_t")
-    timing = {"wall_time_s": time.perf_counter() - t0}
-    _write_outputs(sub, values, timing, {"specfun": (columns, rows)})
-    for row in rows:
-        print(
-            f"t={row['t']}: A={row['A']:.12g} B={row['B']:.12g} C={row['C']:.12g} "
-            f"m1par/t={row['m1_par_over_t']:.12g} |m2|/t={row['m2_norm_over_t']:.12g}"
-        )
-    return 0
+    return _Outputs({"specfun": (columns, rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +530,16 @@ def _cmd_specfun(sub, values, args) -> int:
 def _radial_cdf_grid(m, fp, n_grid: int = 4096):
     """Radial CDF of the uniform law on the neighbourhood, tabulated on a grid."""
     r = np.linspace(0.0, fp.delta_u, n_grid)
-    dens = np.ones_like(r) if m.kind == "flat" else np.sinc(r / math.pi) ** (m.d - 1)
-    integrand = r ** (m.d - 1) * dens
+    integrand = r ** (m.d - 1) * _radial_density(m, r)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(r))])
     cdf /= cdf[-1]
     return r, cdf
 
 
-def _geometry_rows(seed: int, dim: int):
+def _cmd_geometry_check(sub, values, dump) -> _Outputs:
+    seed, dim = values["seed"], values["dim"]
+    if dim < 2:
+        raise ConfigError(f"geometry-check needs dim >= 2, got {dim}")
     rows = []
     jacobi_rows = []
     for kind_idx, kind in enumerate(("flat", "sphere")):
@@ -593,7 +604,10 @@ def _geometry_rows(seed: int, dim: int):
         p_val = _pearson_chisquare(counts, expected)[1]
         check = "sampler-radial-chisquare-p"
         rows.append(_check_row(check, p_val, 0.001, p_val > 0.001, manifold=kind))
-    return rows, jacobi_rows
+    return _Outputs({
+        "geometry_check": (("manifold", "check", "value", "threshold", "passed"), rows),
+        "jacobi": (("manifold", "t", "pairing", "residual", "residual_over_t2"), jacobi_rows),
+    })
 
 
 def _pearson_chisquare(observed, expected) -> tuple[float, float]:
@@ -665,41 +679,26 @@ def _chisquare_sf(dof: int, x: float) -> float:
     return p + math.fsum(math.exp((i + h) * log_y - y - math.lgamma(i + h + 1.0)) for i in range(n))
 
 
-def _cmd_geometry_check(sub, values, args) -> int:
-    if values["dim"] < 2:
-        raise ConfigError(f"geometry-check needs dim >= 2, got {values['dim']}")
-    t0 = time.perf_counter()
-    rows, jacobi_rows = _geometry_rows(values["seed"], values["dim"])
-    tables = {
-        "geometry_check": (("manifold", "check", "value", "threshold", "passed"), rows),
-        "jacobi": (("manifold", "t", "pairing", "residual", "residual_over_t2"), jacobi_rows),
-    }
-    _write_outputs(sub, values, {"wall_time_s": time.perf_counter() - t0}, tables)
-    for row in rows:
-        status = "ok" if row["passed"] else "FAIL"
-        print(f"{status:4s} {row['manifold']}/{row['check']}: {row['value']:.3e}")
-    return 0 if all(row["passed"] for row in rows) else 1
-
-
 # ---------------------------------------------------------------------------
 # convergence runs
 
 
-def _dump_operators(cfg: RunConfig, dump_dir: str) -> None:
-    os.makedirs(dump_dir, exist_ok=True)
+def _dump_operators(cfg: RunConfig) -> dict:
+    """Per grid point, the operator of the first (at most four) stars of its first repeat."""
     m = make_manifold(cfg.manifold, cfg.dim)
     fp = framed_point(m, delta_u=cfg.delta_u)
     slots = m.d + 1
+    operators = {}
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n_idx, 0]))
         copies = min(4, n)
         v = sample_log_coords(m, fp, rng, copies * slots).reshape(copies, slots, m.d)
-        dirac = assemble_dirac(v, m, fp, hbar, sigma=cfg.sigma)
-        dirac.export_matrix_market(os.path.join(dump_dir, f"dirac_n{n}.mtx"))
+        operators[f"dirac_n{n}.mtx"] = assemble_dirac(v, m, fp, hbar, sigma=cfg.sigma)
+    return operators
 
 
-def _cmd_converge(sub, values, args) -> int:
+def _cmd_converge(sub, values, dump) -> _Outputs:
     fields = {name: values[key] for name, key in _RUN_SETTING.items()}
     try:
         cfg = RunConfig(mode=sub.fixed["mode"], **fields)
@@ -707,38 +706,25 @@ def _cmd_converge(sub, values, args) -> int:
         raise ConfigError(str(exc)) from exc
     report = convergence_run(cfg)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    _write_outputs(
-        sub,
-        values,
-        {**report.timing, "peak_rss_mb": peak_rss_mb},
+    return _Outputs(
         {"report": (CSV_COLUMNS, report.rows)},
+        {**report.timing, "peak_rss_mb": peak_rss_mb},
         report.to_json_text(),
-        test_function=report.metadata["test_function"],
-        delta_u=report.metadata["delta_u"],
+        {key: report.metadata[key] for key in ("test_function", "delta_u")},
+        _dump_operators(cfg) if dump else {},
     )
-    if args.dump_operators:
-        _dump_operators(cfg, args.dump_operators)
-    for row in report.rows:
-        print(
-            f"n={row['n']} hbar={row['hbar']:.6g} j={row['j']}: "
-            f"mean={row['estimate_mean']:.6g} se={row['estimate_se']:.3g} "
-            f"oracle={row['oracle']:.6g} target={row['target']:.6g} "
-            f"abs_err={row['abs_err']:.6g}"
-        )
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # bound-report
 
 
-def _cmd_bound_report(sub, values, args) -> int:
+def _cmd_bound_report(sub, values, dump) -> _Outputs:
     if values["dim"] < 2:
         raise ConfigError(f"bound-report needs dim >= 2, got {values['dim']}")
     if values["n_copies"] < 1:
         raise ConfigError(f"n_copies must be >= 1, got {values['n_copies']}")
     _require_positive(values, "grad_sup", "hbar_grid")
-    t0 = time.perf_counter()
     m = make_manifold(values["manifold"], values["dim"])
     fp = framed_point(m)
     a = linear_coordinate_function(m, fp, 1)
@@ -748,46 +734,52 @@ def _cmd_bound_report(sub, values, args) -> int:
     # One value per vertex id: the base point, then the leaves in sampling order.
     a_values = a.evaluate(np.vstack([np.zeros(m.d), v]))
     stars = v.reshape(values["n_copies"], slots, m.d)
-    rows = []
-    for idx, hbar in enumerate(values["hbar_grid"]):
-        dirac = assemble_dirac(stars, m, fp, hbar, sigma=values["sign"])
-        rows.append(pf_bound_report(dirac, a_values, values["grad_sup"]))
-        if args.dump_operators:
-            os.makedirs(args.dump_operators, exist_ok=True)
-            dirac.export_matrix_market(
-                os.path.join(args.dump_operators, f"dirac_hbar{idx}.mtx")
-            )
+    operators = {
+        f"dirac_hbar{idx}.mtx": assemble_dirac(stars, m, fp, hbar, sigma=values["sign"])
+        for idx, hbar in enumerate(values["hbar_grid"])
+    }
+    rows = [pf_bound_report(dirac, a_values, values["grad_sup"]) for dirac in operators.values()]
     columns = ("hbar", "rho", "grad_sup", "bound_ratio")
-    timing = {"wall_time_s": time.perf_counter() - t0}
-    _write_outputs(sub, values, timing, {"bound_report": (columns, rows)})
-    for row in rows:
-        print(
-            f"hbar={row['hbar']}: rho={row['rho']:.6g} ratio={row['bound_ratio']:.6g}"
-        )
-    return 0
+    return _Outputs({"bound_report": (columns, rows)}, operators=operators if dump else {})
 
 
 # ---------------------------------------------------------------------------
 # subcommands and parser
 
 
+_CONVERGE_LINE = (
+    "n={n} hbar={hbar:.6g} j={j}: mean={estimate_mean:.6g} se={estimate_se:.3g} "
+    "oracle={oracle:.6g} target={target:.6g} abs_err={abs_err:.6g}"
+)
+
 _SUBCOMMANDS = (
     _Subcommand(
-        "algebra-check", "symbolic-vs-matrix identities", _cmd_algebra_check, _settings()
+        "algebra-check",
+        "symbolic-vs-matrix identities",
+        _cmd_algebra_check,
+        "{status:4s} {check}: max err {max_err:.3e}",
+        _settings(),
     ),
     _Subcommand(
         "specfun",
         "coefficient and moment table",
         _cmd_specfun,
+        "t={t}: A={A:.12g} B={B:.12g} C={C:.12g} "
+        "m1par/t={m1_par_over_t:.12g} |m2|/t={m2_norm_over_t:.12g}",
         _settings(t_grid=(0.2, 0.1, 0.05, 0.02), sign=1, dim=3),
     ),
     _Subcommand(
-        "geometry-check", "manifold map validations", _cmd_geometry_check, _settings(dim=2)
+        "geometry-check",
+        "manifold map validations",
+        _cmd_geometry_check,
+        "{status:4s} {manifold}/{check}: {value:.3e}",
+        _settings(dim=2),
     ),
     _Subcommand(
         "dirac-converge",
         "frame-derivative convergence run",
         _cmd_converge,
+        _CONVERGE_LINE,
         _RUN_DEFAULTS,
         {"mode": "dirac"},
         dumps_operators=True,
@@ -796,6 +788,7 @@ _SUBCOMMANDS = (
         "laplace-converge",
         "Laplacian convergence run",
         _cmd_converge,
+        _CONVERGE_LINE,
         _RUN_DEFAULTS,
         {"mode": "laplace"},
         dumps_operators=True,
@@ -804,6 +797,7 @@ _SUBCOMMANDS = (
         "bound-report",
         "commutator bound sweep",
         _cmd_bound_report,
+        "hbar={hbar}: rho={rho:.6g} ratio={bound_ratio:.6g}",
         _settings(
             manifold="flat",
             dim=2,
@@ -833,7 +827,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(_flag(key), dest=key, help=f"default: {default}")
         if sub.dumps_operators:
             p.add_argument("--dump-operators", help="directory for MatrixMarket operator dumps")
-        p.set_defaults(sub=sub)
+        p.set_defaults(sub=sub, dump_operators=None)
     return parser
 
 
@@ -844,7 +838,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.sub.handler(args.sub, _resolve(args, args.sub), args)
+        return _run(args.sub, _resolve(args, args.sub), args.dump_operators)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,8 +31,8 @@ from .graphdirac import _check_samples, _weights, star_anchors, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
+    _radial_density,
     _sample_log_coords,
-    _sinc,
     exp_axis,
     framed_point,
     make_manifold,
@@ -359,10 +359,9 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
         c0, g, hess = a._shell(r)
         hess = np.zeros((m.d, m.d)) + hess
         curve = float(np.einsum("j,jk,kl,jl->", mix, anchors, hess, anchors))
-        mass, mean, perp = _shell_moments(m.d, 1.0 / hbar, r, sigma)
-        if m.kind == "sphere":
-            mass *= _sinc(r) ** (m.d - 1)
-        quad = perp * (np.trace(hess) * weight - curve) + (1.0 - (m.d - 1) * perp) * curve
+        mass, mean, perp, par = _shell_moments(m.d, 1.0 / hbar, r, sigma)
+        mass *= _radial_density(m, r)
+        quad = perp * (np.trace(hess) * weight - curve) + par * curve
         shell = c0 * weight + g * mean * slope + r * r * quad
         return np.array([np.sum(w * mass * shell)])
 

@@ -184,6 +184,11 @@ def _sinc(r):
     return np.divide(np.sin(y), y, out=y)
 
 
+def _radial_density(m: ManifoldModel, r) -> np.ndarray:
+    """G(r), the volume density of exp at tangent norm r: 1 flat, sinc(r) ** (d - 1) sphere."""
+    return np.ones_like(r) if m.kind == "flat" else _sinc(r) ** (m.d - 1)
+
+
 def exp_map(m: ManifoldModel, p: np.ndarray, v) -> np.ndarray:
     """Geodesic exponential at p applied to tangent vectors v (..., embedding_dim).
 
@@ -263,9 +268,7 @@ def vol_density(m: ManifoldModel, p: np.ndarray, v) -> np.ndarray:
     r = _norms(v)
     if np.any(r >= m.injectivity_radius):
         raise OutOfInjectivityError("tangent norm exceeds the injectivity radius")
-    if m.kind == "flat":
-        return np.ones_like(r)
-    return _sinc(r) ** (m.d - 1)
+    return _radial_density(m, r)
 
 
 def log_coords(m: ManifoldModel, fp: FramedPoint, q) -> np.ndarray:
@@ -291,7 +294,7 @@ def neighbourhood_volume(m: ManifoldModel, fp: FramedPoint) -> float:
     x, w = _gauss_legendre(n)
     r = 0.5 * delta * (x + 1.0)
     wr = 0.5 * delta * w
-    vals = r ** (d - 1) * _sinc(r) ** (d - 1)
+    vals = r ** (d - 1) * _radial_density(m, r)
     return float(omega * np.sum(wr * vals))
 
 
@@ -367,7 +370,7 @@ def _sample_log_coords(m, fp, rng, size):
             stop = min(draw, start + _BLOCK)
             accept = rng.random(out=block[: stop - start])
             ub = u[start:stop]
-            take = _squeeze_accept(accept, ub, d, fp.delta_u)
+            take = _squeeze_accept(accept, ub, m, fp.delta_u)
             hits = np.flatnonzero(take)[: size - filled]
             if filled + hits.size == size:
                 proposals += int(hits[-1]) + 1
@@ -388,15 +391,17 @@ def _sample_log_coords(m, fp, rng, size):
 _SQUEEZE_MARGIN = 1e-12
 
 
-def _squeeze_accept(accept: np.ndarray, u: np.ndarray, d: int, delta: float) -> np.ndarray:
-    """``accept < sinc(r) ** (d - 1)`` with r = delta * u ** (1/d), decision
-    for decision, evaluating the density only where the bounds do not settle it.
+def _squeeze_accept(accept: np.ndarray, u: np.ndarray, m, delta: float) -> np.ndarray:
+    """``accept < sinc(r) ** (d - 1)`` on the sphere m, with r = delta * u ** (1/d),
+    decision for decision, evaluating the density only where the bounds do not
+    settle it.
 
     For r < pi, lo = 1 - r**2/6 <= sinc(r) <= lo + r**4/120 = hi (at d > 2 both
     raised to the power d - 1, lo clipped at 0).  A uniform below lo is
     accepted outright, one at or above hi rejected; only the band between gets
     the exact density, computed as the unbounded test computes it.
     """
+    d = m.d
     r2 = u * (delta * delta) if d == 2 else u ** (2.0 / d) * (delta * delta)
     lo = 1.0 - r2 / 6.0
     r2 *= r2
@@ -410,10 +415,7 @@ def _squeeze_accept(accept: np.ndarray, u: np.ndarray, d: int, delta: float) -> 
     if band.size:
         radii = u[band] ** (1.0 / d)
         radii *= delta
-        dens = _sinc(radii)
-        if d != 2:
-            dens = dens ** (d - 1)
-        take[band] = accept[band] < dens
+        take[band] = accept[band] < _radial_density(m, radii)
     return take
 
 

@@ -318,26 +318,31 @@ def _shell_moments(d: int, beta: float, r: np.ndarray, sigma: int):
     """The kernel C_d(beta) exp(sigma beta <v, s>) on the spheres |v| = r.
 
     Returns its mass on each sphere, r^(d-1) C_d(beta) / C_d(kappa) with
-    kappa = beta r, and two moments of the directions u = v / r it weights:
-    E<u, s> = sigma A, and A / kappa, which gives E[u u^T] =
-    (A / kappa) I + (1 - d A / kappa) s s^T, with A = I_{d/2}(kappa) /
-    I_{d/2-1}(kappa) (Mardia & Jupp, Directional Statistics, 2000).
+    kappa = beta r, and three moments of the directions u = v / r it weights:
+    E<u, s> = sigma A, E<u, w>^2 = A / kappa for a unit w orthogonal to s, and
+    E<u, s>^2 = A / kappa + I_{d/2+1}(kappa) / I_{d/2-1}(kappa), with
+    A = I_{d/2}(kappa) / I_{d/2-1}(kappa) (Mardia & Jupp, Directional
+    Statistics, 2000).  The last equals 1 - (d - 1) A / kappa by the Bessel
+    recurrence, without that form's cancellation at large d.
     """
     nu = 0.5 * d - 1.0
     kappa = beta * r
     i_nu = _ive(nu, kappa)
-    # Where I_nu(kappa) underflows (large d), the mass is 0 and A is its limit kappa / d.
+    # Where I_nu(kappa) underflows (large d), the mass is 0: A is taken at its
+    # small-kappa limit kappa / d, and I_{nu+2} / I_nu at 0.
     ratio = np.divide(_ive(nu + 1.0, kappa), i_nu, out=kappa / d, where=i_nu > 0.0)
+    ratio2 = np.divide(_ive(nu + 2.0, kappa), i_nu, out=np.zeros_like(kappa), where=i_nu > 0.0)
+    perp = ratio / kappa
     # C_d(beta) / C_d(kappa) = r^(-nu) I_nu(kappa) / I_nu(beta), each I_nu scaled.
     mass = r ** (0.5 * d) * np.exp(kappa - beta) * i_nu / _ive(nu, float(beta))
-    return mass, sigma * ratio, ratio / kappa
+    return mass, sigma * ratio, perp, perp + ratio2
 
 
 def lemma_abc(d: int, t: float):
     """Radial coefficient integrals (A, B, C) of the expansion at scale t.
 
     A(t) = int_0^1 (r/t) C_d(1/t)/C_d(r/t) dr
-    B(t) = int_0^1  r    C_d(1/t)/C_d(r/t) dr
+    B(t) = int_0^1  r    C_d(1/t)/C_d(r/t) dr = t A(t)
     C(t) = 2 pi [ t C_d(1/t)/C_{d-2}(1/t) - int_0^1 t C_d(1/t)/C_{d-2}(r/t) dr ]
            - (2 pi)^(d/2) C_d(1/t) / (3 Gamma(d/2 - 1))
 
@@ -369,11 +374,10 @@ def lemma_abc(d: int, t: float):
         r, w = DEFAULT_RULE.radial_nodes(level)
         ratio_d = np.exp(log_cd_beta - _log_c_any(d, r * beta))
         a_val = float(np.sum(w * (r / t) * ratio_d))
-        b_val = float(np.sum(w * r * ratio_d))
         ratio_dm2 = np.exp(log_cd_beta - _log_c_any(d - 2, r * beta))
         tail = float(np.sum(w * t * ratio_dm2))
         c_val = c_head - 2.0 * math.pi * tail - c_const
-        return np.array([a_val, b_val, c_val])
+        return np.array([a_val, t * a_val, c_val])
 
     a_val, b_val, c_val = _adaptive(DEFAULT_RULE, evaluate, "lemma_abc")
     return float(a_val), float(b_val), float(c_val)
@@ -412,9 +416,8 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
 
     def evaluate(level: int) -> np.ndarray:
         r, w = DEFAULT_RULE.radial_nodes(level)
-        mass, mean, perp = _shell_moments(d, beta, r, sigma)
+        mass, mean, perp, par = _shell_moments(d, beta, r, sigma)
         w = w * mass * r
-        par = 1.0 - (d - 1) * perp
         return np.array([np.sum(w * mean), np.sum(w * r * par), np.sum(w * r * perp)])
 
     m1_par, raw_par, raw_perp = _adaptive(DEFAULT_RULE, evaluate, "vmf_moments")

@@ -480,6 +480,62 @@ def test_failed_check_exits_1_and_prints_fail(tmp_path, capsys, monkeypatch):
     assert [row["check"] for row in rows if not row["passed"]] == ["sampler-radial-chisquare-p"] * 2
 
 
+def _status(row):
+    return "ok" if row["passed"] else "FAIL"
+
+
+# Each subcommand on a small input, the file its first table's rows are
+# read back from, and the line it prints per row, as first formatted.
+PRINTED = (
+    (
+        ["algebra-check", "--seed", "3"],
+        "algebra_check.json",
+        lambda row: f"{_status(row):4s} {row['check']}: max err {row['max_err']:.3e}",
+    ),
+    (
+        ["specfun", "--t-grid", "0.3,0.1", "--dim", "4"],
+        "specfun.json",
+        lambda row: (
+            f"t={row['t']}: A={row['A']:.12g} B={row['B']:.12g} C={row['C']:.12g} "
+            f"m1par/t={row['m1_par_over_t']:.12g} |m2|/t={row['m2_norm_over_t']:.12g}"
+        ),
+    ),
+    (
+        ["geometry-check"],
+        "geometry_check.json",
+        lambda row: f"{_status(row):4s} {row['manifold']}/{row['check']}: {row['value']:.3e}",
+    ),
+    *(
+        (
+            [subcommand, *SMALL, "--manifold", "sphere"],
+            "report.json",
+            lambda row: (
+                f"n={row['n']} hbar={row['hbar']:.6g} j={row['j']}: "
+                f"mean={row['estimate_mean']:.6g} se={row['estimate_se']:.3g} "
+                f"oracle={row['oracle']:.6g} target={row['target']:.6g} "
+                f"abs_err={row['abs_err']:.6g}"
+            ),
+        )
+        for subcommand in ("dirac-converge", "laplace-converge")
+    ),
+    (
+        ["bound-report", "--n-copies", "8", "--hbar-grid", "1.0,0.5"],
+        "bound_report.json",
+        lambda row: f"hbar={row['hbar']}: rho={row['rho']:.6g} ratio={row['bound_ratio']:.6g}",
+    ),
+)
+
+
+def test_printed_lines_format_the_first_table_rows(tmp_path, capsys):
+    for idx, (args, table, line) in enumerate(PRINTED):
+        out = tmp_path / str(idx)
+        assert run_cli([*args, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = strict_json((out / table).read_text())["rows"]
+        assert len(rows) >= 2
+        assert printed == [line(row) for row in rows], args[0]
+
+
 def test_environment_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DIRACLAB_SEED", "91")
     out = tmp_path / "env"

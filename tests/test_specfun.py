@@ -208,6 +208,7 @@ def abc_reference(t: float) -> tuple[float, float, float]:
 @pytest.mark.parametrize("t", [0.2, 0.1, 0.05, 0.02])
 def test_lemma_abc_matches_closed_forms(t):
     a_got, b_got, c_got = lemma_abc(3, t)
+    assert b_got == t * a_got
     a_ref, b_ref, c_ref = abc_reference(t)
     assert a_got == pytest.approx(a_ref, abs=5e-10)
     assert b_got == pytest.approx(b_ref, abs=5e-10)
@@ -342,34 +343,36 @@ def test_vmf_moments_match_the_polar_reference_at_d2(t, sigma):
 
 
 def test_vmf_moments_at_large_dimension():
-    # At d = 160 exp(-x) I_nu(x) underflows on the innermost radial nodes,
-    # where the kernel's mass is below the smallest float; the moments stay
-    # finite.  The reference is the same radial integral in 20-digit
-    # arithmetic.  The parallel moment, 1 - (d - 1) A / kappa on each sphere,
-    # carries the Bessel ratio's rounding times about d.
-    d, t = 160, 0.3
-    s = np.eye(d)[0]
-    m1, m2 = vmf_moments(d, s, t)
-    with mpmath.workdps(20):
-        beta, nu = 1 / mpmath.mpf(t), mpmath.mpf(d) / 2 - 1
+    # At d = 160 and 300 exp(-x) I_nu(x) underflows on the innermost radial
+    # nodes, where the kernel's mass is below the smallest float; the moments
+    # stay finite.  The reference is the same radial integral in 30-digit
+    # arithmetic, with the parallel moment in the form 1 - (d - 1) A / kappa,
+    # which cancels to about 1/d: in float64 that form would carry the Bessel
+    # ratio's rounding times about d, past the bound at d = 300.
+    t = 0.3
+    for d in (160, 300):
+        s = np.eye(d)[0]
+        m1, m2 = vmf_moments(d, s, t)
+        with mpmath.workdps(30):
+            beta, nu = 1 / mpmath.mpf(t), mpmath.mpf(d) / 2 - 1
 
-        def log_c(k):
-            return nu * mpmath.log(k) - mpmath.log(mpmath.besseli(nu, k))
+            def log_c(k):
+                return nu * mpmath.log(k) - mpmath.log(mpmath.besseli(nu, k))
 
-        def moment(f):
-            def integrand(r):
-                k = beta * r
-                ratio = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
-                return r ** (d + 1) * mpmath.exp(log_c(beta) - log_c(k)) * f(ratio, k)
+            def moment(f):
+                def integrand(r):
+                    k = beta * r
+                    ratio = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+                    return r ** (d + 1) * mpmath.exp(log_c(beta) - log_c(k)) * f(ratio, k)
 
-            return float(mpmath.quad(integrand, [0, 1]))
+                return float(mpmath.quad(integrand, [0, 1]))
 
-        m1_ref = moment(lambda a, k: a / k * beta)
-        perp_ref = moment(lambda a, k: a / k)
-        par_ref = moment(lambda a, k: 1 - (d - 1) * a / k)
-    assert abs(m1[0] / m1_ref - 1.0) <= 1e-12
-    assert abs(m2[1, 1] / perp_ref - 1.0) <= 1e-12
-    assert abs(m2[0, 0] / par_ref - 1.0) <= 1e-10
+            m1_ref = moment(lambda a, k: a / k * beta)
+            perp_ref = moment(lambda a, k: a / k)
+            par_ref = moment(lambda a, k: 1 - (d - 1) * a / k)
+        assert abs(m1[0] / m1_ref - 1.0) <= 1e-12, d
+        assert abs(m2[1, 1] / perp_ref - 1.0) <= 1e-12, d
+        assert abs(m2[0, 0] / par_ref - 1.0) <= 1e-12, d
 
 
 @pytest.mark.parametrize("t", [0.5, 0.2, 0.1, 0.05])
