@@ -80,6 +80,6 @@ from .manifold import (
     sample_uniform_batch,
     vol_density,
 )
-from .specfun import QuadratureRule, bessel_i_scaled, lemma_abc, log_c_d, vmf_moments
+from .specfun import bessel_i_scaled, lemma_abc, log_c_d, vmf_moments
 
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ from .estimators import (
     DEFAULT_MASTER_SEED,
     RunConfig,
     _json_text,
+    _repeat_stars,
     convergence_run,
     dirac_estimate,
     hbar_schedule,
@@ -687,13 +688,10 @@ def _dump_operators(cfg: RunConfig) -> dict:
     """Per grid point, the operator of the first (at most four) stars of its first repeat."""
     m = make_manifold(cfg.manifold, cfg.dim)
     fp = framed_point(m, delta_u=cfg.delta_u)
-    slots = m.d + 1
     operators = {}
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n_idx, 0]))
-        copies = min(4, n)
-        v = sample_log_coords(m, fp, rng, copies * slots).reshape(copies, slots, m.d)
+        v = _repeat_stars(cfg, m, fp, n_idx, 0)[0][:4]
         operators[f"dirac_n{n}.mtx"] = assemble_dirac(v, m, fp, hbar, sigma=cfg.sigma)
     return operators
 

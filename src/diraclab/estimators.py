@@ -38,7 +38,7 @@ from .manifold import (
     make_manifold,
     neighbourhood_volume,
 )
-from .specfun import DEFAULT_RULE, _adaptive, _shell_moments
+from .specfun import _radial_integral, _shell_moments
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -82,9 +82,14 @@ CSV_COLUMNS = (
 )
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer and not a bool, which Python counts as one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def hbar_schedule(n: int, alpha: float) -> float:
     """Scale parameter hbar_n = n^(-alpha)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidArgumentError(f"sample count must be an integer >= 1, got {n!r}")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidArgumentError(f"alpha must be finite and > 0, got {alpha!r}")
@@ -354,8 +359,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
     weight = float(np.sum(mix))
     slope = float(a.frame_derivatives @ (mix @ anchors))
 
-    def evaluate(level: int):
-        r, w = DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
+    def integrand(r, w):
         c0, g, hess = a._shell(r)
         hess = np.zeros((m.d, m.d)) + hess
         curve = float(np.einsum("j,jk,kl,jl->", mix, anchors, hess, anchors))
@@ -365,7 +369,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
         shell = c0 * weight + g * mean * slope + r * r * quad
         return np.array([np.sum(w * mass * shell)])
 
-    return float(_adaptive(DEFAULT_RULE, evaluate, "expectation oracle")[0])
+    return float(_radial_integral(integrand, fp.delta_u, "expectation oracle")[0])
 
 
 def dirac_expectation_oracle(
@@ -424,7 +428,7 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"manifold must be flat or sphere, got {self.manifold!r}"
             )
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+        if not _is_int(self.dim) or self.dim < 2:
             raise InvalidArgumentError(f"dim must be an integer >= 2, got {self.dim!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidArgumentError(f"alpha must be finite and > 0, got {self.alpha!r}")
@@ -434,11 +438,9 @@ class RunConfig:
             raise InvalidArgumentError(f"n grid entries must be >= 1, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgumentError(f"n grid must be strictly increasing, got {grid}")
-        if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
+        if not _is_int(self.repeats) or self.repeats < 1:
             raise InvalidArgumentError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not isinstance(self.master_seed, (int, np.integer)) or not (
-            0 <= self.master_seed < 2**64
-        ):
+        if not _is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
             raise InvalidArgumentError(
                 f"master seed must be an integer in [0, 2^64), got {self.master_seed!r}"
             )
@@ -448,7 +450,7 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"lambda_power must be 1 or 2, got {self.lambda_power!r}"
             )
-        if not isinstance(self.threads, (int, np.integer)) or self.threads < 1:
+        if not _is_int(self.threads) or self.threads < 1:
             raise InvalidArgumentError(f"threads must be an integer >= 1, got {self.threads!r}")
 
 
@@ -537,6 +539,19 @@ def _resolved_metadata(cfg: RunConfig, m, fp, a, vol) -> dict:
     }
 
 
+def _repeat_stars(cfg: RunConfig, m, fp, n_idx: int, rep: int):
+    """The stars one repeat draws: shape (n, d+1, d) for n = ``cfg.n_grid[n_idx]``,
+    with the sampler's rounds and proposals.
+
+    Each repeat draws from its own generator,
+    SeedSequence([master_seed, n_index, repeat_index]).
+    """
+    n = cfg.n_grid[n_idx]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, n_idx, rep]))
+    v, rounds, proposals = _sample_log_coords(m, fp, rng, n * (m.d + 1))
+    return v.reshape(n, m.d + 1, m.d), rounds, proposals
+
+
 def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     """Run the configured convergence experiment and aggregate its report.
 
@@ -566,17 +581,11 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     vol = neighbourhood_volume(m, fp)
     family = polynomial_family(m, fp) if (cfg.family_check and cfg.mode == "dirac") else []
     metadata = _resolved_metadata(cfg, m, fp, a, vol)
-    slots = m.d + 1
 
     def one_repeat(n_idx: int, rep: int):
-        n = cfg.n_grid[n_idx]
-        hbar = hbar_schedule(n, cfg.alpha)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.master_seed, n_idx, rep])
-        )
+        hbar = hbar_schedule(cfg.n_grid[n_idx], cfg.alpha)
         t0 = time.perf_counter()
-        v, rounds, proposals = _sample_log_coords(m, fp, rng, n * slots)
-        v = v.reshape(n, slots, m.d)
+        v, rounds, proposals = _repeat_stars(cfg, m, fp, n_idx, rep)
         t1 = time.perf_counter()
         if cfg.mode == "dirac":
             # One weight computation serves the test function and the family.
@@ -667,7 +676,7 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
                 }
             )
     counters = {
-        "samples_drawn": sum(cfg.n_grid) * slots * cfg.repeats,
+        "samples_drawn": sum(cfg.n_grid) * (m.d + 1) * cfg.repeats,
         "sampler_rounds": sum(rounds for *_, rounds, _ in outs),
         "proposals_evaluated": sum(proposals for *_, proposals in outs),
         "repeats": len(tasks),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,7 +19,6 @@ from .errors import InvalidArgumentError, NumericFailureError
 __all__ = [
     "bessel_i_scaled",
     "log_c_d",
-    "QuadratureRule",
     "lemma_abc",
     "vmf_moments",
 ]
@@ -71,6 +69,8 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 # Below this, x / 2 is subnormal and may round (to 0 at x = 5e-324).
 _HALF_EXACT = 2.0**-1021
+# The smallest normal float.
+_TINY = 2.0**-1022
 
 
 # The term counts are taken at a power of two beyond the extreme argument of
@@ -125,8 +125,9 @@ def _log_half(x):
     return out
 
 
-def _ive_series(nu: float, x):
-    """exp(-x) I_nu(x) from the power series, for 0 < x <= the switch point.
+def _ive_series(nu: float, x, log: bool = False):
+    """exp(-x) I_nu(x) from the power series, for 0 < x <= the switch point,
+    or its log with ``log``, which stays finite where the value underflows.
 
     I_nu(x) = (x/2)**nu / Gamma(nu + 1) * sum_k t_k, with t_0 = 1 and
     t_k = t_{k-1} (x/2)**2 / (k (k + nu)).  The sum is carried as s * 2**e;
@@ -158,6 +159,8 @@ def _ive_series(nu: float, x):
     for part in (-math.lgamma(nu + 1.0), -x, e * _LN2_HI, e * _LN2_LO):
         hi, err = _two_sum(hi, part)
         lo = lo + err
+    if log:
+        return hi + (xp.log(2.0 * m) + lo)
     r = (2.0 * m) * xp.exp(hi)
     return r + r * lo
 
@@ -201,6 +204,23 @@ def _ive(nu: float, x):
     return out
 
 
+def _log_ive(nu: float, x):
+    """log(exp(-x) I_nu(x)) for x > 0, a float or a float array.
+
+    Where the value falls below the smallest normal float (small x against a
+    large nu, always on the power series' side of the switch), the log is
+    summed from the series' parts instead, which do not underflow.
+    """
+    ive = _ive(nu, x)
+    if isinstance(x, float):
+        return np.log(ive) if ive >= _TINY else _ive_series(nu, x, log=True)
+    tiny = ive < _TINY
+    out = np.log(np.where(tiny, 1.0, ive))
+    if np.any(tiny):
+        out[tiny] = _ive_series(nu, x[tiny], log=True)
+    return out
+
+
 def _log_c_any(d: int, beta):
     """log of the concentration normalizer for any dimension d >= 1.
 
@@ -211,7 +231,7 @@ def _log_c_any(d: int, beta):
     return (
         nu * np.log(beta)
         - 0.5 * d * math.log(2.0 * math.pi)
-        - (beta + np.log(_ive(nu, beta)))
+        - (beta + _log_ive(nu, beta))
     )
 
 
@@ -243,57 +263,30 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Adaptive Gauss-Legendre rule on a radial interval.
+# The radial ladder: 48 * 2^level Gauss-Legendre nodes at levels 0..6, until
+# two successive levels agree within 1e-10 (absolute).  It tops out at 3072
+# nodes because ``leggauss(n)`` solves a dense n x n eigenproblem: each
+# further level would cost 8x the time and 4x the memory.
+_RADIAL_NODES = 48
+_RADIAL_TOL = 1e-10
+_RADIAL_LEVELS = 6
 
-    Node counts double on each refinement level; evaluation stops when two
-    successive levels agree within ``tol`` (absolute) and raises
-    NumericFailureError, carrying the best estimate, when ``max_refinements``
-    levels do not reach agreement.  The default ladder tops out at 48 * 2^6 =
-    3072 nodes, because ``leggauss(n)`` solves a dense n x n eigenproblem:
-    each further level would cost 8x the time and 4x the memory.
+
+def _radial_integral(integrand, b: float, what: str) -> np.ndarray:
+    """Integrate over [0, b] on the radial ladder until successive levels agree.
+
+    ``integrand(r, w)`` takes the nodes and weights of one level and returns
+    the 1-d array of sums refined together; every component must move less
+    than the tolerance between levels.  A level whose sums are not all finite
+    raises at once, since no finer level can repair it.  Failures raise
+    NumericFailureError carrying the last finite sums as ``best``.
     """
-
-    n_radial: int = 48
-    tol: float = 1e-10
-    max_refinements: int = 6
-
-    def __post_init__(self) -> None:
-        if self.n_radial < 2:
-            raise InvalidArgumentError("quadrature node count must be >= 2")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidArgumentError(f"tolerance must be finite and > 0, got {self.tol}")
-        if self.max_refinements < 1:
-            raise InvalidArgumentError("max_refinements must be >= 1")
-
-    def radial_nodes(self, level: int, a: float = 0.0, b: float = 1.0):
-        """Gauss-Legendre nodes and weights on [a, b] at a refinement level.
-
-        Weights are positive and sum to b - a.
-        """
-        n = self.n_radial * (1 << level)
-        x, w = _gauss_legendre(n)
-        half = 0.5 * (b - a)
-        return a + half * (x + 1.0), half * w
-
-
-# The one rule every quadrature in the package runs on.
-DEFAULT_RULE = QuadratureRule()
-
-
-def _adaptive(rule: QuadratureRule, evaluate, what: str):
-    """Run ``evaluate(level)`` on doubling levels until successive vectors agree.
-
-    ``evaluate`` returns a 1-d array of simultaneously refined values.  All
-    components must move less than ``rule.tol`` between levels.  A level
-    whose values are not all finite raises at once, since no finer level
-    can repair it.
-    """
+    half = 0.5 * b
     prev = None
     deltas = []
-    for level in range(rule.max_refinements + 1):
-        cur = np.asarray(evaluate(level), dtype=float)
+    for level in range(_RADIAL_LEVELS + 1):
+        x, w = _gauss_legendre(_RADIAL_NODES << level)
+        cur = np.asarray(integrand(half * (x + 1.0), half * w), dtype=float)
         if not np.all(np.isfinite(cur)):
             raise NumericFailureError(
                 f"{what}: quadrature values are not finite at refinement level {level}",
@@ -303,12 +296,12 @@ def _adaptive(rule: QuadratureRule, evaluate, what: str):
         if prev is not None:
             delta = float(np.max(np.abs(cur - prev)))
             deltas.append(delta)
-            if delta <= rule.tol:
+            if delta <= _RADIAL_TOL:
                 return cur
         prev = cur
     raise NumericFailureError(
-        f"{what}: quadrature did not converge to {rule.tol:g} "
-        f"after {rule.max_refinements} refinements",
+        f"{what}: quadrature did not converge to {_RADIAL_TOL:g} "
+        f"after {_RADIAL_LEVELS} refinements",
         best=prev,
         diagnostics={"deltas": deltas},
     )
@@ -370,8 +363,7 @@ def lemma_abc(d: int, t: float):
     c_const = math.exp(log_const)
     c_head = 2.0 * math.pi * t * math.exp(log_cd_beta - log_cdm2_beta)
 
-    def evaluate(level: int) -> np.ndarray:
-        r, w = DEFAULT_RULE.radial_nodes(level)
+    def integrand(r, w) -> np.ndarray:
         ratio_d = np.exp(log_cd_beta - _log_c_any(d, r * beta))
         a_val = float(np.sum(w * (r / t) * ratio_d))
         ratio_dm2 = np.exp(log_cd_beta - _log_c_any(d - 2, r * beta))
@@ -379,7 +371,7 @@ def lemma_abc(d: int, t: float):
         c_val = c_head - 2.0 * math.pi * tail - c_const
         return np.array([a_val, t * a_val, c_val])
 
-    a_val, b_val, c_val = _adaptive(DEFAULT_RULE, evaluate, "lemma_abc")
+    a_val, b_val, c_val = _radial_integral(integrand, 1.0, "lemma_abc")
     return float(a_val), float(b_val), float(c_val)
 
 
@@ -414,11 +406,10 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
     d = int(d)
     beta = 1.0 / float(t)
 
-    def evaluate(level: int) -> np.ndarray:
-        r, w = DEFAULT_RULE.radial_nodes(level)
+    def integrand(r, w) -> np.ndarray:
         mass, mean, perp, par = _shell_moments(d, beta, r, sigma)
         w = w * mass * r
         return np.array([np.sum(w * mean), np.sum(w * r * par), np.sum(w * r * perp)])
 
-    m1_par, raw_par, raw_perp = _adaptive(DEFAULT_RULE, evaluate, "vmf_moments")
+    m1_par, raw_par, raw_perp = _radial_integral(integrand, 1.0, "vmf_moments")
     return m1_par * s_arr, raw_perp * np.eye(d) + (raw_par - raw_perp) * np.outer(s_arr, s_arr)

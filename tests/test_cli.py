@@ -16,7 +16,9 @@ from scipy import stats
 import diraclab
 from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w
 from diraclab.cli import _chisquare_sf, _pearson_chisquare, _random_operator, main
-from diraclab.estimators import ARTIFACT_VERSION
+from diraclab.estimators import ARTIFACT_VERSION, DEFAULT_MASTER_SEED, hbar_schedule
+from diraclab.graphdirac import assemble_dirac
+from diraclab.manifold import framed_point, make_manifold, sample_log_coords
 
 SMALL = ["--n-grid", "60,120", "--repeats", "2"]
 
@@ -619,17 +621,27 @@ def test_bad_grid_from_a_config_file_or_manifest_is_a_config_error(tmp_path, cap
 
 
 def test_dump_operators_writes_matrix_market(tmp_path, capsys):
-    out = tmp_path / "o"
-    dump = tmp_path / "ops"
-    assert run_cli([
-        "dirac-converge", "--n-grid", "60", "--repeats", "2",
-        "--dump-operators", str(dump), "--out", str(out),
-    ]) == 0
-    capsys.readouterr()
-    text = (dump / "dirac_n60.mtx").read_text().splitlines()
-    assert text[0] == "%%MatrixMarket matrix coordinate complex general"
-    dims = text[1].split()
-    assert int(dims[2]) == len(text) - 2
+    for manifold in ("flat", "sphere"):
+        dump = tmp_path / manifold
+        assert run_cli([
+            "dirac-converge", "--manifold", manifold, "--n-grid", "60", "--repeats", "2",
+            "--dump-operators", str(dump), "--out", str(tmp_path / "o"),
+        ]) == 0
+        capsys.readouterr()
+        text = (dump / "dirac_n60.mtx").read_text().splitlines()
+        assert text[0] == "%%MatrixMarket matrix coordinate complex general"
+        dims = text[1].split()
+        assert int(dims[2]) == len(text) - 2
+        # The dump holds the first four stars of the run's first repeat: the
+        # sampler's output depends on the size it is asked for, so a draw of
+        # four stars alone would give others.
+        m = make_manifold(manifold, 2)
+        fp = framed_point(m)
+        rng = np.random.default_rng(np.random.SeedSequence([DEFAULT_MASTER_SEED, 0, 0]))
+        stars = sample_log_coords(m, fp, rng, 60 * 3).reshape(60, 3, 2)[:4]
+        ref = tmp_path / f"{manifold}.mtx"
+        assemble_dirac(stars, m, fp, hbar_schedule(60, 0.2)).export_matrix_market(ref)
+        assert read(dump / "dirac_n60.mtx") == read(ref)
 
 
 def test_bound_report_artifacts(tmp_path, capsys):

@@ -364,9 +364,8 @@ def polar_oracle_reference(m, fp, hbar, sigma, mix, a):
     lcd = log_c_d(m.d, beta)
     base = float(a.evaluate(np.zeros(m.d)))
 
-    def evaluate(level: int):
-        r, wr = specfun.DEFAULT_RULE.radial_nodes(level, 0.0, fp.delta_u)
-        x, wx = leggauss(48 * (1 << level))
+    def integrand(r, wr):
+        x, wx = leggauss(r.size)
         phi = math.pi * (x + 1.0)
         wphi = math.pi * wx
         cs = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -378,7 +377,7 @@ def polar_oracle_reference(m, fp, hbar, sigma, mix, a):
         vals = kern * da * dens * r[:, None]
         return np.array([np.einsum("rp,r,p->", vals, wr, wphi)])
 
-    return float(specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "polar reference")[0])
+    return float(specfun._radial_integral(integrand, fp.delta_u, "polar reference")[0])
 
 
 ORACLE_FUNCTIONS = (
@@ -455,6 +454,11 @@ def test_run_config_validation():
         RunConfig(alpha=-0.1)
     with pytest.raises(InvalidArgumentError):
         RunConfig(threads=0)
+    # bool is an int subclass; True would pass as 1 and be written as true.
+    for field_name in ("repeats", "threads", "master_seed", "dim"):
+        for flag in (True, False):
+            with pytest.raises(InvalidArgumentError):
+                RunConfig(**{field_name: flag})
     RunConfig(n_grid=())
 
 

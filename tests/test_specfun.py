@@ -15,7 +15,6 @@ from scipy import special
 from diraclab import (
     InvalidArgumentError,
     NumericFailureError,
-    QuadratureRule,
     bessel_i_scaled,
     dirac_expectation_oracle,
     framed_point,
@@ -225,31 +224,49 @@ def test_lemma_abc_rejects_low_dimension():
         lemma_abc(2, 0.1)
 
 
-def test_adaptive_failure_carries_best_value():
-    rule = QuadratureRule(tol=1e-30, max_refinements=1)
-    with pytest.raises(NumericFailureError) as exc_info:
-        specfun._adaptive(rule, lambda level: [1.0 / (level + 1)], "halving")
+@pytest.mark.parametrize("d", [160, 400])
+def test_lemma_abc_at_large_dimension(d):
+    # exp(-x) I_{d/2-1}(x) falls below the smallest normal float on the
+    # innermost radial nodes at d = 160, and on most of [0, 1] at d = 400,
+    # where the leading terms of its power series alone would be off by 1e-4.
+    # The reference is the same integral in 30-digit arithmetic.
+    t = 0.2
+    a_got = lemma_abc(d, t)[0]
+    with mpmath.workdps(30):
+        beta, nu = 1 / mpmath.mpf(t), mpmath.mpf(d) / 2 - 1
+        i_beta = mpmath.besseli(nu, beta)
+        a_ref = float(mpmath.quad(
+            lambda r: r ** (1 - nu) * beta * mpmath.besseli(nu, beta * r) / i_beta, [0, 0.5, 1]
+        ))
+    assert abs(a_got / a_ref - 1.0) <= 1e-10
+
+
+def test_radial_integral_failure_carries_best_value():
+    # 48 / r.size halves with each level: it never settles on the ladder.
+    with pytest.raises(NumericFailureError, match="after 6 refinements") as exc_info:
+        specfun._radial_integral(lambda r, w: [48.0 / r.size], 1.0, "halving")
     err = exc_info.value
-    assert err.best.tolist() == [0.5]
-    assert err.diagnostics == {"deltas": [0.5]}
+    assert err.best.tolist() == [2.0**-6]
+    assert err.diagnostics == {"deltas": [2.0**-k for k in range(1, 7)]}
     # A level that turns non-finite after finite ones hands back the last finite values.
-    rule = QuadratureRule(tol=1e-30)
     with pytest.raises(NumericFailureError, match="not finite at refinement level 2") as exc_info:
-        specfun._adaptive(rule, lambda level: [1.0 / (level + 1) if level < 2 else math.inf], "inf")
+        specfun._radial_integral(
+            lambda r, w: [48.0 / r.size if r.size < 192 else math.inf], 1.0, "inf"
+        )
     assert exc_info.value.best.tolist() == [0.5]
     assert exc_info.value.diagnostics == {"deltas": [0.5], "level": 2}
 
 
-def test_adaptive_stops_at_the_first_non_finite_level():
+def test_radial_integral_stops_at_the_first_non_finite_level():
     calls = []
 
-    def evaluate(level):
-        calls.append(level)
+    def integrand(r, w):
+        calls.append(r.size)
         return [math.nan]
 
     with pytest.raises(NumericFailureError, match="not finite at refinement level 0") as exc_info:
-        specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "nan")
-    assert calls == [0]
+        specfun._radial_integral(integrand, 1.0, "nan")
+    assert calls == [48]
     assert exc_info.value.best is None
 
 
@@ -314,9 +331,8 @@ def polar_moments_reference(t: float, sigma: int) -> tuple[float, float, float]:
     beta = 1.0 / t
     log_cd = log_c_d(2, beta)
 
-    def evaluate(level: int) -> np.ndarray:
-        r, wr = specfun.DEFAULT_RULE.radial_nodes(level)
-        x, wx = leggauss(48 * (1 << level))
+    def integrand(r, wr) -> np.ndarray:
+        x, wx = leggauss(r.size)
         th, wth = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * wx
         rr, mu = r[:, None], np.cos(th)[None, :]
         # Twice the half-plane 0 <= theta <= pi.
@@ -324,7 +340,7 @@ def polar_moments_reference(t: float, sigma: int) -> tuple[float, float, float]:
         par = rr * mu
         return np.array([np.sum(base * par), np.sum(base * par**2), np.sum(base * (rr**2 - par**2))])
 
-    m1_par, lam_par, lam_perp = specfun._adaptive(specfun.DEFAULT_RULE, evaluate, "polar moments")
+    m1_par, lam_par, lam_perp = specfun._radial_integral(integrand, 1.0, "polar moments")
     return m1_par, lam_par, lam_perp
 
 

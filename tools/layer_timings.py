@@ -24,8 +24,9 @@ These rows carry their own unit:
   of the manifold's default test function, component 1, at hbar = 1e4**-0.2
   (flat and sphere at d = 2, flat at d = 3), in ms per call;
 - ``specfun.vmf_moments``: ``vmf_moments(3, e_3, 0.1)``, in ms per call;
-- ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384 radial
-  quadrature nodes of refinement level 3 scaled to [0, 10], in ns per value;
+- ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384
+  Gauss-Legendre nodes (the radial ladder's level 3) scaled to [0, 10], in ns
+  per value;
 - ``liealg.mul``: ``TensorElement.mul`` on the 100 double commutators of a
   default ``algebra-check`` (``C * D`` and ``D * C`` with C the closed-form
   commutator of the Dirac operator D), in ns per coefficient product
@@ -112,6 +113,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
+    from numpy.polynomial.legendre import leggauss
 
     from diraclab.estimators import (
         dirac_estimate,
@@ -131,7 +133,7 @@ def main(argv=None) -> int:
         psi_reduce,
     )
     from diraclab.manifold import framed_point, make_manifold, sample_log_coords
-    from diraclab.specfun import DEFAULT_RULE, bessel_i_scaled, log_c_d, vmf_moments
+    from diraclab.specfun import bessel_i_scaled, log_c_d, vmf_moments
 
     points = COPIES * 3
     calls = {}
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
         **_summary(_time(lambda: vmf_moments(3, [0.0, 0.0, 1.0], 0.1), REPEATS), 1, 1e3),
         "unit": "ms per call",
     }
-    nodes = 10.0 * DEFAULT_RULE.radial_nodes(3)[0]
+    nodes = 5.0 * (leggauss(384)[0] + 1.0)
     result["specfun.bessel_i_scaled"] = {
         **_summary(_time(lambda: bessel_i_scaled(0.5, nodes), REPEATS), nodes.size),
         "unit": "ns per value",

@@ -63,6 +63,9 @@ CASES = (
     # At d = 40 the kernel moments sit where a cancelling form of the
     # parallel second moment would lose digits.
     ("specfun-dim40", ["specfun", "--dim", "40", "--t-grid", "0.3,0.1"]),
+    # At d = 160 exp(-kappa) I_{d/2-1}(kappa) underflows at the innermost
+    # radial nodes, where the log normalizer must come from the series.
+    ("specfun-dim160", ["specfun", "--dim", "160", "--t-grid", "0.2,0.1"]),
     ("geometry-check", ["geometry-check"]),
     ("geometry-check-dim3", ["geometry-check", "--dim", "3"]),
     ("dirac-flat", ["dirac-converge", "--manifold", "flat"]),
