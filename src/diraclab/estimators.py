@@ -91,7 +91,7 @@ def hbar_schedule(n: int, alpha: float) -> float:
     """Scale parameter hbar_n = n^(-alpha)."""
     if not _is_int(n) or n < 1:
         raise InvalidArgumentError(f"sample count must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
+    if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidArgumentError(f"alpha must be finite and > 0, got {alpha!r}")
     return float(n) ** (-alpha)
 
@@ -430,8 +430,10 @@ class RunConfig:
             )
         if not _is_int(self.dim) or self.dim < 2:
             raise InvalidArgumentError(f"dim must be an integer >= 2, got {self.dim!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+        if isinstance(self.alpha, bool) or not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidArgumentError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if isinstance(self.delta_u, bool):
+            raise InvalidArgumentError(f"delta_u must be a real number, got {self.delta_u!r}")
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if any(n < 1 for n in grid):
@@ -444,9 +446,9 @@ class RunConfig:
             raise InvalidArgumentError(
                 f"master seed must be an integer in [0, 2^64), got {self.master_seed!r}"
             )
-        if self.sigma not in (1, -1):
+        if not _is_int(self.sigma) or self.sigma not in (1, -1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sigma!r}")
-        if self.lambda_power not in (1, 2):
+        if not _is_int(self.lambda_power) or self.lambda_power not in (1, 2):
             raise InvalidArgumentError(
                 f"lambda_power must be 1 or 2, got {self.lambda_power!r}"
             )

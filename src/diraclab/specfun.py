@@ -9,6 +9,7 @@ O(log beta) even when the raw normalizers under- or overflow.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -57,13 +58,17 @@ def _switch(nu: float) -> float:
     return 25.0 + 0.5 * nu * nu
 
 
-# A series stops once its terms have fallen exp(-40), about 4e-18, below its
-# largest; by then they fall geometrically, so the tail is as small.
-_TAIL = 40.0
+# A series stops at its first term below exp(-40), about 4e-18, of its sum:
+# past their peak the terms fall, and each is under half an ulp of the sum.
+# The test is made on the one argument whose terms fall last.
+_STOP = math.exp(-40.0)
 # The power series' running sum is scaled down by an exact power of two when
 # it passes 2**512, which leaves it room to grow before it could overflow.
+# The sum is at most cosh x <= exp(x) for nu >= -1/2, so it can pass 2**512
+# only above x = 512 log 2.
 _BIG = 2.0**512
 _SMALL = 2.0**-512
+_RESCALE_FROM = 512 * math.log(2.0)
 # log 2 split so that an integer below 2**21 times the high part is exact.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
@@ -71,41 +76,6 @@ _LN2_LO = 1.90821492927058770002e-10
 _HALF_EXACT = 2.0**-1021
 # The smallest normal float.
 _TINY = 2.0**-1022
-
-
-# The term counts are taken at a power of two beyond the extreme argument of
-# a call (its largest for the power series, its smallest for Hankel's), kept
-# on the series' side of the switch: relative to the sum, what a fixed number
-# of terms leaves out only grows towards the switch, from either side.  The
-# evaluating loops run these counts and test nothing per term.
-@functools.lru_cache(maxsize=256)
-def _series_terms(nu: float, x: float) -> tuple[int, bool]:
-    """Power-series terms enough for arguments up to x, and whether the sum
-    can pass 2**512 there."""
-    log_h2 = 2.0 * math.log(0.5 * x)
-    n = 0
-    log_t = top = 0.0
-    while log_t >= top - _TAIL:
-        n += 1
-        log_t += log_h2 - math.log(n * (n + nu))
-        top = max(top, log_t)
-    return n, top + math.log(n + 1) >= 512 * math.log(2.0)
-
-
-@functools.lru_cache(maxsize=256)
-def _hankel_terms(nu: float, x: float) -> int:
-    """Hankel-series terms enough for arguments from x up."""
-    mu = 4.0 * nu * nu
-    n = 0
-    log_u = 0.0
-    while log_u >= -_TAIL:
-        factor = abs(mu - (2 * n + 1) ** 2)
-        if factor == 0.0:
-            # Half-integer order: this term and every later one vanish.
-            break
-        n += 1
-        log_u += math.log(factor / (8.0 * n * x))
-    return n
 
 
 def _two_sum(a, b):
@@ -136,13 +106,14 @@ def _ive_series(nu: float, x, log: bool = False):
     adds no rounding of its own.
     """
     xp = math if isinstance(x, float) else np
-    x_max = x if xp is math else float(x.max())
-    n, rescale = _series_terms(nu, min(_switch(nu), math.ldexp(1.0, math.frexp(x_max)[1])))
+    # The largest argument's terms fall last.
+    i = None if xp is math else int(x.argmax())
+    rescale = (x if i is None else x[i]) > _RESCALE_FROM
     h = 0.5 * x
     t = 1.0 if xp is math else np.ones_like(x)
     s = 1.0 if xp is math else np.ones_like(x)
     e = 0
-    for k in range(1, n + 1):
+    for k in itertools.count(1):
         # h twice, not h * h once: a rounded square would enter t_k k times.
         t *= h
         t *= h / (k * (k + nu))
@@ -153,6 +124,8 @@ def _ive_series(nu: float, x, log: bool = False):
             s *= scale
             t *= scale
             e = e + 512 * big
+        if (t if i is None else t[i]) < _STOP * (s if i is None else s[i]):
+            break
     m, f = xp.frexp(s)
     e = e + (f - 1)
     hi, lo = nu * _log_half(x), 0.0
@@ -170,16 +143,19 @@ def _ive_hankel(nu: float, x):
     sum_k u_k / sqrt(2 pi x), u_0 = 1, u_k = -u_{k-1} (4 nu**2 - (2k - 1)**2) / (8 k x).
     """
     xp = math if isinstance(x, float) else np
-    x_min = x if xp is math else float(x.min())
-    n = _hankel_terms(nu, max(_switch(nu), math.ldexp(0.5, math.frexp(x_min)[1])))
+    # The smallest argument's terms fall last; at a half-integer order they
+    # vanish from some term on.
+    i = None if xp is math else int(x.argmin())
     mu = 4.0 * nu * nu
     w = 0.125 / x
     u = 1.0 if xp is math else np.ones_like(x)
     s = 1.0 if xp is math else np.ones_like(x)
-    for k in range(1, n + 1):
+    for k in itertools.count(1):
         u *= w
         u *= ((2 * k - 1) ** 2 - mu) / k
         s += u
+        if abs(u if i is None else u[i]) < _STOP * (s if i is None else s[i]):
+            break
     return s / xp.sqrt(2.0 * math.pi * x)
 
 
@@ -321,13 +297,23 @@ def _shell_moments(d: int, beta: float, r: np.ndarray, sigma: int):
     nu = 0.5 * d - 1.0
     kappa = beta * r
     i_nu = _ive(nu, kappa)
-    # Where I_nu(kappa) underflows (large d), the mass is 0: A is taken at its
-    # small-kappa limit kappa / d, and I_{nu+2} / I_nu at 0.
-    ratio = np.divide(_ive(nu + 1.0, kappa), i_nu, out=kappa / d, where=i_nu > 0.0)
-    ratio2 = np.divide(_ive(nu + 2.0, kappa), i_nu, out=np.zeros_like(kappa), where=i_nu > 0.0)
+    i_beta = _ive(nu, float(beta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _ive(nu + 1.0, kappa) / i_nu
+        ratio2 = _ive(nu + 2.0, kappa) / i_nu
+        # C_d(beta) / C_d(kappa) = r^(-nu) I_nu(kappa) / I_nu(beta), each I_nu scaled.
+        mass = r ** (0.5 * d) * np.exp(kappa - beta) * i_nu / i_beta
+    # Where exp(-x) I_nu(x) falls below the smallest normal float at kappa or
+    # at beta (large d), the ratios and the mass come from log differences.
+    tiny = (i_nu < _TINY) | (i_beta < _TINY)
+    if np.any(tiny):
+        k = kappa[tiny]
+        log_i = _log_ive(nu, k)
+        ratio[tiny] = np.exp(_log_ive(nu + 1.0, k) - log_i)
+        ratio2[tiny] = np.exp(_log_ive(nu + 2.0, k) - log_i)
+        log_mass = 0.5 * d * np.log(r[tiny]) + (k - beta) + (log_i - _log_ive(nu, float(beta)))
+        mass[tiny] = np.exp(log_mass)
     perp = ratio / kappa
-    # C_d(beta) / C_d(kappa) = r^(-nu) I_nu(kappa) / I_nu(beta), each I_nu scaled.
-    mass = r ** (0.5 * d) * np.exp(kappa - beta) * i_nu / _ive(nu, float(beta))
     return mass, sigma * ratio, perp, perp + ratio2
 
 

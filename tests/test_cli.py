@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 import diraclab
-from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w
+from diraclab import InvalidArgumentError, build_w, cli, dirac_from_w, specfun
 from diraclab.cli import _chisquare_sf, _pearson_chisquare, _random_operator, main
 from diraclab.estimators import ARTIFACT_VERSION, DEFAULT_MASTER_SEED, hbar_schedule
 from diraclab.graphdirac import assemble_dirac
@@ -674,14 +674,20 @@ def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
     assert "unknown test function" in capsys.readouterr().err
 
 
-def test_specfun_quadrature_failures_exit_1(tmp_path, capsys):
-    # t = 1e-5 does not converge on the default ladder; at d = 400 and
-    # t = 0.3 the kernel mass is 0/0, which fails at the first level.
+def test_specfun_quadrature_failures_exit_1(tmp_path, capsys, monkeypatch):
+    # t = 1e-5 does not converge on the default ladder.  No specfun input is
+    # known to give a non-finite kernel mass, so a NaN mass stands in for one;
+    # it fails at the first level.
     assert run_cli(["specfun", "--t-grid", "1e-5", "--out", str(tmp_path / "a")]) == 1
     assert "did not converge to 1e-10 after 6 refinements" in capsys.readouterr().err
-    with np.errstate(all="ignore"):
-        code = run_cli(["specfun", "--dim", "400", "--t-grid", "0.3", "--out", str(tmp_path / "b")])
-    assert code == 1
+    shell_moments = specfun._shell_moments
+
+    def nan_mass(d, beta, r, sigma):
+        mass, *moments = shell_moments(d, beta, r, sigma)
+        return (np.full_like(mass, math.nan), *moments)
+
+    monkeypatch.setattr(specfun, "_shell_moments", nan_mass)
+    assert run_cli(["specfun", "--t-grid", "0.3", "--out", str(tmp_path / "b")]) == 1
     assert "not finite at refinement level 0" in capsys.readouterr().err
 
 

@@ -92,6 +92,8 @@ def test_hbar_schedule_validation():
         hbar_schedule(0, 0.2)
     with pytest.raises(InvalidArgumentError):
         hbar_schedule(10, 0.0)
+    with pytest.raises(InvalidArgumentError):
+        hbar_schedule(10, True)
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])
@@ -459,6 +461,14 @@ def test_run_config_validation():
         for flag in (True, False):
             with pytest.raises(InvalidArgumentError):
                 RunConfig(**{field_name: flag})
+    # Nor may a float stand for sigma or lambda_power, or a bool for a real
+    # setting: each would reach the report's metadata as 1.0 or true.
+    for field_name, value in (
+        ("sigma", True), ("sigma", 1.0), ("lambda_power", True), ("lambda_power", 2.0),
+        ("alpha", True), ("delta_u", True),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            RunConfig(**{field_name: value})
     RunConfig(n_grid=())
 
 

@@ -138,6 +138,23 @@ def test_bessel_scaled_at_subnormal_arguments():
     assert abs(log_c_d(3, 5e-324) + math.log(4.0 * math.pi)) <= 1e-13
 
 
+def test_bessel_scaled_is_independent_of_its_batch():
+    # Each series tests its stop on one element of the batch, the one whose
+    # terms fall last; every element must still read as it does alone.  The
+    # batches span the switch, and at nu = 50 354 and 356 sit on either side
+    # of where the power series' sum may need rescaling.
+    for nu in (-0.5, 0.0, 0.5, 1.0, 19.0, 50.0):
+        switch = specfun._switch(nu)
+        x = np.concatenate([
+            [0.0, 1e-300],
+            np.geomspace(1e-3, 3.0 * switch, 60),
+            [np.nextafter(switch, 0.0), switch, 354.0, 356.0],
+        ])
+        got = specfun._ive(nu, x)
+        alone = np.array([specfun._ive(nu, x[k : k + 1])[0] for k in range(x.size)])
+        assert np.array_equal(got, alone), nu
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 102])
 def test_log_c_d_matches_scipy_reference(d):
     nu = 0.5 * d - 1.0
@@ -360,13 +377,15 @@ def test_vmf_moments_match_the_polar_reference_at_d2(t, sigma):
 
 def test_vmf_moments_at_large_dimension():
     # At d = 160 and 300 exp(-x) I_nu(x) underflows on the innermost radial
-    # nodes, where the kernel's mass is below the smallest float; the moments
-    # stay finite.  The reference is the same radial integral in 30-digit
-    # arithmetic, with the parallel moment in the form 1 - (d - 1) A / kappa,
-    # which cancels to about 1/d: in float64 that form would carry the Bessel
-    # ratio's rounding times about d, past the bound at d = 300.
+    # nodes, where the kernel's mass is below the smallest float; at d = 400 it
+    # underflows at beta = 1/t too, so the mass and the Bessel ratios come from
+    # log differences.  The moments stay finite.  The reference is the same
+    # radial integral in 30-digit arithmetic, with the parallel moment in the
+    # form 1 - (d - 1) A / kappa, which cancels to about 1/d: in float64 that
+    # form would carry the Bessel ratio's rounding times about d, past the
+    # bound at d = 300.
     t = 0.3
-    for d in (160, 300):
+    for d in (160, 300, 400):
         s = np.eye(d)[0]
         m1, m2 = vmf_moments(d, s, t)
         with mpmath.workdps(30):

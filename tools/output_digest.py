@@ -66,6 +66,9 @@ CASES = (
     # At d = 160 exp(-kappa) I_{d/2-1}(kappa) underflows at the innermost
     # radial nodes, where the log normalizer must come from the series.
     ("specfun-dim160", ["specfun", "--dim", "160", "--t-grid", "0.2,0.1"]),
+    # At d = 400 exp(-beta) I_{d/2-1}(beta) itself underflows, so the kernel
+    # mass and its Bessel ratios come from log differences.
+    ("specfun-dim400", ["specfun", "--dim", "400", "--t-grid", "0.3,0.1"]),
     ("geometry-check", ["geometry-check"]),
     ("geometry-check-dim3", ["geometry-check", "--dim", "3"]),
     ("dirac-flat", ["dirac-converge", "--manifold", "flat"]),
