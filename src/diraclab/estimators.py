@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 20260816
-ARTIFACT_VERSION = "3"
+ARTIFACT_VERSION = "4"
 
 CSV_COLUMNS = (
     "mode",
@@ -285,6 +285,44 @@ def s_jn(
     return neighbourhood_volume(m, fp) * float(np.sum(w * _centered(m, a, v))) / (len(v) * hbar)
 
 
+def _estimator(mode: str, d: int, lambda_power: int = 1) -> tuple:
+    """A shipped estimator as data: its slot mix (rows, d+1) and its power of hbar.
+
+    Output r is Vol(U_p) / hbar^power times sum_i mix[r, i] (weighted mean of slot
+    i): the frame derivative at power 1 takes each frame slot alone, the
+    Laplacian at power 2 the averaging weights lambda^p.
+    """
+    if not _is_int(lambda_power) or lambda_power not in (1, 2):
+        raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
+    if mode == "dirac":
+        return np.eye(d, d + 1), 1
+    return star_anchors(d)[1][None] ** lambda_power, 2
+
+
+def _estimate(m, samples, funcs, fp, hbar, sigma, mix, power) -> np.ndarray:
+    """Estimates (len(funcs), len(mix)) of one declared estimator on star samples.
+
+    Every slot is checked; slots past the last one the mix uses are not
+    weighted.  They are cut by a basic slice, which keeps the terms C-ordered
+    and so numpy's summation order.  The mix is summed slot by slot, with no
+    BLAS call.
+    """
+    v = _coords(samples, (m.d + 1, m.d))
+    _check_samples(v, fp, hbar, sigma)
+    k = 1 + int(np.flatnonzero(mix.any(axis=0))[-1])
+    v = v[:, :k]
+    w = _weights(v, star_anchors(m.d)[0][:k], fp, hbar, sigma)
+    # hbar * hbar, not hbar ** 2: libm's pow is not always correctly rounded.
+    scale = neighbourhood_volume(m, fp) / math.prod([hbar] * power)
+    rows = []
+    for f in funcs:
+        terms = _centered(m, f, v)
+        terms *= w
+        means = terms.mean(axis=0)
+        rows.append(sum(mix[:, i] * means[i] for i in range(k)) * scale)
+    return np.array(rows)
+
+
 def dirac_estimate(
     m: ManifoldModel,
     samples,
@@ -301,21 +339,9 @@ def dirac_estimate(
     ``a`` is one test function, giving the (d,) components, or a sequence of
     them, giving one row per function; the weights are computed once.
     """
-    v = _coords(samples, (m.d + 1, m.d))
-    # Every slot is checked, but only the d frame slots enter; the extra
-    # anchor serves the Laplacian.
-    _check_samples(v, fp, hbar, sigma)
-    v = v[:, : m.d]
-    w = _weights(v, np.eye(m.d), fp, hbar, sigma)
-    funcs = [a] if isinstance(a, TestFunction) else list(a)
-    scale = neighbourhood_volume(m, fp) / hbar
-    comps = []
-    for f in funcs:
-        terms = _centered(m, f, v)
-        terms *= w
-        comps.append(terms.mean(axis=0) * scale)
-    comps = np.array(comps)
-    return comps[0] if isinstance(a, TestFunction) else comps
+    one = isinstance(a, TestFunction)
+    rows = _estimate(m, samples, [a] if one else a, fp, hbar, sigma, *_estimator("dirac", m.d))
+    return rows[0] if one else rows
 
 
 def laplace_estimate(
@@ -330,28 +356,21 @@ def laplace_estimate(
     """Estimate the Laplacian of ``a`` at the base point from star samples.
 
     ``samples`` are star log coordinates as for ``dirac_estimate``.
-    Omega_n = (Vol(U_p) / (n hbar^2)) sum_k sum_j lambda_j^p w_kj (a(x_kj) - a(p)),
+    Omega_n = (Vol(U_p) / hbar^2) sum_j lambda_j^p mean_k w_kj (a(x_kj) - a(p)),
     with one shared normalizer inside the weights and the averaging weights
     lambda summing to 1 (``lambda_power`` selects first or second power).
     """
-    if lambda_power not in (1, 2):
-        raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    v = _coords(samples, (m.d + 1, m.d))
-    _check_samples(v, fp, hbar, sigma)
-    anchors, lams = star_anchors(m.d)
-    terms = _centered(m, a, v)
-    terms *= _weights(v, anchors, fp, hbar, sigma)
-    total = float(np.sum(terms @ lams**lambda_power))
-    return neighbourhood_volume(m, fp) * total / (len(v) * hbar * hbar)
+    mix, power = _estimator("laplace", m.d, lambda_power)
+    return float(_estimate(m, samples, [a], fp, hbar, sigma, mix, power)[0, 0])
 
 
-def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
-    """Adaptive radial quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball.
+def _oracle_quadrature(m, fp, hbar, sigma, mix, power, a):
+    """Radial quadrature of kernel(v) (a(exp v) - a(p)) G(|v|) over the ball, / hbar^power.
 
     The kernel is the anchor kernels exp(log C_d + sigma <v, s_j> / hbar)
-    combined with the weights ``mix`` (d+1), G the volume density; the caller
-    applies its own prefactor.  The angular integrals are closed form, from
-    ``a._shell`` and ``_shell_moments``, so the rule is radial in any d.
+    combined with one row ``mix`` (d+1) of an estimator, G the volume density.
+    The angular integrals are closed form, from ``a._shell`` and
+    ``_shell_moments``, so the rule is radial in any d.
     """
     if a._shell is None:
         raise InvalidArgumentError(f"no quadrature oracle for {a.name!r}: not of degree <= 2")
@@ -369,7 +388,8 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, a):
         shell = c0 * weight + g * mean * slope + r * r * quad
         return np.array([np.sum(w * mass * shell)])
 
-    return float(_radial_integral(integrand, fp.delta_u, "expectation oracle")[0])
+    total = float(_radial_integral(integrand, fp.delta_u, "expectation oracle")[0])
+    return total / math.prod([hbar] * power)
 
 
 def dirac_expectation_oracle(
@@ -383,8 +403,8 @@ def dirac_expectation_oracle(
     """Exact expectation of s_jn at fixed hbar, by quadrature (not for cubic ``a``)."""
     if not (1 <= j <= m.d):
         raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
-    mix = np.eye(m.d + 1)[j - 1]
-    return _oracle_quadrature(m, fp, hbar, sigma, mix, a) / hbar
+    mix, power = _estimator("dirac", m.d)
+    return _oracle_quadrature(m, fp, hbar, sigma, mix[j - 1], power, a)
 
 
 def laplace_expectation_oracle(
@@ -397,10 +417,8 @@ def laplace_expectation_oracle(
 ) -> float:
     """Exact expectation of the Laplace estimator at fixed hbar, by quadrature
     (not for cubic ``a``)."""
-    if lambda_power not in (1, 2):
-        raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
-    mix = star_anchors(m.d)[1] ** lambda_power
-    return _oracle_quadrature(m, fp, hbar, sigma, mix, a) / (hbar * hbar)
+    mix, power = _estimator("laplace", m.d, lambda_power)
+    return _oracle_quadrature(m, fp, hbar, sigma, mix[0], power, a)
 
 
 @dataclass(frozen=True)
@@ -448,10 +466,7 @@ class RunConfig:
             )
         if not _is_int(self.sigma) or self.sigma not in (1, -1):
             raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sigma!r}")
-        if not _is_int(self.lambda_power) or self.lambda_power not in (1, 2):
-            raise InvalidArgumentError(
-                f"lambda_power must be 1 or 2, got {self.lambda_power!r}"
-            )
+        _estimator(self.mode, self.dim, self.lambda_power)  # checks lambda_power
         if not _is_int(self.threads) or self.threads < 1:
             raise InvalidArgumentError(f"threads must be an integer >= 1, got {self.threads!r}")
 
@@ -581,7 +596,8 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     fp = framed_point(m, delta_u=cfg.delta_u)
     a = resolve_test_function(m, fp, cfg.mode, cfg.test_function)
     vol = neighbourhood_volume(m, fp)
-    family = polynomial_family(m, fp) if (cfg.family_check and cfg.mode == "dirac") else []
+    mix, power = _estimator(cfg.mode, m.d, cfg.lambda_power)
+    family = polynomial_family(m, fp) if cfg.family_check else []
     metadata = _resolved_metadata(cfg, m, fp, a, vol)
 
     def one_repeat(n_idx: int, rep: int):
@@ -589,14 +605,8 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
         t0 = time.perf_counter()
         v, rounds, proposals = _repeat_stars(cfg, m, fp, n_idx, rep)
         t1 = time.perf_counter()
-        if cfg.mode == "dirac":
-            # One weight computation serves the test function and the family.
-            est = dirac_estimate(m, v, [a, *family], fp, hbar, sigma=cfg.sigma)
-        else:
-            value = laplace_estimate(
-                m, v, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
-            )
-            est = np.array([[value]])
+        # One weight computation serves the test function and the family.
+        est = _estimate(m, v, [a, *family], fp, hbar, cfg.sigma, mix, power)
         return est, t1 - t0, time.perf_counter() - t1, rounds, proposals
 
     if cfg.mode == "dirac":
@@ -625,17 +635,7 @@ def convergence_run(cfg: RunConfig) -> ConvergenceReport:
     for n_idx, n in enumerate(cfg.n_grid):
         hbar = hbar_schedule(n, cfg.alpha)
         t_oracle = time.perf_counter()
-        if cfg.mode == "dirac":
-            oracles = [
-                dirac_expectation_oracle(m, a, fp, j, hbar, sigma=cfg.sigma)
-                for j in range(1, m.d + 1)
-            ]
-        else:
-            oracles = [
-                laplace_expectation_oracle(
-                    m, a, fp, hbar, sigma=cfg.sigma, lambda_power=cfg.lambda_power
-                )
-            ]
+        oracles = [_oracle_quadrature(m, fp, hbar, cfg.sigma, row, power, a) for row in mix]
         stages["oracles"] += time.perf_counter() - t_oracle
         for c in range(n_components):
             vals = results[n_idx, :, 0, c]

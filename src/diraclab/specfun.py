@@ -346,7 +346,13 @@ def lemma_abc(d: int, t: float):
         - math.log(3.0)
         - math.lgamma(0.5 * d - 1.0)
     )
-    c_const = math.exp(log_const)
+    try:
+        c_const = math.exp(log_const)
+    except OverflowError:
+        raise NumericFailureError(
+            f"lemma_abc: the constant term of C overflows at d = {d}, t = {t!r}",
+            diagnostics={"log_const": log_const},
+        ) from None
     c_head = 2.0 * math.pi * t * math.exp(log_cd_beta - log_cdm2_beta)
 
     def integrand(r, w) -> np.ndarray:

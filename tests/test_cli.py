@@ -411,18 +411,20 @@ def test_manifest_subcommand_mismatch_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "manifest" in err
-    # A manifest of another artifact version, here the one before d >= 3
-    # reports had oracles, is rejected, naming both versions.
+    # A manifest of another artifact version, the one before d >= 3 reports
+    # had oracles or the one before the Laplace reduction's order, is
+    # rejected, naming both versions.
     manifest = json.loads((out / "manifest.json").read_text())
-    edited = tmp_path / "v2.json"
-    edited.write_text(json.dumps({**manifest, "artifact_version": "2"}))
-    code = run_cli([
-        "dirac-converge", "--from-manifest", str(edited), "--out", str(tmp_path / "z"),
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "'2'" in err and repr(ARTIFACT_VERSION) in err
-    assert not (tmp_path / "z").exists()
+    for old in ("2", "3"):
+        edited = tmp_path / f"v{old}.json"
+        edited.write_text(json.dumps({**manifest, "artifact_version": old}))
+        code = run_cli([
+            "dirac-converge", "--from-manifest", str(edited), "--out", str(tmp_path / "z"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(old) in err and repr(ARTIFACT_VERSION) in err
+        assert not (tmp_path / "z").exists()
 
 
 def test_manifest_values_go_through_the_setting_parsers(tmp_path, capsys):
@@ -689,6 +691,30 @@ def test_specfun_quadrature_failures_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(specfun, "_shell_moments", nan_mass)
     assert run_cli(["specfun", "--t-grid", "0.3", "--out", str(tmp_path / "b")]) == 1
     assert "not finite at refinement level 0" in capsys.readouterr().err
+
+
+def test_specfun_overflow_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert run_cli(["specfun", "--dim", "2040", "--t-grid", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "numeric failure: lemma_abc: the constant term of C overflows at d = 2040, t = 0.3\n"
+    )
+    assert not out.exists()
+
+
+def test_laplace_converge_family_writes_family_rows(tmp_path, capsys):
+    args = ["laplace-converge", "--n-grid", "100,1000", "--repeats", "3"]
+    plain, family = tmp_path / "plain", tmp_path / "family"
+    assert run_cli([*args, "--out", str(plain)]) == 0
+    assert run_cli([*args, "--family", "1", "--out", str(family)]) == 0
+    capsys.readouterr()
+    report = json.loads((family / "report.json").read_text())
+    assert report["metadata"]["family_check"] is True
+    assert [(r["n"], r["family_size"]) for r in report["family"]] == [(100, 10), (1000, 10)]
+    # The test function's rows do not depend on the flag.
+    for name in ("report.csv", "report.dat"):
+        assert read(family / name) == read(plain / name)
+    assert report["rows"] == json.loads((plain / "report.json").read_text())["rows"]
 
 
 @pytest.mark.parametrize("mode", ["dirac", "laplace"])

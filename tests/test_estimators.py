@@ -41,7 +41,7 @@ from diraclab import (
     vol_density,
 )
 from diraclab import specfun
-from diraclab.estimators import CSV_COLUMNS, table_texts
+from diraclab.estimators import CSV_COLUMNS, _repeat_stars, table_texts
 from diraclab.liealg import MAT_Y
 
 
@@ -227,8 +227,9 @@ def test_dirac_estimate_components_match_column_estimators(kind):
         assert word.component(1 << (j - 1)) == pytest.approx(col, abs=1e-12)
     # dirac_estimate weights the frame slots alone, and both estimators give
     # the public route's numbers bit for bit: star_weights times
-    # (evaluate - base) on the full star.  Every embedding axis, on the
-    # default and on a rotated base point and frame.
+    # (evaluate - base) on the full star, per-slot means, then the slot mix
+    # summed slot by slot, then Vol / hbar^power.  Every embedding axis, on
+    # the default and on a rotated base point and frame.
     rng = np.random.default_rng(5)
     p = rng.standard_normal(m.embedding_dim)
     if kind == "sphere":
@@ -248,10 +249,12 @@ def test_dirac_estimate_components_match_column_estimators(kind):
             est = dirac_estimate(m, samples, f, fp, hbar)
             assert np.array_equal(est, terms.mean(axis=0)[:2] * (vol / hbar))
             assert np.array_equal(row, est)
+            means = terms.mean(axis=0)
             for power in (1, 2):
-                total = float(np.sum(terms @ lams**power))
+                mix = lams**power
+                total = sum(mix[i] * means[i] for i in range(3))
                 lap = laplace_estimate(m, samples, f, fp, hbar, lambda_power=power)
-                assert lap == vol * total / (len(samples) * hbar * hbar)
+                assert lap == total * (vol / (hbar * hbar))
 
 
 def test_laplace_estimate_constant_is_zero():
@@ -419,6 +422,75 @@ def test_oracles_match_the_polar_reference(kind, sigma, delta_u):
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (a.name, n, got, ref)
 
 
+def flat_kernel_integral(d, delta, hbar, s, g, hess):
+    """Integral of C_d(beta) exp(beta <v, s>) (g.v + v^T H v / 2) over the flat
+    ball of radius delta, beta = 1/hbar, in closed form through scipy's
+    exponentially scaled Bessel functions:
+
+        J(s) = (g.s) P1 / beta + (tr H P1 / beta^2 + s^T H s P2 / beta) / 2,
+        P_k = delta^(d/2+k) I_{d/2+k}(beta delta) / I_{d/2-1}(beta).
+
+    The kernel's mass on the sphere |v| = r is r^(d/2) I_{d/2-1}(beta r) /
+    I_{d/2-1}(beta), and int_0^delta r^(mu+1) I_mu(beta r) dr =
+    delta^(mu+1) I_{mu+1}(beta delta) / beta closes each radial integral.
+    """
+    beta = 1.0 / hbar
+    p1, p2 = (
+        delta ** (d / 2 + k) * special.ive(d / 2 + k, beta * delta)
+        / special.ive(d / 2 - 1, beta) * math.exp(beta * (delta - 1.0))
+        for k in (1, 2)
+    )
+    return (g @ s) * p1 / beta + 0.5 * (np.trace(hess) * p1 / beta**2 + s @ hess @ s * p2 / beta)
+
+
+def test_flat_oracles_match_the_bessel_closed_form():
+    # The Dirac oracle is J(sigma e_j) / hbar and the Laplace oracle
+    # sum_j lambda_j^p J(sigma s_j) / hbar^2, with g and H read off each
+    # function's definition.
+    checked = 0
+    for d in (2, 3, 6):
+        m = make_manifold("flat", d)
+        e1, e2 = np.eye(d)[:2]
+        zero = np.zeros(d)
+        forms = {
+            "linear-x1": (e1, np.zeros((d, d))),
+            "squared-radius": (zero, 2.0 * np.eye(d)),
+            "poly-v1v2": (zero, np.outer(e1, e2) + np.outer(e2, e1)),
+            "poly-radsq": (zero, 2.0 * (np.outer(e1, e1) + np.outer(e2, e2))),
+            "poly-v1plusv2": (e1 + e2, np.zeros((d, d))),
+        }
+        anchors, lams = star_anchors(d)
+        for delta_u in (1.0, 0.25):
+            fp = framed_point(m, delta_u=delta_u)
+            funcs = {f.name: f for f in polynomial_family(m, fp)}
+            funcs["linear-x1"] = linear_coordinate_function(m, fp, 1)
+            funcs["squared-radius"] = squared_radius_function(m, fp)
+            for hbar in (0.25, 0.03):
+                for sigma in (1, -1):
+                    for name, (g, hess) in forms.items():
+                        a = funcs[name]
+                        js = np.array([
+                            flat_kernel_integral(d, delta_u, hbar, sigma * s, g, hess)
+                            for s in anchors
+                        ])
+                        pairs = [
+                            (dirac_expectation_oracle(m, a, fp, j, hbar, sigma), js[j - 1] / hbar)
+                            for j in range(1, d + 1)
+                        ] + [
+                            (
+                                laplace_expectation_oracle(m, a, fp, hbar, sigma, power),
+                                float(np.sum(lams**power * js)) / hbar**2,
+                            )
+                            for power in (1, 2)
+                        ]
+                        for got, ref in pairs:
+                            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (
+                                d, delta_u, hbar, sigma, name, got, ref,
+                            )
+                        checked += len(pairs)
+    assert checked == 680
+
+
 def test_oracle_of_a_cubic_function_is_refused():
     # The cubic family members have no shell form of degree <= 2.
     for d in (2, 3):
@@ -532,11 +604,46 @@ def test_single_repeat_reports_zero_se():
 
 
 def test_family_check_produces_rows():
-    report = convergence_run(small_config(family_check=True))
-    assert len(report.family_rows) == 2
-    for row in report.family_rows:
-        assert row["sup_fluctuation_mean"] >= 0.0
-        assert row["sup_fluctuation_max"] >= row["sup_fluctuation_mean"] - 1e-15
+    for mode in ("dirac", "laplace"):
+        report = convergence_run(small_config(mode=mode, family_check=True))
+        assert len(report.family_rows) == 2
+        for row in report.family_rows:
+            assert row["family_size"] == 10
+            assert row["sup_fluctuation_mean"] >= 0.0
+            assert row["sup_fluctuation_max"] >= row["sup_fluctuation_mean"] - 1e-15
+        # The family shares the weights but leaves the test function's rows alone.
+        assert report.rows == convergence_run(small_config(mode=mode)).rows
+
+
+@pytest.mark.parametrize(
+    "mode, kind, power",
+    [
+        ("dirac", "flat", 1), ("dirac", "sphere", 1),
+        ("laplace", "flat", 1), ("laplace", "sphere", 2),
+    ],
+)
+def test_convergence_run_agrees_with_the_public_api(mode, kind, power):
+    # With one repeat each row's mean is the public estimator on that
+    # repeat's stars, and its oracle the public oracle, bit for bit.
+    cfg = small_config(mode=mode, manifold=kind, lambda_power=power, repeats=1)
+    m = make_manifold(kind, cfg.dim)
+    fp = framed_point(m, delta_u=cfg.delta_u)
+    a = resolve_test_function(m, fp, mode, cfg.test_function)
+    expected = []
+    for n_idx, n in enumerate(cfg.n_grid):
+        hbar = hbar_schedule(n, cfg.alpha)
+        v = _repeat_stars(cfg, m, fp, n_idx, 0)[0]
+        if mode == "dirac":
+            estimates = dirac_estimate(m, v, a, fp, hbar, cfg.sigma)
+            oracles = [
+                dirac_expectation_oracle(m, a, fp, j, hbar, cfg.sigma) for j in range(1, m.d + 1)
+            ]
+        else:
+            estimates = [laplace_estimate(m, v, a, fp, hbar, cfg.sigma, power)]
+            oracles = [laplace_expectation_oracle(m, a, fp, hbar, cfg.sigma, power)]
+        expected += zip(estimates, oracles)
+    rows = convergence_run(cfg).rows
+    assert [(row["estimate_mean"], row["oracle"]) for row in rows] == expected
 
 
 @pytest.mark.parametrize("kind", ["flat", "sphere"])

@@ -258,6 +258,14 @@ def test_lemma_abc_at_large_dimension(d):
     assert abs(a_got / a_ref - 1.0) <= 1e-10
 
 
+def test_lemma_abc_overflow_is_a_numeric_failure():
+    # At d = 2040, t = 0.3 the log of C's constant term is about 712, past
+    # the float range: a numeric failure, not a bare OverflowError.
+    with pytest.raises(NumericFailureError, match="constant term of C overflows") as exc_info:
+        lemma_abc(2040, 0.3)
+    assert exc_info.value.diagnostics["log_const"] > math.log(np.finfo(float).max)
+
+
 def test_radial_integral_failure_carries_best_value():
     # 48 / r.size halves with each level: it never settles on the ladder.
     with pytest.raises(NumericFailureError, match="after 6 refinements") as exc_info:

@@ -79,6 +79,7 @@ CASES = (
     ("dirac-flat-dim3", ["dirac-converge", "--manifold", "flat", "--dim", "3"]),
     ("dirac-sphere-dim3", ["dirac-converge", "--manifold", "sphere", "--dim", "3"]),
     ("laplace-flat", ["laplace-converge"]),
+    ("laplace-flat-family", ["laplace-converge", "--family", "1"]),
     ("laplace-sphere", ["laplace-converge", "--manifold", "sphere"]),
     ("laplace-flat-dim3", ["laplace-converge", "--dim", "3"]),
     # Sphere embedding functions other than the default x1: x3 is the axis
