@@ -26,8 +26,8 @@ import time
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .graphdirac import _check_samples, _weights, star_anchors, star_weights
+from .errors import InvalidArgumentError, OutOfNeighbourhoodError
+from .graphdirac import _check_inside, _check_scale, _weights, star_anchors, star_weights
 from .manifold import (
     FramedPoint,
     ManifoldModel,
@@ -38,7 +38,7 @@ from .manifold import (
     make_manifold,
     neighbourhood_volume,
 )
-from .specfun import _radial_integral, _shell_moments
+from .specfun import _radial_integral, _shell_moments, log_c_d
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -299,26 +299,49 @@ def _estimator(mode: str, d: int, lambda_power: int = 1) -> tuple:
     return star_anchors(d)[1][None] ** lambda_power, 2
 
 
+# Star copies the estimator works on at a time, so that its temporaries stay a
+# few hundred KB, whatever the sample count.
+_COPIES = 4096
+
+
 def _estimate(m, samples, funcs, fp, hbar, sigma, mix, power) -> np.ndarray:
     """Estimates (len(funcs), len(mix)) of one declared estimator on star samples.
 
-    Every slot is checked; slots past the last one the mix uses are not
-    weighted.  They are cut by a basic slice, which keeps the terms C-ordered
-    and so numpy's summation order.  The mix is summed slot by slot, with no
-    BLAS call.
+    The samples are checked, weighted, evaluated and reduced a block of
+    copies at a time.  Every slot is checked; slots past the last one the mix
+    uses are not weighted.  They are cut by a basic slice, which keeps the
+    terms C-ordered.  Each slot's sum runs on from the previous block's
+    (``cumsum`` from the carried sum), row after row: the order of numpy's
+    mean over the copy axis, so the estimates are the whole-array ones bit
+    for bit.  The mix is summed slot by slot, with no BLAS call.
     """
     v = _coords(samples, (m.d + 1, m.d))
-    _check_samples(v, fp, hbar, sigma)
     k = 1 + int(np.flatnonzero(mix.any(axis=0))[-1])
-    v = v[:, :k]
-    w = _weights(v, star_anchors(m.d)[0][:k], fp, hbar, sigma)
+    _check_scale(hbar, sigma)
+    anchors = star_anchors(m.d)[0][:k]
+    log_c = log_c_d(m.d, 1.0 / hbar)
+    centers = [float(f.evaluate(np.zeros(m.d))) for f in funcs]
+    sums = np.zeros((len(funcs), k))
+    for start in range(0, len(v), _COPIES):
+        block = v[start : start + _COPIES]
+        try:
+            _check_inside(block, fp)
+        except OutOfNeighbourhoodError:
+            # A non-finite sample in a later block is reported first, as by
+            # one check over all the samples.
+            _check_inside(v, fp)
+            raise
+        block = block[:, :k]
+        w = _weights(block, anchors, hbar, sigma, log_c)
+        for i, f in enumerate(funcs):
+            terms = np.asarray(f.evaluate(block), dtype=float) - centers[i]
+            terms *= w
+            terms[0] += sums[i]
+            sums[i] = np.cumsum(terms, axis=0)[-1]
     # hbar * hbar, not hbar ** 2: libm's pow is not always correctly rounded.
     scale = neighbourhood_volume(m, fp) / math.prod([hbar] * power)
     rows = []
-    for f in funcs:
-        terms = _centered(m, f, v)
-        terms *= w
-        means = terms.mean(axis=0)
+    for means in sums / len(v):
         rows.append(sum(mix[:, i] * means[i] for i in range(k)) * scale)
     return np.array(rows)
 

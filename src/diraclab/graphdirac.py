@@ -66,29 +66,35 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
     sample must be finite and lie strictly inside the neighbourhood of fp.
     """
     logc = np.asarray(logc, dtype=float)
-    _check_samples(logc, fp, hbar, sigma)
-    return _weights(logc, anchors, fp, hbar, sigma)
+    _check_scale(hbar, sigma)
+    _check_inside(logc, fp)
+    return _weights(logc, anchors, hbar, sigma, log_c_d(fp.d, 1.0 / hbar))
 
 
-def _check_samples(logc: np.ndarray, fp: FramedPoint, hbar: float, sigma: int) -> None:
-    """Check ``star_weights``' arguments: hbar, the sign, and that every sample
-    in ``logc`` is finite and strictly inside the neighbourhood of fp."""
+def _check_scale(hbar: float, sigma: int) -> None:
+    """Check ``star_weights``' scale hbar and sign."""
     if not (math.isfinite(hbar) and hbar > 0.0):
         raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
     if sigma not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
+
+
+def _check_inside(logc: np.ndarray, fp: FramedPoint) -> None:
+    """Check that every sample in ``logc`` is finite and strictly inside the
+    neighbourhood of fp."""
     if not np.all(_norms(logc) < fp.delta_u):
         if not np.all(np.isfinite(logc)):
             raise InvalidArgumentError("sample log coordinates must be finite")
         raise OutOfNeighbourhoodError("samples must lie inside the neighbourhood of the base point")
 
 
-def _weights(logc: np.ndarray, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.ndarray:
-    """``star_weights`` on arguments already checked, computed in one array."""
+def _weights(logc: np.ndarray, anchors, hbar: float, sigma: int, log_c: float) -> np.ndarray:
+    """``star_weights`` on arguments already checked, computed in one array;
+    ``log_c`` is log C_d(1/hbar)."""
     out = np.einsum("...d,...d->...", logc, anchors)
     out *= sigma
     out /= hbar
-    out += log_c_d(fp.d, 1.0 / hbar)
+    out += log_c
     # A single sample gives a numpy scalar, which has no buffer to write into.
     return np.exp(out, out=out) if out.ndim else np.exp(out)
 

@@ -8,6 +8,7 @@ embedding axis.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -315,13 +316,15 @@ def sample_log_coords(
     work after the draws runs in blocks of a fixed number of rows.  Flat keeps
     the first ``size`` proposals: their directions are drawn straight into the
     result and scaled there, and the rest are drawn into a block and dropped.
-    The sphere holds a round's directions and radius uniforms whole, since the
-    acceptance uniforms come after them in the stream; it decides proposals
-    block by block, only up to the last acceptance kept, by a squeeze test
-    that evaluates the density only where its bounds do not settle the
-    decision (``_squeeze_accept``).  It writes the kept points over the first
-    round's directions and copies them out once the uniforms are freed, so at
-    its peak it holds that round's directions and one more result.
+    The sphere draws each round's first ``size - filled`` directions into the
+    free rows of the result as well.  Its acceptance uniforms come after the
+    round's other directions and its radius uniforms in the stream, so it
+    skips those, and reads them block by block from copies of the generator
+    (``copy.deepcopy``) taken before each skip.  It decides proposals block by
+    block, only up to the last acceptance kept, by a squeeze test that
+    evaluates the density only where its bounds do not settle the decision
+    (``_squeeze_accept``), and writes the kept points over the round's
+    directions.  So either branch holds its result and a few blocks.
     """
     return _sample_log_coords(m, fp, rng, size)[0]
 
@@ -352,24 +355,34 @@ def _sample_log_coords(m, fp, rng, size):
             _place(out, start, radii, out[start:stop])
         _skip(rng.random, block, draw - size)
         return out, 1, size
+    out = np.empty((size, d))
+    radius_block = np.empty(_BLOCK)
+    dirs_block = np.empty((_BLOCK, d))
     filled = rounds = proposals = 0
     while filled < size:
         rounds += 1
         if rounds > 512:
             raise SamplingFailureError("rejection sampling failed to fill the batch")
-        want = size - filled
+        first = filled
+        want = size - first
         draw = max(2 * want, 64)
-        dirs = rng.standard_normal((draw, d))
-        if rounds == 1:
-            # The kept rows overwrite the first round's directions: a kept
-            # row's index never exceeds its proposal's, so each direction is
-            # read before its row is written.
-            out = dirs
-        u = rng.random(draw)
+        # The round's first want directions go straight into the free rows: a
+        # kept row's index never exceeds its proposal's, so each direction is
+        # read before its row is written.  The rest are skipped, and redrawn
+        # from a copy of the generator as far as the acceptances reach; the
+        # radius uniforms likewise.
+        rng.standard_normal(out=out[first:])
+        normal_rng = copy.deepcopy(rng)
+        _skip(rng.standard_normal, block, (draw - want) * d)
+        radius_rng = copy.deepcopy(rng)
+        _skip(rng.random, block, draw)
         for start in range(0, draw, _BLOCK):
             stop = min(draw, start + _BLOCK)
             accept = rng.random(out=block[: stop - start])
-            ub = u[start:stop]
+            ub = radius_rng.random(out=radius_block[: stop - start])
+            late = max(start, want)
+            if stop > late:
+                normal_rng.standard_normal(out=dirs_block[: stop - late])
             take = _squeeze_accept(accept, ub, m, fp.delta_u)
             hits = np.flatnonzero(take)[: size - filled]
             if filled + hits.size == size:
@@ -378,12 +391,18 @@ def _sample_log_coords(m, fp, rng, size):
                 proposals += stop - start
             radii = ub[hits] ** (1.0 / d)
             radii *= fp.delta_u
-            filled = _place(out, filled, radii, np.take(dirs, hits + start, axis=0))
+            hits += start
+            split = np.searchsorted(hits, want)
+            # The acceptance uniforms are spent: their block takes the kept
+            # directions (mode "clip" writes into it unbuffered).
+            dirs = block[: hits.size * d].reshape(hits.size, d)
+            np.take(out, hits[:split] + first, axis=0, out=dirs[:split], mode="clip")
+            np.take(dirs_block, hits[split:] - late, axis=0, out=dirs[split:], mode="clip")
+            filled = _place(out, filled, radii, dirs)
             if filled == size:
                 _skip(rng.random, block, draw - stop)
                 break
-        del dirs, u, ub
-    return out[:size].copy(), rounds, proposals
+    return out, rounds, proposals
 
 
 # Absolute margin of the squeeze test, far above the few ulps by which the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from diraclab import (
     vol_density,
 )
 from diraclab import specfun
-from diraclab.estimators import CSV_COLUMNS, _repeat_stars, table_texts
+from diraclab.estimators import _COPIES, CSV_COLUMNS, _repeat_stars, table_texts
 from diraclab.liealg import MAT_Y
 
 
@@ -739,3 +740,105 @@ def test_estimators_reject_bad_samples(kind):
         dirac_estimate(m, v[:, :2], a, fp, 0.5)
     with pytest.raises(InvalidArgumentError):
         star_weights(nan, np.eye(2)[0], fp, 0.5, 1)
+
+
+def whole_array_estimate(m, v, funcs, fp, hbar, sigma, mix, power):
+    """An estimator in one pass over whole arrays: every sample checked at
+    once, the weights of the slots the mix uses, and numpy's mean over the
+    copy axis of each function's weighted, centred values."""
+    anchors = star_anchors(m.d)[0]
+    star_weights(v, anchors, fp, hbar, sigma)
+    k = 1 + int(np.flatnonzero(mix.any(axis=0))[-1])
+    w = star_weights(v[:, :k], anchors[:k], fp, hbar, sigma)
+    scale = neighbourhood_volume(m, fp) / math.prod([hbar] * power)
+    rows = []
+    for f in funcs:
+        terms = np.asarray(f.evaluate(v[:, :k]), dtype=float) - float(f.evaluate(np.zeros(m.d)))
+        terms *= w
+        means = terms.mean(axis=0)
+        rows.append(sum(mix[:, i] * means[i] for i in range(k)) * scale)
+    return np.array(rows)
+
+
+# Copy counts around the estimator's block.
+BLOCK_COPIES = (1, _COPIES - 1, _COPIES, _COPIES + 1, 3 * _COPIES + 5)
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_reduction_matches_the_whole_array_mean(kind, d):
+    m = make_manifold(kind, d)
+    fp = framed_point(m)
+    funcs = [
+        resolve_test_function(m, fp, "dirac", "auto"),
+        squared_radius_function(m, fp),
+        *polynomial_family(m, fp),
+    ]
+    lams = star_anchors(d)[1]
+    for seed, n in enumerate(BLOCK_COPIES):
+        v = star_samples(m, fp, n, seed=seed)
+        for hbar, sigma in ((0.3, 1), (0.15, -1)):
+            ref = whole_array_estimate(m, v, funcs, fp, hbar, sigma, np.eye(d, d + 1), 1)
+            assert np.array_equal(dirac_estimate(m, v, funcs, fp, hbar, sigma), ref)
+            for power in (1, 2):
+                ref = whole_array_estimate(m, v, funcs, fp, hbar, sigma, lams[None] ** power, 2)
+                got = [laplace_estimate(m, v, f, fp, hbar, sigma, power) for f in funcs]
+                assert np.array_equal(got, ref[:, 0])
+
+
+@pytest.mark.parametrize("kind", ["flat", "sphere"])
+def test_blocked_check_rejects_what_a_whole_array_check_rejects(kind):
+    m = make_manifold(kind, 2)
+    fp = framed_point(m)
+    a = linear_coordinate_function(m, fp, 1)
+    v = star_samples(m, fp, 3 * _COPIES + 5, seed=5)
+    estimators = (
+        lambda x: dirac_estimate(m, x, a, fp, 0.5),
+        lambda x: laplace_estimate(m, x, a, fp, 0.5),
+    )
+    # A fault only in the last copy's slot d + 1, which dirac_estimate checks
+    # but does not weight.
+    nan_last = v.copy()
+    nan_last[-1, m.d, 1] = np.nan
+    outside_last = v.copy()
+    outside_last[-1, m.d] = [0.0, -fp.delta_u]
+    # A point outside in the first block and a NaN in the last: one check over
+    # all the samples reports the NaN.
+    both = v.copy()
+    both[0, 0] = [fp.delta_u, 0.0]
+    both[-1, 1, 0] = np.nan
+    for estimate in estimators:
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            estimate(nan_last)
+        with pytest.raises(OutOfNeighbourhoodError):
+            estimate(outside_last)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            estimate(both)
+
+
+def test_estimator_memory_does_not_grow_with_the_copies():
+    """Beyond their input, dirac_estimate and laplace_estimate hold a few
+    blocks of copies: the same peak (within 64 KiB) at 1e4 and 1e5 copies,
+    and under 1 MiB."""
+    for kind in ("flat", "sphere"):
+        m = make_manifold(kind, 2)
+        fp = framed_point(m)
+        a = resolve_test_function(m, fp, "dirac", "auto")
+        sq = squared_radius_function(m, fp)
+        calls = (
+            lambda x: dirac_estimate(m, x, a, fp, 0.2),
+            lambda x: laplace_estimate(m, x, sq, fp, 0.2),
+        )
+        for estimate in calls:
+            peaks = []
+            for n in (10_000, 100_000):
+                v = star_samples(m, fp, n, seed=6)
+                estimate(v[:10])
+                tracemalloc.start()
+                try:
+                    estimate(v)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= peaks[0] + 2**16
+            assert peaks[1] < 2**20

@@ -45,7 +45,13 @@ the number of sample points (written entries for the export): the layer rows
 of peak memory against n.  The rows above have no peak-memory row.  Two
 rows there have no timing row: ``repeat.{flat,sphere}``, one Monte Carlo
 repeat of a convergence run, ``sample_log_coords`` then ``dirac_estimate`` on
-its result, as in the ``weights_reduction`` rows.
+its result, as in the ``weights_reduction`` rows.  The result alone takes 16
+bytes per point (two float64 coordinates).
+
+``peak_bytes_per_point_against_copies`` holds the peak of those two repeat
+rows at 1e4, 1e5 and 1e6 star copies, in bytes per point: the row of peak
+memory against n.  A repeat that holds its result and a few fixed blocks
+reads 16 plus a share that falls as 1/n.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIES = 100_000
+PEAK_COPIES = (10_000, 100_000, 1_000_000)
 EXPORT_COPIES = 10_000
 REPEATS = 31
 LOG_C_D_CALLS = 1000
@@ -153,9 +160,9 @@ def main(argv=None) -> int:
         calls[f"weights_reduction.{kind}"] = (
             lambda m=m, v=v, a=a, fp=fp: dirac_estimate(m, v, a, fp, 0.2, sigma=1)
         )
-        repeats[f"repeat.{kind}"] = lambda m=m, a=a, fp=fp: dirac_estimate(
+        repeats[f"repeat.{kind}"] = lambda copies, m=m, a=a, fp=fp: dirac_estimate(
             m,
-            sample_log_coords(m, fp, np.random.default_rng(1), points).reshape(COPIES, 3, 2),
+            sample_log_coords(m, fp, np.random.default_rng(1), copies * 3).reshape(copies, 3, 2),
             a,
             fp,
             0.2,
@@ -177,6 +184,7 @@ def main(argv=None) -> int:
     counts["export.matrix_market"] = 2 * dirac.weights.size
     result = {"copies": COPIES, "points": points, "unit": "ns per sample point"}
     result["export_entries"] = counts["export.matrix_market"]
+    result["peak_bytes_per_point_against_copies"] = {}
     with work:
         for name, fn in calls.items():
             result[name] = _summary(_time(fn, REPEATS), counts[name])
@@ -184,7 +192,12 @@ def main(argv=None) -> int:
             name: round(_peak_bytes(fn) / counts[name], 2) for name, fn in calls.items()
         }
         for name, fn in repeats.items():
-            result["peak_bytes_per_point"][name] = round(_peak_bytes(fn) / points, 2)
+            row = {
+                copies: round(_peak_bytes(lambda: fn(copies)) / (copies * 3), 2)
+                for copies in PEAK_COPIES
+            }
+            result["peak_bytes_per_point"][name] = row[COPIES]
+            result["peak_bytes_per_point_against_copies"][name] = {str(c): b for c, b in row.items()}
     result["specfun.log_c_d"] = {
         **_summary(_time(lambda: [log_c_d(2, 10.0) for _ in range(LOG_C_D_CALLS)], REPEATS),
                    LOG_C_D_CALLS, 1e6),
