@@ -32,7 +32,14 @@ from typing import Callable
 import numpy as np
 
 from .clifford import Multivector, mv_mul
-from .errors import ConfigError, DiracLabError, InvalidArgumentError, NumericFailureError
+from .errors import (
+    ConfigError,
+    DiracLabError,
+    InvalidArgumentError,
+    NumericFailureError,
+    _integer,
+    _sign,
+)
 from .estimators import (
     ARTIFACT_VERSION,
     CSV_COLUMNS,
@@ -64,6 +71,7 @@ from .liealg import (
     realize_commutator_edges,
 )
 from .manifold import (
+    _KINDS,
     _radial_density,
     exp_map,
     framed_point,
@@ -81,14 +89,6 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------------------
 # settings
-
-
-def _parse_sign(text: str) -> int:
-    if text in ("+1", "1"):
-        return 1
-    if text == "-1":
-        return -1
-    raise ValueError(f"sign must be +1 or -1, got {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -128,13 +128,13 @@ def _one_of(parse, *allowed):
 # line, manifest entry and (seed only) environment variable.
 _PARSERS = {
     "out": str,
-    "seed": int,
-    "manifold": _one_of(str, "flat", "sphere"),
+    "seed": lambda text: _integer("master seed", int(text), 0, 2**64),
+    "manifold": _one_of(str, *_KINDS),
     "dim": int,
     "alpha": float,
     "n_grid": _csv_of(int),
     "repeats": int,
-    "sign": _parse_sign,
+    "sign": lambda text: _sign(int(text)),
     "test_function": str,
     "delta_u": float,
     "lambda_power": _one_of(int, 1, 2),
@@ -543,7 +543,7 @@ def _cmd_geometry_check(sub, values, dump) -> _Outputs:
         raise ConfigError(f"geometry-check needs dim >= 2, got {dim}")
     rows = []
     jacobi_rows = []
-    for kind_idx, kind in enumerate(("flat", "sphere")):
+    for kind_idx, kind in enumerate(_KINDS):
         m = make_manifold(kind, dim)
         fp = framed_point(m)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 10 + kind_idx]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _integer
 
 __all__ = ["Multivector", "mv_mul"]
 
@@ -35,18 +35,13 @@ class Multivector:
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, coeffs: Mapping[int, float] | None = None):
-        if d < 1:
-            raise InvalidArgumentError(f"need at least one generator, got d={d}")
-        self.d = d
+        self.d = d = _integer("number of generators d", d, 1)
         self.coeffs: dict[int, float] = {}
         if coeffs:
             for mask, c in coeffs.items():
-                if not 0 <= mask < (1 << d):
-                    raise InvalidArgumentError(
-                        f"blade mask {mask} out of range for d={d}"
-                    )
+                mask = _integer("blade mask", mask, 0, 1 << d)
                 if c != 0.0:
-                    self.coeffs[int(mask)] = float(c)
+                    self.coeffs[mask] = float(c)
 
     @classmethod
     def scalar(cls, d: int, value: float) -> "Multivector":
@@ -55,8 +50,7 @@ class Multivector:
     @classmethod
     def basis_vector(cls, d: int, j: int) -> "Multivector":
         """The generator e_j, 1-based."""
-        if not 1 <= j <= d:
-            raise InvalidArgumentError(f"generator index {j} out of range 1..{d}")
+        j = _integer("generator index", j, 1, d + 1)
         return cls(d, {1 << (j - 1): 1.0})
 
     def component(self, mask: int) -> float:

@@ -26,9 +26,10 @@ import time
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfNeighbourhoodError
-from .graphdirac import _check_inside, _check_scale, _weights, star_anchors, star_weights
+from .errors import InvalidArgumentError, OutOfNeighbourhoodError, _integer, _positive, _sign
+from .graphdirac import _check_inside, _weights, star_anchors, star_weights
 from .manifold import (
+    _KINDS,
     FramedPoint,
     ManifoldModel,
     _radial_density,
@@ -82,18 +83,10 @@ CSV_COLUMNS = (
 )
 
 
-def _is_int(x) -> bool:
-    """Whether x is an integer and not a bool, which Python counts as one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def hbar_schedule(n: int, alpha: float) -> float:
     """Scale parameter hbar_n = n^(-alpha)."""
-    if not _is_int(n) or n < 1:
-        raise InvalidArgumentError(f"sample count must be an integer >= 1, got {n!r}")
-    if isinstance(alpha, bool) or not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidArgumentError(f"alpha must be finite and > 0, got {alpha!r}")
-    return float(n) ** (-alpha)
+    n = _integer("sample count", n, 1)
+    return n ** -_positive("alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,7 @@ class TestFunction:
 
 def linear_coordinate_function(m: ManifoldModel, fp: FramedPoint, j: int) -> TestFunction:
     """a(x) = j-th frame coordinate of log_p x.  Harmonic at p; gradient e_j."""
-    if not (1 <= j <= m.d):
-        raise InvalidArgumentError(f"coordinate index must lie in 1..{m.d}, got {j}")
+    j = _integer("coordinate index", j, 1, m.d + 1)
     derivs = np.zeros(m.d)
     derivs[j - 1] = 1.0
 
@@ -157,14 +149,11 @@ def embedding_coordinate_function(m: ManifoldModel, fp: FramedPoint, axis: int) 
     direction); flat space is the linear case with zero Laplacian.  The only
     shipped function that embeds, through the one column ``exp_axis`` forms.
     """
-    if not (0 <= axis < m.embedding_dim):
-        raise InvalidArgumentError(
-            f"axis must lie in 0..{m.embedding_dim - 1}, got {axis}"
-        )
+    axis = _integer("axis", axis, 0, m.embedding_dim)
     derivs = fp.frame[:, axis].copy()
     base = float(fp.point[axis])
     if m.kind == "sphere":
-        lap, shell = -float(m.d) * base, lambda r: ((np.cos(r) - 1.0) * base, np.sin(r), 0.0)
+        lap, shell = -m.d * base, lambda r: ((np.cos(r) - 1.0) * base, np.sin(r), 0.0)
     else:
         lap, shell = 0.0, lambda r: (0.0, r, 0.0)
 
@@ -241,12 +230,13 @@ def resolve_test_function(m: ManifoldModel, fp: FramedPoint, mode: str, name: st
         if m.kind == "sphere":
             return embedding_coordinate_function(m, fp, 0)
         return linear_coordinate_function(m, fp, 1)
-    if name.startswith("linear-x"):
-        return linear_coordinate_function(m, fp, int(name[len("linear-x") :]))
     if name == "squared-radius":
         return squared_radius_function(m, fp)
-    if name.startswith("embedding-x"):
-        return embedding_coordinate_function(m, fp, int(name[len("embedding-x") :]) - 1)
+    kind, _, index = name.rpartition("-x")
+    if kind == "linear" and index.isdecimal():
+        return linear_coordinate_function(m, fp, int(index))
+    if kind == "embedding" and index.isdecimal():
+        return embedding_coordinate_function(m, fp, int(index) - 1)
     raise InvalidArgumentError(f"unknown test function {name!r}")
 
 
@@ -278,8 +268,7 @@ def s_jn(
     s_jn = (Vol(U_p) / (n hbar)) sum_k w_kj (a(x_k) - a(p)), with w the
     concentration weight against the j-th frame anchor.
     """
-    if not (1 <= j <= m.d):
-        raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
+    j = _integer("component index", j, 1, m.d + 1)
     v = _coords(samples, (m.d,))
     w = star_weights(v, np.eye(m.d)[j - 1], fp, hbar, sigma)
     return neighbourhood_volume(m, fp) * float(np.sum(w * _centered(m, a, v))) / (len(v) * hbar)
@@ -292,8 +281,7 @@ def _estimator(mode: str, d: int, lambda_power: int = 1) -> tuple:
     i): the frame derivative at power 1 takes each frame slot alone, the
     Laplacian at power 2 the averaging weights lambda^p.
     """
-    if not _is_int(lambda_power) or lambda_power not in (1, 2):
-        raise InvalidArgumentError(f"lambda_power must be 1 or 2, got {lambda_power!r}")
+    lambda_power = _integer("lambda_power", lambda_power, 1, 3)
     if mode == "dirac":
         return np.eye(d, d + 1), 1
     return star_anchors(d)[1][None] ** lambda_power, 2
@@ -317,7 +305,7 @@ def _estimate(m, samples, funcs, fp, hbar, sigma, mix, power) -> np.ndarray:
     """
     v = _coords(samples, (m.d + 1, m.d))
     k = 1 + int(np.flatnonzero(mix.any(axis=0))[-1])
-    _check_scale(hbar, sigma)
+    hbar, sigma = _positive("hbar", hbar), _sign(sigma)
     anchors = star_anchors(m.d)[0][:k]
     log_c = log_c_d(m.d, 1.0 / hbar)
     centers = [float(f.evaluate(np.zeros(m.d))) for f in funcs]
@@ -397,6 +385,7 @@ def _oracle_quadrature(m, fp, hbar, sigma, mix, power, a):
     """
     if a._shell is None:
         raise InvalidArgumentError(f"no quadrature oracle for {a.name!r}: not of degree <= 2")
+    hbar, sigma = _positive("hbar", hbar), _sign(sigma)
     anchors = star_anchors(m.d)[0]
     weight = float(np.sum(mix))
     slope = float(a.frame_derivatives @ (mix @ anchors))
@@ -424,10 +413,9 @@ def dirac_expectation_oracle(
     sigma: int = 1,
 ) -> float:
     """Exact expectation of s_jn at fixed hbar, by quadrature (not for cubic ``a``)."""
-    if not (1 <= j <= m.d):
-        raise InvalidArgumentError(f"component index must lie in 1..{m.d}, got {j}")
     mix, power = _estimator("dirac", m.d)
-    return _oracle_quadrature(m, fp, hbar, sigma, mix[j - 1], power, a)
+    row = mix[_integer("component index", j, 1, m.d + 1) - 1]
+    return _oracle_quadrature(m, fp, hbar, sigma, row, power, a)
 
 
 def laplace_expectation_oracle(
@@ -465,33 +453,27 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("dirac", "laplace"):
             raise InvalidArgumentError(f"mode must be dirac or laplace, got {self.mode!r}")
-        if self.manifold not in ("flat", "sphere"):
-            raise InvalidArgumentError(
-                f"manifold must be flat or sphere, got {self.manifold!r}"
-            )
-        if not _is_int(self.dim) or self.dim < 2:
-            raise InvalidArgumentError(f"dim must be an integer >= 2, got {self.dim!r}")
-        if isinstance(self.alpha, bool) or not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidArgumentError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if isinstance(self.delta_u, bool):
-            raise InvalidArgumentError(f"delta_u must be a real number, got {self.delta_u!r}")
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        if any(n < 1 for n in grid):
-            raise InvalidArgumentError(f"n grid entries must be >= 1, got {grid}")
+        if self.manifold not in _KINDS:
+            raise InvalidArgumentError(f"manifold must be one of {_KINDS}, got {self.manifold!r}")
+        _positive("alpha", self.alpha)
+        if self.delta_u is not None:
+            _positive("delta_u", self.delta_u)
+        # The integers are kept as the rules return them: a numpy integer
+        # would reach the report's metadata, which JSON cannot write.
+        checked = {
+            "dim": _integer("dim", self.dim, 2),
+            "n_grid": tuple(_integer("n grid entry", n, 1) for n in self.n_grid),
+            "repeats": _integer("repeats", self.repeats, 1),
+            "master_seed": _integer("master seed", self.master_seed, 0, 2**64),
+            "sigma": _sign(self.sigma),
+            "lambda_power": _integer("lambda_power", self.lambda_power, 1, 3),
+            "threads": _integer("threads", self.threads, 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        grid = self.n_grid
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgumentError(f"n grid must be strictly increasing, got {grid}")
-        if not _is_int(self.repeats) or self.repeats < 1:
-            raise InvalidArgumentError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not _is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
-            raise InvalidArgumentError(
-                f"master seed must be an integer in [0, 2^64), got {self.master_seed!r}"
-            )
-        if not _is_int(self.sigma) or self.sigma not in (1, -1):
-            raise InvalidArgumentError(f"sign must be +1 or -1, got {self.sigma!r}")
-        _estimator(self.mode, self.dim, self.lambda_power)  # checks lambda_power
-        if not _is_int(self.threads) or self.threads < 1:
-            raise InvalidArgumentError(f"threads must be an integer >= 1, got {self.threads!r}")
 
 
 def _cell(v) -> str:

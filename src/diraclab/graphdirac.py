@@ -28,6 +28,8 @@ from .errors import (
     InvalidGraphError,
     NumericFailureError,
     OutOfNeighbourhoodError,
+    _positive,
+    _sign,
 )
 # log_coords is not used here; it stays importable from this module because
 # perfbench's tracer test checks that a re-imported name is wrapped and restored.
@@ -66,17 +68,9 @@ def star_weights(logc, anchors, fp: FramedPoint, hbar: float, sigma: int) -> np.
     sample must be finite and lie strictly inside the neighbourhood of fp.
     """
     logc = np.asarray(logc, dtype=float)
-    _check_scale(hbar, sigma)
+    hbar, sigma = _positive("hbar", hbar), _sign(sigma)
     _check_inside(logc, fp)
     return _weights(logc, anchors, hbar, sigma, log_c_d(fp.d, 1.0 / hbar))
-
-
-def _check_scale(hbar: float, sigma: int) -> None:
-    """Check ``star_weights``' scale hbar and sign."""
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be finite and > 0, got {hbar!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
 
 
 def _check_inside(logc: np.ndarray, fp: FramedPoint) -> None:
@@ -152,8 +146,9 @@ def assemble_dirac(
         )
     if not np.all(np.isfinite(v)):
         raise InvalidGraphError("sample log coordinates must be finite")
+    hbar = _positive("hbar", hbar)
     w = star_weights(v, star_anchors(fp.d)[0], fp, hbar, sigma)
-    return WeightedGraphDirac(hbar=float(hbar), weights=w.ravel())
+    return WeightedGraphDirac(hbar=hbar, weights=w.ravel())
 
 
 def pf_bound_report(dirac: WeightedGraphDirac, a_values, grad_sup: float) -> dict:
@@ -171,14 +166,13 @@ def pf_bound_report(dirac: WeightedGraphDirac, a_values, grad_sup: float) -> dic
         )
     if not np.all(np.isfinite(vals)):
         raise InvalidArgumentError("observable values must be finite")
-    if not (math.isfinite(grad_sup) and grad_sup > 0.0):
-        raise InvalidArgumentError(f"gradient bound must be finite and > 0, got {grad_sup!r}")
+    grad_sup = _positive("gradient bound", grad_sup)
     rho = float(np.linalg.norm(dirac.weights * (vals[1:] - vals[0]))) / dirac.hbar
     if not math.isfinite(rho):
         raise NumericFailureError("commutator spectral radius is not finite", best=rho)
     return {
         "hbar": dirac.hbar,
         "rho": rho,
-        "grad_sup": float(grad_sup),
-        "bound_ratio": rho / float(grad_sup),
+        "grad_sup": grad_sup,
+        "bound_ratio": rho / grad_sup,
     }

@@ -29,6 +29,8 @@ from .errors import (
     InvalidArgumentError,
     InvalidGraphError,
     UnsupportedDegreeError,
+    _integer,
+    _positive,
 )
 
 __all__ = [
@@ -74,9 +76,7 @@ Word = tuple[tuple[int, int], ...]
 
 def root_block(s: int) -> np.ndarray:
     """The 2x2 coefficient of the s-th root family, s in 1..4."""
-    if s not in _ROOT_BLOCKS:
-        raise InvalidArgumentError(f"root family index must be 1..4, got {s}")
-    return np.array(_ROOT_BLOCKS[s], dtype=complex)
+    return np.array(_ROOT_BLOCKS[_integer("root family index", s, 1, 5)], dtype=complex)
 
 
 def _validate_word(word, grid: int) -> Word:
@@ -87,17 +87,9 @@ def _validate_word(word, grid: int) -> Word:
             f"words support at most two index pairs, got {len(word)}"
         )
     for pair in word:
-        if (
-            not isinstance(pair, tuple)
-            or len(pair) != 2
-            or not all(isinstance(k, int) for k in pair)
-        ):
+        if not isinstance(pair, tuple) or len(pair) != 2:
             raise InvalidArgumentError(f"malformed index pair {pair!r}")
-        if not all(1 <= k <= grid for k in pair):
-            raise InvalidArgumentError(
-                f"index pair {pair} out of range 1..{grid}"
-            )
-    return word
+    return tuple(tuple(_integer("word index", k, 1, grid + 1) for k in pair) for pair in word)
 
 
 # Each word is stored as one integer key. On a grid of g word indices the pair
@@ -151,8 +143,7 @@ class TensorElement:
     __slots__ = ("n_pairs", "_keys", "_coeffs", "_terms")
 
     def __init__(self, n_pairs: int, terms: Mapping[Word, np.ndarray] | None = None):
-        if n_pairs < 1:
-            raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
+        n_pairs = _integer("n_pairs", n_pairs, 1)
         grid = 2 * n_pairs
         keys, mats = [], []
         for word, mat in (terms or {}).items():
@@ -342,8 +333,8 @@ class DiagonalObservable:
 
     def alpha(self, i: int, j: int) -> float:
         """Difference values[i] - values[j] (1-based indices)."""
-        if not (1 <= i <= self.grid and 1 <= j <= self.grid):
-            raise InvalidArgumentError(f"indices ({i}, {j}) out of range 1..{self.grid}")
+        i = _integer("index i", i, 1, self.grid + 1)
+        j = _integer("index j", j, 1, self.grid + 1)
         return float(self.values[i - 1] - self.values[j - 1])
 
     def realize(self) -> np.ndarray:
@@ -357,15 +348,12 @@ def _validated_weights(
     for key in sorted(weights):
         if not (isinstance(key, tuple) and len(key) == 2):
             raise InvalidArgumentError(f"weight key must be an index pair, got {key!r}")
-        i, j = key
-        if not (1 <= i < j <= grid):
-            raise InvalidArgumentError(
-                f"weight indices must satisfy 1 <= i < j <= {grid}, got ({i}, {j})"
-            )
+        i = _integer("weight index i", key[0], 1, grid)
+        j = _integer("weight index j", key[1], i + 1, grid + 1)
         w = float(weights[key])
         if not math.isfinite(w):
             raise InvalidArgumentError(f"weight at ({i}, {j}) is not finite")
-        out[(int(i), int(j))] = w
+        out[(i, j)] = w
     return out
 
 
@@ -418,8 +406,7 @@ def build_w(
 ) -> WeightedOperator:
     """Assemble the weighted operator: w_ij * C_s on each edge, continued
     antisymmetrically."""
-    if n_pairs < 1:
-        raise InvalidArgumentError(f"need n_pairs >= 1, got {n_pairs}")
+    n_pairs = _integer("n_pairs", n_pairs, 1)
     wts = _validated_weights(weights, 2 * n_pairs)
     block = root_block(s)
     pairs, w = _weight_arrays(wts)
@@ -469,9 +456,7 @@ def dirac_from_w(w_op: WeightedOperator, hbar: float) -> DiracOperator:
     dense matrix is (i/hbar) times the entrywise real part of the dense W and
     is Hermitian.
     """
-    if not (isinstance(hbar, (int, float)) and hbar > 0 and np.isfinite(hbar)):
-        raise InvalidArgumentError(f"hbar must be a positive finite number, got {hbar}")
-    hbar = float(hbar)
+    hbar = _positive("hbar", hbar)
     real_block = root_block(w_op.s).real.astype(complex)
     pairs, w = _weight_arrays(w_op.weights)
     symbolic = _edge_element(
@@ -587,10 +572,8 @@ def psi_map_to_clifford(
     c_j. Words are ordered by second index; the last one is dropped. Returns
     (sum_j c_j e_j, i/hbar).
     """
-    if d < 1:
-        raise InvalidArgumentError(f"need d >= 1, got {d}")
-    if not (hbar > 0 and np.isfinite(hbar)):
-        raise InvalidArgumentError(f"hbar must be a positive finite number, got {hbar}")
+    d = _integer("d", d, 1)
+    hbar = _positive("hbar", hbar)
     words = sorted(element.terms)
     if len(words) != d + 1:
         raise InvalidGraphError(

@@ -18,6 +18,8 @@ from .errors import (
     InvalidArgumentError,
     OutOfInjectivityError,
     SamplingFailureError,
+    _integer,
+    _positive,
 )
 from .specfun import _gauss_legendre
 
@@ -53,8 +55,7 @@ class ManifoldModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"manifold kind must be one of {_KINDS}, got {self.kind!r}")
-        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
-            raise InvalidArgumentError(f"dimension must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", _integer("dimension", self.d, 1))
 
     @property
     def embedding_dim(self) -> int:
@@ -67,7 +68,7 @@ class ManifoldModel:
 
 def make_manifold(kind: str, d: int) -> ManifoldModel:
     """Construct a validated manifold model."""
-    return ManifoldModel(kind, int(d))
+    return ManifoldModel(kind, d)
 
 
 def default_base_point(m: ManifoldModel) -> np.ndarray:
@@ -155,8 +156,8 @@ def framed_point(
         raise InvalidArgumentError("frame rows must be tangent at the point (tol 1e-12)")
     if delta_u is None:
         delta_u = min(0.9 * m.injectivity_radius, 1.0)
-    delta_u = float(delta_u)
-    if not (0.0 < delta_u < m.injectivity_radius):
+    delta_u = _positive("neighbourhood radius", delta_u)
+    if delta_u >= m.injectivity_radius:
         raise InvalidArgumentError(
             f"neighbourhood radius must lie in (0, {m.injectivity_radius}), got {delta_u}"
         )
@@ -224,6 +225,7 @@ def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
     of the embedded tangent there) and agree to about 2e-15 of the largest
     coordinate (elementwise, near a zero coordinate, up to 1e-11 relative).
     """
+    axis = _integer("axis", axis, 0, m.embedding_dim)
     v = np.asarray(v, dtype=float)
     col = fp.frame[:, axis]
     along = v[..., 0] * col[0]
@@ -335,9 +337,7 @@ def _sample_log_coords(m, fp, rng, size):
     ``proposals`` counts the proposals examined up to the last one kept, so
     size / proposals is the acceptance rate (1 on flat space).
     """
-    if size < 0:
-        raise InvalidArgumentError(f"size must be >= 0, got {size}")
-    size = int(size)
+    size = _integer("size", size, 0)
     d = m.d
     if size == 0:
         return np.empty((0, d)), 0, 0
@@ -510,8 +510,8 @@ def jacobi_expansion_check(
     eps = 1e-5
     rows = []
     for t in t_grid:
-        t = float(t)
-        if not (0.0 < t < m.injectivity_radius):
+        t = _positive("t", t)
+        if t >= m.injectivity_radius:
             raise InvalidArgumentError(f"t must lie in (0, injectivity radius), got {t}")
         plus = exp_map(m, p, t * (v + eps * w))
         minus = exp_map(m, p, t * (v - eps * w))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, _integer, _positive, _sign
 
 __all__ = [
     "bessel_i_scaled",
@@ -217,13 +217,8 @@ def log_c_d(d: int, beta: float) -> float:
     Requires an integer d >= 2 and beta > 0.  Stays finite for beta up to 1e6
     and beyond, where the raw constant underflows.
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise InvalidArgumentError(f"dimension must be an integer, got {d!r}")
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be >= 2, got {d}")
-    if not np.isscalar(beta) or not math.isfinite(beta) or beta <= 0.0:
-        raise InvalidArgumentError(f"concentration must be finite and > 0, got {beta!r}")
-    return float(_log_c_any(int(d), float(beta)))
+    d = _integer("dimension", d, 2)
+    return float(_log_c_any(d, _positive("concentration", beta)))
 
 
 @functools.cache
@@ -297,7 +292,7 @@ def _shell_moments(d: int, beta: float, r: np.ndarray, sigma: int):
     nu = 0.5 * d - 1.0
     kappa = beta * r
     i_nu = _ive(nu, kappa)
-    i_beta = _ive(nu, float(beta))
+    i_beta = _ive(nu, beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = _ive(nu + 1.0, kappa) / i_nu
         ratio2 = _ive(nu + 2.0, kappa) / i_nu
@@ -311,7 +306,7 @@ def _shell_moments(d: int, beta: float, r: np.ndarray, sigma: int):
         log_i = _log_ive(nu, k)
         ratio[tiny] = np.exp(_log_ive(nu + 1.0, k) - log_i)
         ratio2[tiny] = np.exp(_log_ive(nu + 2.0, k) - log_i)
-        log_mass = 0.5 * d * np.log(r[tiny]) + (k - beta) + (log_i - _log_ive(nu, float(beta)))
+        log_mass = 0.5 * d * np.log(r[tiny]) + (k - beta) + (log_i - _log_ive(nu, beta))
         mass[tiny] = np.exp(log_mass)
     perp = ratio / kappa
     return mass, sigma * ratio, perp, perp + ratio2
@@ -328,14 +323,8 @@ def lemma_abc(d: int, t: float):
     Requires an integer d >= 3 and t > 0.  All normalizer ratios are formed in
     log space.  Returns the tuple (A, B, C).
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise InvalidArgumentError(f"dimension must be an integer, got {d!r}")
-    if d < 3:
-        raise InvalidArgumentError(f"dimension must be >= 3, got {d}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise InvalidArgumentError(f"scale must be finite and > 0, got {t!r}")
-    d = int(d)
-    t = float(t)
+    d = _integer("dimension", d, 3)
+    t = _positive("scale", t)
     beta = 1.0 / t
     log_cd_beta = float(_log_c_any(d, beta))
     log_cdm2_beta = float(_log_c_any(d - 2, beta))
@@ -379,10 +368,7 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
     Returns (m1, m2) with m1 of shape (d,) and m2 symmetric (d, d).  m2 has
     eigenvector structure span{s} plus its orthogonal complement.
     """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise InvalidArgumentError(f"dimension must be an integer, got {d!r}")
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be >= 2, got {d}")
+    d = _integer("dimension", d, 2)
     s_arr = np.asarray(s, dtype=float)
     if s_arr.shape != (d,):
         raise InvalidArgumentError(f"direction must have shape ({d},), got {s_arr.shape}")
@@ -391,12 +377,8 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
     norm = float(np.linalg.norm(s_arr))
     if abs(norm - 1.0) > 1e-8:
         raise InvalidArgumentError(f"direction must be a unit vector, |s| = {norm!r}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise InvalidArgumentError(f"scale must be finite and > 0, got {t!r}")
-    if sigma not in (1, -1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sigma!r}")
-    d = int(d)
-    beta = 1.0 / float(t)
+    beta = 1.0 / _positive("scale", t)
+    sigma = _sign(sigma)
 
     def integrand(r, w) -> np.ndarray:
         mass, mean, perp, par = _shell_moments(d, beta, r, sigma)

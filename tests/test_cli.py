@@ -558,6 +558,27 @@ def test_bad_environment_seed_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "DIRACLAB_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", [sub.name for sub in cli._SUBCOMMANDS])
+def test_seed_out_of_range_is_a_config_error_for_every_subcommand(
+    tmp_path, capsys, monkeypatch, sub
+):
+    # One seed parser reads the flag and the environment for every subcommand.
+    out = tmp_path / "x"
+    for seed, where in (("-1", "--seed"), ("-1", "DIRACLAB_SEED"), (str(2**64), "--seed")):
+        if where == "--seed":
+            monkeypatch.delenv("DIRACLAB_SEED", raising=False)
+            args = [sub, "--seed", seed, "--out", str(out)]
+        else:
+            monkeypatch.setenv("DIRACLAB_SEED", seed)
+            args = [sub, "--out", str(out)]
+        assert run_cli(args) == 2, (sub, seed, where)
+        assert capsys.readouterr().err == (
+            f"config error: {where}: bad value for seed: "
+            f"master seed must be an integer in [0, 2^64), got {seed}\n"
+        )
+        assert not out.exists()
+
+
 def test_bad_grid_is_a_config_error(tmp_path, capsys):
     code = run_cli(["dirac-converge", "--n-grid", "50,20", "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
@@ -674,6 +695,13 @@ def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
     ])
     assert code == 1
     assert "unknown test function" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["linear-xfoo", "embedding-x", "linear-x", "linear-x1.0"])
+def test_malformed_test_function_name_exits_with_one_line(tmp_path, capsys, name):
+    args = ["--test-function", name, "--out", str(tmp_path / "x")]
+    assert run_cli(["dirac-converge", *SMALL, *args]) == 1
+    assert capsys.readouterr().err == f"error: unknown test function {name!r}\n"
 
 
 def test_specfun_quadrature_failures_exit_1(tmp_path, capsys, monkeypatch):

@@ -170,6 +170,11 @@ def test_resolve_test_function_named_forms():
     assert resolve_test_function(m, fp, "laplace", "squared-radius").name == "squared-radius"
     with pytest.raises(InvalidArgumentError):
         resolve_test_function(m, fp, "dirac", "mystery-function")
+    # An index suffix must be all decimal digits; anything else is an
+    # unknown name, not a parse error.
+    for name in ("linear-xfoo", "embedding-x", "linear-x", "linear-x1.0", "linear-x-1"):
+        with pytest.raises(InvalidArgumentError, match="unknown test function"):
+            resolve_test_function(m, fp, "dirac", name)
 
 
 def test_s_jn_constant_function_is_zero():
@@ -543,6 +548,19 @@ def test_run_config_validation():
         with pytest.raises(InvalidArgumentError):
             RunConfig(**{field_name: value})
     RunConfig(n_grid=())
+
+
+def test_run_config_stores_numpy_integers_as_ints():
+    """A numpy integer setting is stored as an int, so the report's JSON
+    metadata can hold it."""
+    cfg = RunConfig(
+        dim=np.int64(3), n_grid=(np.int32(50),), repeats=np.int64(2),
+        master_seed=np.uint64(5), sigma=np.int8(-1), lambda_power=np.int16(2),
+        threads=np.int64(1),
+    )
+    for name in ("dim", "repeats", "master_seed", "sigma", "lambda_power", "threads"):
+        assert type(getattr(cfg, name)) is int, name
+    assert type(cfg.n_grid[0]) is int
 
 
 def small_config(**overrides):

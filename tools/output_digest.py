@@ -10,7 +10,9 @@ Each subcommand also runs once from a key=value ``--config`` file and once
 Prints one line per output file, ``<case>/<file> <sha256>``, sorted, with
 ``timing.json`` left out: it holds wall times and sits outside the byte
 contract.  Each case's standard output is digested as ``<case>/<stdout>`` and
-its exit code as ``<case>/<exit>``.  The seed ``default`` passes no
+its exit code as ``<case>/<exit>``, or ``raised <ExceptionType>`` when an
+exception escapes the command line's ``main`` (its traceback goes to standard
+error), so one crashing case does not abort the digest.  The seed ``default`` passes no
 ``--seed`` (and unsets DIRACLAB_SEED), so the built-in master seed is used;
 a replay never passes ``--seed``, so the seed comes from the manifest.
 
@@ -30,6 +32,7 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,6 +79,11 @@ CASES = (
     ("dirac-flat-family", ["dirac-converge", "--manifold", "flat", "--family", "1"]),
     ("dirac-sphere-family", ["dirac-converge", "--manifold", "sphere", "--family", "1"]),
     ("dirac-flat-sign-1", ["dirac-converge", "--manifold", "flat", "--sign", "-1"]),
+    # A malformed test-function name is an error exit, not a crash.
+    (
+        "dirac-flat-bad-function",
+        ["dirac-converge", "--manifold", "flat", "--test-function", "linear-xfoo"],
+    ),
     ("dirac-flat-dim3", ["dirac-converge", "--manifold", "flat", "--dim", "3"]),
     ("dirac-sphere-dim3", ["dirac-converge", "--manifold", "sphere", "--dim", "3"]),
     ("laplace-flat", ["laplace-converge"]),
@@ -155,7 +163,11 @@ def _run_case(main, work: str, name: str, argv: list, seed: str) -> list:
         args += ["--seed", seed]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(args)
+        try:
+            code = main(args)
+        except Exception as exc:
+            traceback.print_exc()
+            code = f"raised {type(exc).__name__}"
     lines = [f"{case}/<exit> {code}"]
     lines.append(f"{case}/<stdout> {hashlib.sha256(buf.getvalue().encode()).hexdigest()}")
     for sub in ("out", "dump"):
