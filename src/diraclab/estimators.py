@@ -456,6 +456,10 @@ class RunConfig:
         if self.manifold not in _KINDS:
             raise InvalidArgumentError(f"manifold must be one of {_KINDS}, got {self.manifold!r}")
         _positive("alpha", self.alpha)
+        if isinstance(self.alpha, np.generic):
+            # Stored as its Python value, which JSON can write; a plain int
+            # alpha stays an int, so alpha=1 is still written as 1.
+            object.__setattr__(self, "alpha", self.alpha.item())
         if self.delta_u is not None:
             _positive("delta_u", self.delta_u)
         # The integers are kept as the rules return them: a numpy integer

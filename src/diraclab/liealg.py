@@ -73,6 +73,10 @@ _ROOT_BLOCKS = {
 
 Word = tuple[tuple[int, int], ...]
 
+# Terms (or coefficient products) the word calculus works on at a time, so
+# that its temporaries stay below a few hundred KB, whatever the element size.
+_BLOCK = 512
+
 
 def root_block(s: int) -> np.ndarray:
     """The 2x2 coefficient of the s-th root family, s in 1..4."""
@@ -132,12 +136,17 @@ class TensorElement:
 
     The terms are stored as one integer key per word and one (T, 2, 2) complex
     coefficient array, in the order each word first appeared; ``terms`` is a
-    read-only word -> coefficient view of them. Sums, products and the
-    reduction add coefficients of equal words one at a time in that order, so
-    every result is bit-identical to accumulating the terms in a dict. A
-    product's coefficient has entries x_0 y_0 + x_1 y_1, each complex product
-    x y formed as (xr*yr - xi*yi) + i(xr*yi + xi*yr) in float64 arithmetic;
-    no operation on an element makes a BLAS call.
+    read-only word -> coefficient view of them. Every element holds each word
+    at most once: the constructor reads a mapping, and every operation either
+    keeps its operand's words (``scale``), forms distinct ones (``mul`` when
+    no two products share a word) or collects equal ones. So a sum or
+    difference needs no re-collection: it matches the two key lists, combines
+    the coefficients of the shared words in place and appends the others.
+    Sums, products and the reduction add coefficients of equal words one at a
+    time in that order, so every result is bit-identical to accumulating the
+    terms in a dict. A product's coefficient has entries x_0 y_0 + x_1 y_1,
+    each complex product x y formed as (xr*yr - xi*yi) + i(xr*yi + xi*yr) in
+    float64 arithmetic; no operation on an element makes a BLAS call.
     """
 
     __slots__ = ("n_pairs", "_keys", "_coeffs", "_terms")
@@ -192,20 +201,37 @@ class TensorElement:
             )
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_same(other)
-        return _collected(
-            self.n_pairs,
-            np.concatenate([self._keys, other._keys]),
-            np.concatenate([self._coeffs, other._coeffs]),
-        )
+        return self._combined(other, np.add)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
+        return self._combined(other, np.subtract)
+
+    def _combined(self, other: "TensorElement", op) -> "TensorElement":
+        """self op other, op np.add or np.subtract, matching each word once.
+
+        A word of ``other`` meets at most one word of ``self``: their
+        coefficients combine in place, x op y rounded once as accumulating
+        the terms gives. The words ``other`` alone holds follow in its order,
+        negated for a difference.
+        """
         self._check_same(other)
-        return _collected(
-            self.n_pairs,
-            np.concatenate([self._keys, other._keys]),
-            np.concatenate([self._coeffs, -other._coeffs]),
+        _common, mine, theirs = np.intersect1d(
+            self._keys, other._keys, assume_unique=True, return_indices=True
         )
+        rest = np.ones(other._keys.size, dtype=bool)
+        rest[theirs] = False
+        count = self._keys.size
+        keys = self._keys
+        coeffs = np.empty((count + int(rest.sum()), 2, 2), dtype=complex)
+        coeffs[:count] = self._coeffs
+        if rest.any():
+            keys = np.concatenate([keys, other._keys[rest]])
+            extra = other._coeffs[rest]
+            coeffs[count:] = extra if op is np.add else -extra
+        for start in range(0, mine.size, _BLOCK):
+            rows = mine[start : start + _BLOCK]
+            coeffs[rows] = op(coeffs[rows], other._coeffs[theirs[start : start + _BLOCK]])
+        return _collected(self.n_pairs, keys, coeffs, distinct=True)
 
     def scale(self, value: complex) -> "TensorElement":
         return TensorElement._from_arrays(
@@ -229,13 +255,9 @@ class TensorElement:
             raise UnsupportedDegreeError(
                 "product would create a word with more than two pairs"
             )
-        left = self._keys[:, None]
-        right = other._keys[None, :]
-        keys = np.where(
-            left == 0,
-            right,
-            np.where(right == 0, left, 1 + area + (left - 1) * area + (right - 1)),
-        )
+        # The key of a product word is left * area + right (see _word_key),
+        # and left itself when the right word is empty.
+        keys = self._keys[:, None] * np.where(other._keys == 0, 1, area) + other._keys
         # Two products can share a word only if word lengths vary in both
         # factors, as in () * (p,) = (p,) * ().
         distinct = deg1.min() == deg1.max() or deg2.min() == deg2.max()
@@ -254,6 +276,11 @@ class TensorElement:
         return f"TensorElement(n_pairs={self.n_pairs}, words={sorted(self.terms)})"
 
 
+def _parts(coeffs: np.ndarray) -> np.ndarray:
+    """A (T, 2, 2) complex stack as (T, 2, 2, re|im) float64."""
+    return np.ascontiguousarray(coeffs).view(float).reshape(-1, 2, 2, 2)
+
+
 def _mat2_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product a[s] @ b[t] of two (T, 2, 2) complex stacks, in (s, t)
     row-major order, shape (len(a) * len(b), 2, 2).
@@ -262,21 +289,27 @@ def _mat2_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and y_k = b[t][k, q]: re = (x0r*y0r - x0i*y0i) + (x1r*y1r - x1i*y1i) and
     im = (x0r*y0i + x0i*y0r) + (x1r*y1i + x1i*y1r), each product and sum
     rounded once (no fused multiply-add). No BLAS call is made, so the bits
-    do not depend on the BLAS build.
+    do not depend on the BLAS build. Each part is written straight into the
+    output, a block of about ``_BLOCK`` products at a time.
     """
-    # Entry [p, k] of every coefficient along one contiguous axis.
-    ar, ai, br, bi = (
-        np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (a.real, a.imag, b.real, b.imag)
-    )
-    ar, ai = ar[:, :, None, :, None], ai[:, :, None, :, None]  # (p, k, 1, s, 1)
-    br, bi = br[None, :, :, None, :], bi[None, :, :, None, :]  # (1, k, q, 1, t)
-    re = ar * br
-    re -= ai * bi
-    im = ar * bi
-    im += ai * br
-    out = np.empty((a.shape[0], b.shape[0], 2, 2, 2))  # (s, t, p, q, re|im)
-    out[..., 0] = (re[:, 0] + re[:, 1]).transpose(2, 3, 0, 1)
-    out[..., 1] = (im[:, 0] + im[:, 1]).transpose(2, 3, 0, 1)
+    count = b.shape[0]
+    out = np.empty((a.shape[0], count, 2, 2, 2))  # (s, t, p, q, re|im)
+    # Real and imaginary parts of x_k = a[s][p, k] as (re|im, 1, p, k, 1, s, 1)
+    # and of y_k = b[t][k, q] as (1, re|im, 1, k, q, 1, t): their product
+    # holds every part product, and each runs along t.
+    x = np.ascontiguousarray(_parts(a).transpose(3, 1, 2, 0))[:, None, :, :, None, :, None]
+    y = np.ascontiguousarray(_parts(b).transpose(3, 1, 2, 0))[None, :, None, :, :, None, :]
+    rows = min(a.shape[0], max(1, _BLOCK // count))
+    scratch = np.empty(32 * rows * count)
+    for start in range(0, a.shape[0], rows):
+        stop = min(a.shape[0], start + rows)
+        prod = scratch[: 32 * (stop - start) * count].reshape(2, 2, 2, 2, 2, -1, count)
+        np.multiply(x[..., start:stop, :], y, out=prod)
+        (rr, ri), (ir, ii) = prod
+        np.subtract(rr, ii, out=rr)  # re_k = xr*yr - xi*yi
+        np.add(ri, ir, out=ri)  # im_k = xr*yi + xi*yr
+        for part, acc in enumerate((rr, ri)):
+            np.add(acc[:, 0], acc[:, 1], out=out[start:stop, ..., part].transpose(2, 3, 0, 1))
     return out.view(complex).reshape(-1, 2, 2)
 
 
@@ -297,10 +330,13 @@ def _collected(
         slot[order] = np.arange(order.size)
         later = np.ones(keys.size, dtype=bool)
         later[first] = False
+        later = np.flatnonzero(later)
         sums = coeffs[first[order]]
         # np.add.at keeps the input order of the sums: np.add.reduceat regroups
         # them (the half-reduction misses 0.0); a masked pass per rank is slower.
-        np.add.at(sums, slot[inverse[later]], coeffs[later])
+        for start in range(0, later.size, _BLOCK):
+            rows = later[start : start + _BLOCK]
+            np.add.at(sums, slot[inverse[rows]], coeffs[rows])
         keys, coeffs = keys[first[order]], sums
     keep = coeffs.any(axis=(1, 2))
     if not keep.all():
@@ -558,7 +594,8 @@ def psi_reduce(element: TensorElement) -> TensorElement:
     pair = keys > area
     flip = pair & (u >= v)
     reduced = np.where(pair & (u == v), 0, np.where(flip, 1 + area + v * area + u, keys))
-    coeffs = np.where(flip[:, None, None], -element._coeffs, element._coeffs)
+    coeffs = element._coeffs.copy()
+    np.negative(coeffs, out=coeffs, where=flip[:, None, None])
     return _collected(element.n_pairs, reduced, coeffs)
 
 

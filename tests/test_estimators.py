@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -428,10 +429,10 @@ def test_oracles_match_the_polar_reference(kind, sigma, delta_u):
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (a.name, n, got, ref)
 
 
-def flat_kernel_integral(d, delta, hbar, s, g, hess):
-    """Integral of C_d(beta) exp(beta <v, s>) (g.v + v^T H v / 2) over the flat
-    ball of radius delta, beta = 1/hbar, in closed form through scipy's
-    exponentially scaled Bessel functions:
+def flat_kernel_integral_terms(d, delta, hbar, s, g, hess):
+    """The three terms of the integral of C_d(beta) exp(beta <v, s>)
+    (g.v + v^T H v / 2) over the flat ball of radius delta, beta = 1/hbar, in
+    closed form through scipy's exponentially scaled Bessel functions:
 
         J(s) = (g.s) P1 / beta + (tr H P1 / beta^2 + s^T H s P2 / beta) / 2,
         P_k = delta^(d/2+k) I_{d/2+k}(beta delta) / I_{d/2-1}(beta).
@@ -446,55 +447,60 @@ def flat_kernel_integral(d, delta, hbar, s, g, hess):
         / special.ive(d / 2 - 1, beta) * math.exp(beta * (delta - 1.0))
         for k in (1, 2)
     )
-    return (g @ s) * p1 / beta + 0.5 * (np.trace(hess) * p1 / beta**2 + s @ hess @ s * p2 / beta)
+    return [
+        float(g @ s) * p1 / beta,
+        0.5 * float(np.trace(hess)) * p1 / beta**2,
+        0.5 * float(s @ hess @ s) * p2 / beta,
+    ]
 
 
 def test_flat_oracles_match_the_bessel_closed_form():
     # The Dirac oracle is J(sigma e_j) / hbar and the Laplace oracle
-    # sum_j lambda_j^p J(sigma s_j) / hbar^2, with g and H read off each
-    # function's definition.
+    # sum_j lambda_j^p J(sigma s_j) / hbar^2, for every function with a shell
+    # form: _shell's c0 + r g.u + r^2 u^T hess u is g.v + v^T H v / 2 with
+    # H = 2 hess (and H = 2 I for squared radius, c0 = r^2). The error is
+    # taken against the sum of the absolute terms, not the reference alone:
+    # a Laplace reference of a linear function is exactly 0, since
+    # sum_j lambda_j s_j = 0, and at delta_u < 1 every term carries
+    # e^(beta (delta_u - 1)).
     checked = 0
-    for d in (2, 3, 6):
+    grid = [(d, delta_u, hbar) for d in (2, 3, 6) for delta_u in (1.0, 0.25) for hbar in (0.25, 0.03)]
+    grid += [(4, 0.5, 0.1), (5, 0.5, 0.1)]
+    for d, delta_u, hbar in grid:
         m = make_manifold("flat", d)
-        e1, e2 = np.eye(d)[:2]
-        zero = np.zeros(d)
-        forms = {
-            "linear-x1": (e1, np.zeros((d, d))),
-            "squared-radius": (zero, 2.0 * np.eye(d)),
-            "poly-v1v2": (zero, np.outer(e1, e2) + np.outer(e2, e1)),
-            "poly-radsq": (zero, 2.0 * (np.outer(e1, e1) + np.outer(e2, e2))),
-            "poly-v1plusv2": (e1 + e2, np.zeros((d, d))),
-        }
+        fp = framed_point(m, delta_u=delta_u)
         anchors, lams = star_anchors(d)
-        for delta_u in (1.0, 0.25):
-            fp = framed_point(m, delta_u=delta_u)
-            funcs = {f.name: f for f in polynomial_family(m, fp)}
-            funcs["linear-x1"] = linear_coordinate_function(m, fp, 1)
-            funcs["squared-radius"] = squared_radius_function(m, fp)
-            for hbar in (0.25, 0.03):
-                for sigma in (1, -1):
-                    for name, (g, hess) in forms.items():
-                        a = funcs[name]
-                        js = np.array([
-                            flat_kernel_integral(d, delta_u, hbar, sigma * s, g, hess)
-                            for s in anchors
-                        ])
-                        pairs = [
-                            (dirac_expectation_oracle(m, a, fp, j, hbar, sigma), js[j - 1] / hbar)
-                            for j in range(1, d + 1)
-                        ] + [
-                            (
-                                laplace_expectation_oracle(m, a, fp, hbar, sigma, power),
-                                float(np.sum(lams**power * js)) / hbar**2,
-                            )
-                            for power in (1, 2)
-                        ]
-                        for got, ref in pairs:
-                            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (
-                                d, delta_u, hbar, sigma, name, got, ref,
-                            )
-                        checked += len(pairs)
-    assert checked == 680
+        forms = [(squared_radius_function(m, fp), np.zeros(d), 2.0 * np.eye(d))]
+        forms += [
+            (linear_coordinate_function(m, fp, j), np.eye(d)[j - 1], np.zeros((d, d)))
+            for j in (1, d)
+        ]
+        forms += [
+            (f, f.frame_derivatives, 2.0 * f._shell(1.0)[2])
+            for f in polynomial_family(m, fp)
+            if f._shell is not None
+        ]
+        for (a, g, hess), sigma in itertools.product(forms, (1, -1)):
+            terms = [
+                flat_kernel_integral_terms(d, delta_u, hbar, sigma * s, g, hess) for s in anchors
+            ]
+            cases = [
+                (dirac_expectation_oracle(m, a, fp, j, hbar, sigma),
+                 [t / hbar for t in terms[j - 1]])
+                for j in range(1, d + 1)
+            ] + [
+                (laplace_expectation_oracle(m, a, fp, hbar, sigma, power),
+                 [lam**power * t / hbar**2 for lam, ts in zip(lams, terms) for t in ts])
+                for power in (1, 2)
+            ]
+            for got, parts in cases:
+                # A component that no term reaches must read exactly 0.
+                size = sum(abs(t) for t in parts)
+                assert abs(got - math.fsum(parts)) <= 1e-12 * size, (
+                    d, delta_u, hbar, sigma, a.name, got, parts,
+                )
+                checked += 1
+    assert checked == 1620
 
 
 def test_oracle_of_a_cubic_function_is_refused():
@@ -561,6 +567,19 @@ def test_run_config_stores_numpy_integers_as_ints():
     for name in ("dim", "repeats", "master_seed", "sigma", "lambda_power", "threads"):
         assert type(getattr(cfg, name)) is int, name
     assert type(cfg.n_grid[0]) is int
+
+
+def test_run_config_stores_a_numpy_alpha_as_its_python_value():
+    """A numpy scalar alpha is stored as its Python value, so the report's
+    JSON can hold it; a plain int alpha stays an int and is written as 1."""
+    for value, kind, text in (
+        (np.float32(0.2), float, '"alpha": 0.20000000298023224'),
+        (np.int64(1), int, '"alpha": 1,'),
+        (1, int, '"alpha": 1,'),
+    ):
+        cfg = RunConfig(n_grid=(50,), repeats=2, alpha=value)
+        assert type(cfg.alpha) is kind
+        assert text in convergence_run(cfg).to_json_text()
 
 
 def small_config(**overrides):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,15 @@ from diraclab import (
     realize_commutator_edges,
     root_block,
 )
-from diraclab.liealg import HADAMARD, MAT_J, MAT_X, MAT_Y
+from diraclab.liealg import (
+    HADAMARD,
+    MAT_J,
+    MAT_X,
+    MAT_Y,
+    _edge_element,
+    _validated_weights,
+    _weight_arrays,
+)
 
 
 def random_dirac(rng: np.random.Generator, n_pairs: int, hbar: float):
@@ -383,6 +393,15 @@ def test_array_store_matches_dict_algorithm(data):
     assert_same_terms(a, ra)
     assert_same_terms(a + b, ref_add(ra, rb))
     assert_same_terms(a - b, ref_sub(ra, rb))
+    # Every word shared: a sum that cancels exactly.
+    assert_same_terms(a - a, ref_sub(ra, ra))
+    assert_same_terms(a + a.scale(-1.0), ref_add(ra, ref_scale(ra, -1.0)))
+    # No word shared: each side's words kept in order, the right side's after.
+    rd = {w: m for w, m in rb.items() if w not in ra}
+    d = TensorElement(n_pairs, rd)
+    for left, right, rl, rr in ((a, d, ra, rd), (d, a, rd, ra)):
+        assert_same_terms(left + right, ref_add(rl, rr))
+        assert_same_terms(left - right, ref_sub(rl, rr))
     value = data.draw(st.sampled_from([0.5, -1.0, 0.0, 1j / 3.0, 0.3 - 1.7j]))
     assert_same_terms(a.scale(value), ref_scale(ra, value))
     assert_same_terms(psi_reduce(a), ref_psi_reduce(ra))
@@ -414,6 +433,67 @@ def test_products_of_words_of_degree_one_match_dict_algorithm(data):
     both = ref_sub(ref_mul(ra, rb), ref_mul(rb, ra))
     assert_same_terms(left - right, both)
     assert_same_terms(psi_reduce(left - right), ref_psi_reduce(both))
+
+
+def assert_distinct_words(element):
+    assert np.unique(element._keys).size == element._keys.size
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_element_holds_each_word_once(data):
+    # Sums match the two key lists instead of re-collecting equal words, so
+    # they rest on every constructor and operation yielding distinct words.
+    n_pairs = data.draw(st.integers(1, 2))
+    grid = 2 * n_pairs
+    a = TensorElement(n_pairs, data.draw(raw_terms(grid)))
+    b = TensorElement(n_pairs, data.draw(raw_terms(grid)))
+    if data.draw(st.booleans()):
+        b = b + a.scale(data.draw(st.sampled_from([1.0, -1.0, 2.0])))
+    value = data.draw(st.sampled_from([0.5, -1.0, 0.0, 0.3 - 1.7j]))
+    elements = [a, b, a + b, a - b, b - a, a - a, a.scale(value), psi_reduce(a)]
+    for left, right in ((a, b), (b, a)):
+        try:
+            product = left.mul(right)
+        except UnsupportedDegreeError:
+            continue
+        elements += [product, psi_reduce(product), product - right.mul(left)]
+    pairs = st.tuples(st.integers(1, grid), st.integers(1, grid))
+    weights = data.draw(st.dictionaries(pairs.filter(lambda p: p[0] < p[1]), st.floats(-2.0, 2.0)))
+    edge_pairs, w = _weight_arrays(_validated_weights(weights, grid))
+    elements.append(_edge_element(n_pairs, edge_pairs, w[:, None, None] * MAT_X))
+    for element in elements:
+        assert_distinct_words(element)
+
+
+def complete_operator(n_pairs: int):
+    """Dirac operator on every edge of the grid, and an observable."""
+    rng = np.random.default_rng(n_pairs)
+    grid = 2 * n_pairs
+    weights = {
+        (i, j): float(rng.uniform(0.2, 2.0))
+        for i in range(1, grid + 1)
+        for j in range(i + 1, grid + 1)
+    }
+    dirac = dirac_from_w(build_w(weights, s=2, n_pairs=n_pairs), 0.5)
+    return dirac, DiagonalObservable(rng.uniform(-3.0, 3.0, size=grid))
+
+
+@pytest.mark.parametrize("n_pairs", [8, 12])
+def test_double_commutator_holds_a_few_results_at_its_peak(n_pairs):
+    # The free products C * D and D * C, their difference and a few blocks of
+    # temporaries: at most 5 results' coefficient bytes, plus a fixed share.
+    dirac, obs = complete_operator(n_pairs)
+    double_commutator_closed_form(dirac, obs)
+    tracemalloc.start()
+    try:
+        result = double_commutator_closed_form(dirac, obs)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = len(dirac.weights)
+    assert result._keys.size == edges * edges
+    assert peak <= 5 * result._coeffs.nbytes + 256 * 1024, peak / result._coeffs.nbytes
 
 
 # Signed zeros, subnormals, values whose products overflow, and ordinary doubles.

@@ -33,6 +33,15 @@ These rows carry their own unit:
   (2 E^2 for an operator of E edges);
 - ``liealg.psi_reduce``: ``psi_reduce`` on those 100 double commutators, in us
   per call;
+- ``liealg.double_commutator``: no timing, only peak memory (below).
+
+The two timed ``liealg`` rows also hold ``peak_bytes``, the largest peak of
+one call over the 100 instances (``C * D`` for ``mul``), and
+``peak_over_coefficient_bytes``, that peak over the coefficient bytes of the
+call's result (``mul``) or input (``psi_reduce``).
+``liealg.double_commutator`` holds, for the complete operators on 4, 8 and 12
+pairs (every edge weighted), the peak of ``double_commutator_closed_form``
+over its result's coefficient bytes.
 - ``import.diraclab_cli``: ``import diraclab.cli`` in a fresh interpreter, in
   ms, over 5 interpreters.
 
@@ -73,6 +82,7 @@ EXPORT_COPIES = 10_000
 REPEATS = 31
 LOG_C_D_CALLS = 1000
 IMPORT_RUNS = 5
+COMPLETE_PAIRS = (4, 8, 12)
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -135,7 +145,10 @@ def main(argv=None) -> int:
     from diraclab.estimators import DEFAULT_MASTER_SEED
     from diraclab.graphdirac import assemble_dirac
     from diraclab.liealg import (
+        DiagonalObservable,
+        build_w,
         commutator_closed_form,
+        dirac_from_w,
         double_commutator_closed_form,
         psi_reduce,
     )
@@ -237,6 +250,26 @@ def main(argv=None) -> int:
         **_summary(_time(lambda: [psi_reduce(x) for x in doubles], REPEATS), len(doubles), 1e6),
         "unit": "us per call",
     }
+    for name, fn, items, size in (
+        ("liealg.mul", lambda cd: cd[0].mul(cd[1]), factors,
+         lambda cd: 64 * cd[0]._keys.size * cd[1]._keys.size),
+        ("liealg.psi_reduce", psi_reduce, doubles, lambda x: x._coeffs.nbytes),
+    ):
+        peak, k = max((_peak_bytes(lambda item=item: fn(item)), k) for k, item in enumerate(items))
+        result[name]["peak_bytes"] = peak
+        result[name]["peak_over_coefficient_bytes"] = round(peak / size(items[k]), 2)
+    result["liealg.double_commutator"] = {}
+    for n_pairs in COMPLETE_PAIRS:
+        grid = 2 * n_pairs
+        weights = {(i, j): 1.0 + 0.01 * (i + j) for i in range(1, grid + 1) for j in range(i + 1, grid + 1)}
+        dirac = dirac_from_w(build_w(weights, s=2, n_pairs=n_pairs), 0.5)
+        # Increasing values: no two edge differences cancel, so the result
+        # keeps all E^2 words.
+        obs = DiagonalObservable(np.sqrt(np.arange(1.0, grid + 1.0)))
+        nbytes = double_commutator_closed_form(dirac, obs)._coeffs.nbytes
+        peak = _peak_bytes(lambda: double_commutator_closed_form(dirac, obs))
+        result["liealg.double_commutator"][str(n_pairs)] = round(peak / nbytes, 2)
+    result["liealg.double_commutator"]["unit"] = "peak over result coefficient bytes"
     result["import.diraclab_cli"] = {
         **_summary(_import_seconds(os.path.abspath(args.src)), 1, 1e3),
         "unit": "ms",
