@@ -4,17 +4,25 @@ Every subcommand resolves each setting it reads from (highest precedence
 first) its command-line flag, a key=value config file or a previously
 written manifest, the DIRACLAB_SEED environment variable (seed only), and its
 built-in default.  One parser per setting reads the flag, the config-file
-line and the manifest entry alike; a subcommand accepts exactly the settings
-it reads.  The resolved configuration is echoed to ``manifest.json``;
-re-running from a manifest reproduces every output byte for byte.  Wall time
-(for the convergence runs and algebra-check also per-stage seconds and
-counters, for the convergence runs also the peak resident set size) goes to a
-separate ``timing.json``, which is informational and excluded from that
-contract, as are the execution-only settings (output directory, thread
-count).
+line and the manifest entry alike and is the setting's one check, by
+``RunConfig``'s rule for a convergence-run setting, else by an ``errors``
+rule: ``dim`` >= 2; ``repeats``, ``threads`` and ``n_copies`` >= 1;
+``alpha``, ``delta_u``, ``grad_sup`` and each ``t_grid`` and ``hbar_grid``
+entry finite and > 0; ``lambda_power`` 1 or 2; ``n_grid`` strictly
+increasing; ``seed`` in [0, 2^64); ``sign`` +1 or -1.  A subcommand accepts
+exactly the settings it reads.  The resolved configuration is echoed to
+``manifest.json``; re-running from a manifest reproduces every output byte
+for byte.  Wall time (for the convergence runs and algebra-check also
+per-stage seconds and counters, for the convergence runs also the peak
+resident set size) goes to a separate ``timing.json``, which is
+informational and excluded from that contract, as are the execution-only
+settings (output directory, thread count).
 
 Exit codes: 0 success, 1 failed checks or runtime failure, 2 configuration
-errors (config-file problems are reported with their line number).
+errors.  A value its parser rejects is reported with its source: its
+``--flag``, its config file and line (``path:line``), its ``manifest <path>``
+or DIRACLAB_SEED.  The one bound that differs by subcommand, specfun's
+``dim`` >= 3, is its handler's and is reported without a source.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .errors import (
     InvalidArgumentError,
     NumericFailureError,
     _integer,
-    _sign,
+    _positive,
 )
 from .estimators import (
     ARTIFACT_VERSION,
@@ -112,48 +120,50 @@ def _csv_of(parse):
     return parse_csv
 
 
-def _one_of(parse, *allowed):
-    """``parse``, accepting only the ``allowed`` values."""
-
-    def parse_one_of(text: str):
-        value = parse(text)
-        if value not in allowed:
-            raise ValueError(f"expected one of {', '.join(map(str, allowed))}, got {text!r}")
-        return value
-
-    return parse_one_of
-
-
-# The one parser of each setting: it reads the setting's flag, config-file
-# line, manifest entry and (seed only) environment variable.
-_PARSERS = {
-    "out": str,
-    "seed": lambda text: _integer("master seed", int(text), 0, 2**64),
-    "manifold": _one_of(str, *_KINDS),
+# The text parser of each RunConfig field but mode, by field name.
+_RUN_BASE = {
+    "manifold": str,
     "dim": int,
     "alpha": float,
     "n_grid": _csv_of(int),
     "repeats": int,
-    "sign": lambda text: _sign(int(text)),
+    "master_seed": int,
+    "sigma": int,
     "test_function": str,
     "delta_u": float,
-    "lambda_power": _one_of(int, 1, 2),
+    "lambda_power": int,
     "family_check": _parse_bool,
     "threads": int,
-    "t_grid": _csv_of(float),
-    "hbar_grid": _csv_of(float),
-    "n_copies": int,
-    "grad_sup": float,
 }
-# Settings that change where a run writes or how fast it goes, never its
-# bytes; the manifest leaves them out.
-_EXECUTION_ONLY = ("out", "threads")
 # Each RunConfig field but mode, and the setting it is read from.
 _RUN_SETTING = {
     f.name: {"master_seed": "seed", "sigma": "sign"}.get(f.name, f.name)
     for f in dataclasses.fields(RunConfig)
     if f.name != "mode"
 }
+
+
+def _run_parser(field: str):
+    """``field``'s text parser, then RunConfig's check of the value (every
+    other field at its default); the value as RunConfig stores it."""
+    base = _RUN_BASE[field]
+    return lambda text: getattr(RunConfig(**{field: base(text)}), field)
+
+
+# The one parser, and so the one check, of each setting: it reads the
+# setting's flag, config-file line, manifest entry and (seed only)
+# environment variable; ``_parse`` names the source of a value it rejects.
+_PARSERS = {
+    "out": str,
+    **{key: _run_parser(field) for field, key in _RUN_SETTING.items()},
+    "t_grid": _csv_of(lambda text: _positive("t grid entry", float(text))),
+    "hbar_grid": _csv_of(lambda text: _positive("hbar grid entry", float(text))),
+    "n_copies": lambda text: _integer("n_copies", int(text), 1),
+    "grad_sup": lambda text: _positive("grad_sup", float(text)),
+}
+# Settings that change where a run writes or how fast it goes, never its
+# bytes; the manifest leaves them out.
+_EXECUTION_ONLY = ("out", "threads")
 
 
 def _settings(**defaults) -> dict:
@@ -348,14 +358,6 @@ def _run(sub: _Subcommand, values: dict, dump_dir: str | None) -> int:
     return 0 if all(row.get("passed", True) for row in rows) else 1
 
 
-def _require_positive(values: dict, *keys: str) -> None:
-    """Config error unless every value of each of ``keys`` is finite and > 0."""
-    for key in keys:
-        for value in np.atleast_1d(values[key]):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key} must hold values finite and > 0, got {value}")
-
-
 def _check_row(check: str, value, threshold: float, passed=None, column="value", **labels) -> dict:
     """One row of a check table: ``value``, under ``column``, against
     ``threshold``; the row passes when value <= threshold unless ``passed``
@@ -502,7 +504,6 @@ def _cmd_specfun(sub, values, dump) -> _Outputs:
     dim = values["dim"]
     if dim < 3:
         raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
-    _require_positive(values, "t_grid")
     direction = np.zeros(dim)
     direction[0] = 1.0
     rows = []
@@ -539,8 +540,6 @@ def _radial_cdf_grid(m, fp, n_grid: int = 4096):
 
 def _cmd_geometry_check(sub, values, dump) -> _Outputs:
     seed, dim = values["seed"], values["dim"]
-    if dim < 2:
-        raise ConfigError(f"geometry-check needs dim >= 2, got {dim}")
     rows = []
     jacobi_rows = []
     for kind_idx, kind in enumerate(_KINDS):
@@ -698,10 +697,7 @@ def _dump_operators(cfg: RunConfig) -> dict:
 
 def _cmd_converge(sub, values, dump) -> _Outputs:
     fields = {name: values[key] for name, key in _RUN_SETTING.items()}
-    try:
-        cfg = RunConfig(mode=sub.fixed["mode"], **fields)
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(mode=sub.fixed["mode"], **fields)
     report = convergence_run(cfg)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return _Outputs(
@@ -718,11 +714,6 @@ def _cmd_converge(sub, values, dump) -> _Outputs:
 
 
 def _cmd_bound_report(sub, values, dump) -> _Outputs:
-    if values["dim"] < 2:
-        raise ConfigError(f"bound-report needs dim >= 2, got {values['dim']}")
-    if values["n_copies"] < 1:
-        raise ConfigError(f"n_copies must be >= 1, got {values['n_copies']}")
-    _require_positive(values, "grad_sup", "hbar_grid")
     m = make_manifold(values["manifold"], values["dim"])
     fp = framed_point(m)
     a = linear_coordinate_function(m, fp, 1)

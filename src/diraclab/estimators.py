@@ -455,6 +455,10 @@ class RunConfig:
             raise InvalidArgumentError(f"mode must be dirac or laplace, got {self.mode!r}")
         if self.manifold not in _KINDS:
             raise InvalidArgumentError(f"manifold must be one of {_KINDS}, got {self.manifold!r}")
+        if not isinstance(self.test_function, str):
+            raise InvalidArgumentError(f"test_function must be a str, got {self.test_function!r}")
+        if not isinstance(self.family_check, bool):
+            raise InvalidArgumentError(f"family_check must be a bool, got {self.family_check!r}")
         _positive("alpha", self.alpha)
         if isinstance(self.alpha, np.generic):
             # Stored as its Python value, which JSON can write; a plain int

@@ -589,14 +589,38 @@ def test_bad_grid_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["geometry-check", "--dim", "1"], "geometry-check needs dim >= 2, got 1"),
-        (["geometry-check", "--dim", "0"], "geometry-check needs dim >= 2, got 0"),
-        (["bound-report", "--dim", "1"], "bound-report needs dim >= 2, got 1"),
-        (["bound-report", "--grad-sup", "0"], "grad_sup must hold values finite and > 0, got 0.0"),
-        (["bound-report", "--grad-sup", "nan"], "grad_sup must hold values finite and > 0, got nan"),
-        (["bound-report", "--hbar-grid", "0"], "hbar_grid must hold values finite and > 0, got 0.0"),
-        (["specfun", "--t-grid", "0"], "t_grid must hold values finite and > 0, got 0.0"),
-        (["specfun", "--t-grid", "nan"], "t_grid must hold values finite and > 0, got nan"),
+        (
+            ["geometry-check", "--dim", "1"],
+            "--dim: bad value for dim: dim must be an integer >= 2, got 1",
+        ),
+        (
+            ["geometry-check", "--dim", "0"],
+            "--dim: bad value for dim: dim must be an integer >= 2, got 0",
+        ),
+        (
+            ["bound-report", "--dim", "1"],
+            "--dim: bad value for dim: dim must be an integer >= 2, got 1",
+        ),
+        (
+            ["bound-report", "--grad-sup", "0"],
+            "--grad-sup: bad value for grad_sup: grad_sup must be finite and > 0, got 0.0",
+        ),
+        (
+            ["bound-report", "--grad-sup", "nan"],
+            "--grad-sup: bad value for grad_sup: grad_sup must be finite and > 0, got nan",
+        ),
+        (
+            ["bound-report", "--hbar-grid", "0"],
+            "--hbar-grid: bad value for hbar_grid: hbar grid entry must be finite and > 0, got 0.0",
+        ),
+        (
+            ["specfun", "--t-grid", "0"],
+            "--t-grid: bad value for t_grid: t grid entry must be finite and > 0, got 0.0",
+        ),
+        (
+            ["specfun", "--t-grid", "nan"],
+            "--t-grid: bad value for t_grid: t grid entry must be finite and > 0, got nan",
+        ),
         (
             ["bound-report", "--hbar-grid", ","],
             "--hbar-grid: bad value for hbar_grid: expected at least one value, got ','",
@@ -636,11 +660,70 @@ def test_bad_grid_from_a_config_file_or_manifest_is_a_config_error(tmp_path, cap
     for subcommand, key in (("specfun", "t_grid"), ("bound-report", "hbar_grid")):
         cfg.write_text(f"{key} = 0.2, 0\n")
         manifest.write_text(json.dumps({**header, "subcommand": subcommand, "config": {key: [0.2, 0.0]}}))
-        for source in (["--config", str(cfg)], ["--from-manifest", str(manifest)]):
+        for source, where in (
+            (["--config", str(cfg)], f"{cfg}:1"),
+            (["--from-manifest", str(manifest)], f"manifest {manifest}"),
+        ):
             assert run_cli([subcommand, *source, "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert err == f"config error: {key} must hold values finite and > 0, got 0.0\n"
+            entry = key.replace("_", " ") + " entry"
+            assert err == (
+                f"config error: {where}: bad value for {key}: "
+                f"{entry} must be finite and > 0, got 0.0\n"
+            )
     assert not out.exists()
+
+
+# Each setting with a rule: a subcommand that reads it, a bad value as a
+# config-file line and as a manifest entry, and the rule's text for it.
+BAD_SETTINGS = (
+    ("dirac-converge", "dim", "1", 1, "dim must be an integer >= 2, got 1"),
+    ("dirac-converge", "alpha", "0", 0.0, "alpha must be finite and > 0, got 0.0"),
+    (
+        "dirac-converge", "n_grid", "50, 20", [50, 20],
+        "n grid must be strictly increasing, got (50, 20)",
+    ),
+    ("dirac-converge", "repeats", "0", 0, "repeats must be an integer >= 1, got 0"),
+    ("dirac-converge", "delta_u", "-1", -1.0, "delta_u must be finite and > 0, got -1.0"),
+    (
+        "laplace-converge", "lambda_power", "3", 3,
+        "lambda_power must be an integer in [1, 3), got 3",
+    ),
+    ("dirac-converge", "threads", "0", 0, "threads must be an integer >= 1, got 0"),
+    (
+        "bound-report", "manifold", "torus", "torus",
+        "manifold must be one of ('flat', 'sphere'), got 'torus'",
+    ),
+    ("specfun", "t_grid", "0.2, 0", [0.2, 0.0], "t grid entry must be finite and > 0, got 0.0"),
+    (
+        "bound-report", "hbar_grid", "1.0, -0.5", [1.0, -0.5],
+        "hbar grid entry must be finite and > 0, got -0.5",
+    ),
+    ("bound-report", "n_copies", "0", 0, "n_copies must be an integer >= 1, got 0"),
+    ("bound-report", "grad_sup", "0", 0.0, "grad_sup must be finite and > 0, got 0.0"),
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, text, value, rule", BAD_SETTINGS, ids=[case[1] for case in BAD_SETTINGS]
+)
+def test_bad_value_names_its_config_line_or_manifest(
+    tmp_path, capsys, subcommand, key, text, value, rule
+):
+    out = tmp_path / "x"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "artifact_version": ARTIFACT_VERSION, "subcommand": subcommand, "config": {key: value},
+    }))
+    for source, where in (
+        (["--config", str(cfg)], f"{cfg}:1"),
+        (["--from-manifest", str(manifest)], f"manifest {manifest}"),
+    ):
+        assert run_cli([subcommand, *source, "--out", str(out)]) == 2, where
+        assert capsys.readouterr().err == f"config error: {where}: bad value for {key}: {rule}\n"
+        assert not out.exists()
 
 
 def test_dump_operators_writes_matrix_market(tmp_path, capsys):

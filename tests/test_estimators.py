@@ -582,6 +582,21 @@ def test_run_config_stores_a_numpy_alpha_as_its_python_value():
         assert text in convergence_run(cfg).to_json_text()
 
 
+def test_run_config_rejects_a_family_check_that_is_not_a_bool():
+    """A truthy string would run the family and reach the report's metadata
+    as written; a numpy bool is no bool either, and JSON cannot write it."""
+    for value in ("no", 1, np.bool_(True)):
+        with pytest.raises(InvalidArgumentError, match="family_check must be a bool"):
+            RunConfig(n_grid=(50,), repeats=2, family_check=value)
+
+
+def test_run_config_rejects_a_test_function_that_is_not_a_str():
+    """A name that is no string would escape the run as an AttributeError."""
+    for value in (3, None, ("linear-x1",)):
+        with pytest.raises(InvalidArgumentError, match="test_function must be a str"):
+            RunConfig(n_grid=(50,), repeats=2, test_function=value)
+
+
 def small_config(**overrides):
     base = dict(
         mode="dirac",

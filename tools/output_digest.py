@@ -9,10 +9,12 @@ Each subcommand also runs once from a key=value ``--config`` file and once
 ``--from-manifest`` on the manifest its default case wrote at the same seed.
 Prints one line per output file, ``<case>/<file> <sha256>``, sorted, with
 ``timing.json`` left out: it holds wall times and sits outside the byte
-contract.  Each case's standard output is digested as ``<case>/<stdout>`` and
-its exit code as ``<case>/<exit>``, or ``raised <ExceptionType>`` when an
-exception escapes the command line's ``main`` (its traceback goes to standard
-error), so one crashing case does not abort the digest.  The seed ``default`` passes no
+contract.  Each case's standard output is digested as ``<case>/<stdout>``,
+its standard error (with the scratch directory's path spelled ``<work>``) as
+``<case>/<stderr>``, and its exit code as ``<case>/<exit>``, or ``raised
+<ExceptionType>`` when an exception escapes the command line's ``main`` (its
+traceback goes to this tool's standard error, undigested), so one crashing
+case does not abort the digest.  The seed ``default`` passes no
 ``--seed`` (and unsets DIRACLAB_SEED), so the built-in master seed is used;
 a replay never passes ``--seed``, so the seed comes from the manifest.
 
@@ -55,6 +57,7 @@ CONFIGS = {
         "manifold = sphere\ndim = 3\nsign = -1\nhbar_grid = 0.7, 0.2\nn_copies = 12\n"
         "grad_sup = 2.0\n"
     ),
+    "specfun-bad-config": "t_grid = 0.2, 0\n",
 }
 
 # (case name, argv); output and dump directories are appended per run.
@@ -131,6 +134,10 @@ CASES = (
     ("dirac-replay", ["dirac-converge", "--from-manifest", "{manifest:dirac-flat}"]),
     ("laplace-replay", ["laplace-converge", "--from-manifest", "{manifest:laplace-flat}"]),
     ("bound-replay", ["bound-report", "--from-manifest", "{manifest:bound-flat}"]),
+    # Bad values are configuration errors that name their source: a flag and
+    # a config-file line.
+    ("bound-bad-grad-sup", ["bound-report", "--grad-sup", "0"]),
+    ("specfun-bad-config", ["specfun", "--config", "{config}"]),
 )
 
 
@@ -161,15 +168,17 @@ def _run_case(main, work: str, name: str, argv: list, seed: str) -> list:
     args = [fill(a) for a in argv] + ["--out", out]
     if seed != "default" and "--from-manifest" not in argv:
         args += ["--seed", seed]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         try:
             code = main(args)
         except Exception as exc:
-            traceback.print_exc()
+            traceback.print_exc(file=sys.__stderr__)
             code = f"raised {type(exc).__name__}"
     lines = [f"{case}/<exit> {code}"]
-    lines.append(f"{case}/<stdout> {hashlib.sha256(buf.getvalue().encode()).hexdigest()}")
+    streams = {"stdout": buf.getvalue(), "stderr": err.getvalue().replace(work, "<work>")}
+    for stream, text in streams.items():
+        lines.append(f"{case}/<{stream}> {hashlib.sha256(text.encode()).hexdigest()}")
     for sub in ("out", "dump"):
         base = os.path.join(work, case, sub)
         for dirpath, _dirs, files in os.walk(base):
