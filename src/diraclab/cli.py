@@ -6,23 +6,27 @@ written manifest, the DIRACLAB_SEED environment variable (seed only), and its
 built-in default.  One parser per setting reads the flag, the config-file
 line and the manifest entry alike and is the setting's one check, by
 ``RunConfig``'s rule for a convergence-run setting, else by an ``errors``
-rule: ``dim`` >= 2; ``repeats``, ``threads`` and ``n_copies`` >= 1;
-``alpha``, ``delta_u``, ``grad_sup`` and each ``t_grid`` and ``hbar_grid``
-entry finite and > 0; ``lambda_power`` 1 or 2; ``n_grid`` strictly
-increasing; ``seed`` in [0, 2^64); ``sign`` +1 or -1.  A subcommand accepts
-exactly the settings it reads.  The resolved configuration is echoed to
+rule: ``dim`` >= 2 (>= 3 for specfun, whose declaration carries that
+parser); ``repeats``, ``threads`` and ``n_copies`` >= 1; ``alpha``,
+``delta_u``, ``grad_sup`` and each ``t_grid`` and ``hbar_grid`` entry finite
+and > 0; ``lambda_power`` 1 or 2; ``n_grid`` strictly increasing; ``seed``
+in [0, 2^64); ``sign`` +1 or -1; ``test_function`` ``auto``,
+``squared-radius``, ``linear-x<k>`` or ``embedding-x<k>`` with k a decimal
+index >= 1.  A subcommand accepts exactly the settings it reads, and no
+handler checks a setting.  The resolved configuration is echoed to
 ``manifest.json``; re-running from a manifest reproduces every output byte
-for byte.  Wall time (for the convergence runs and algebra-check also
-per-stage seconds and counters, for the convergence runs also the peak
-resident set size) goes to a separate ``timing.json``, which is
-informational and excluded from that contract, as are the execution-only
-settings (output directory, thread count).
+for byte.  Wall time and the process's peak resident set size (for the
+convergence runs and algebra-check also per-stage seconds and counters) go
+to a separate ``timing.json``, which is informational and excluded from that
+contract, as are the execution-only settings (output directory, thread
+count).
 
 Exit codes: 0 success, 1 failed checks or runtime failure, 2 configuration
 errors.  A value its parser rejects is reported with its source: its
 ``--flag``, its config file and line (``path:line``), its ``manifest <path>``
-or DIRACLAB_SEED.  The one bound that differs by subcommand, specfun's
-``dim`` >= 3, is its handler's and is reported without a source.
+or DIRACLAB_SEED.  A bound that joins two settings is a runtime failure: a
+test-function index past the manifold's coordinates, or a ``delta_u`` the
+sphere cannot hold.
 """
 
 from __future__ import annotations
@@ -150,9 +154,10 @@ def _run_parser(field: str):
     return lambda text: getattr(RunConfig(**{field: base(text)}), field)
 
 
-# The one parser, and so the one check, of each setting: it reads the
-# setting's flag, config-file line, manifest entry and (seed only)
-# environment variable; ``_parse`` names the source of a value it rejects.
+# The one parser, and so the one check, of each setting unless a subcommand
+# declares its own: it reads the setting's flag, config-file line, manifest
+# entry and (seed only) environment variable; ``_parse`` names the source of
+# a value it rejects.
 _PARSERS = {
     "out": str,
     **{key: _run_parser(field) for field, key in _RUN_SETTING.items()},
@@ -180,8 +185,10 @@ class _Subcommand:
     """One subcommand, declared once: the settings it reads with their
     defaults drive its flags, its config-file keys, its manifest echo and the
     manifest reload.  ``fixed`` entries are echoed to the manifest with one
-    value that a config file or manifest may repeat but not change.  The
-    handler computes the run's ``_Outputs``; ``line`` formats a printed row."""
+    value that a config file or manifest may repeat but not change;
+    ``parsers`` replace the ``_PARSERS`` entry of a setting whose bound is
+    this subcommand's own.  The handler computes the run's ``_Outputs``;
+    ``line`` formats a printed row."""
 
     name: str
     help: str
@@ -189,6 +196,7 @@ class _Subcommand:
     line: str
     defaults: dict
     fixed: dict = dataclasses.field(default_factory=dict)
+    parsers: dict = dataclasses.field(default_factory=dict)
     dumps_operators: bool = False
 
 
@@ -212,9 +220,9 @@ def _flag(key: str) -> str:
     return "--family" if key == "family_check" else "--" + key.replace("_", "-")
 
 
-def _parse(key: str, text: str, where: str):
+def _parse(sub: _Subcommand, key: str, text: str, where: str):
     try:
-        return _PARSERS[key](text)
+        return sub.parsers.get(key, _PARSERS[key])(text)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
@@ -229,7 +237,7 @@ def _layer_entry(sub: _Subcommand, key: str, text: str, where: str) -> dict:
         return {}
     if key not in sub.defaults:
         raise ConfigError(f"{where}: unknown key {key!r} for {sub.name}")
-    return {key: _parse(key, text, where)}
+    return {key: _parse(sub, key, text, where)}
 
 
 def parse_config_file(path: str, sub: _Subcommand) -> dict:
@@ -306,11 +314,11 @@ def _resolve(args, sub: _Subcommand) -> dict:
     for key, default in sub.defaults.items():
         flag = getattr(args, key)
         if flag is not None:
-            values[key] = _parse(key, flag, _flag(key))
+            values[key] = _parse(sub, key, flag, _flag(key))
         elif key in layer:
             values[key] = layer[key]
         elif key == "seed" and "DIRACLAB_SEED" in os.environ:
-            values[key] = _parse(key, os.environ["DIRACLAB_SEED"], "DIRACLAB_SEED")
+            values[key] = _parse(sub, key, os.environ["DIRACLAB_SEED"], "DIRACLAB_SEED")
         else:
             values[key] = default
     return values
@@ -335,6 +343,7 @@ def _run(sub: _Subcommand, values: dict, dump_dir: str | None) -> int:
     t0 = time.perf_counter()
     outputs = sub.handler(sub, values, bool(dump_dir))
     timing = {**outputs.timing, "wall_time_s": time.perf_counter() - t0}
+    timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     config = {k: v for k, v in values.items() if k not in _EXECUTION_ONLY}
     config.update(sub.fixed, **outputs.resolved)
     out_dir = values["out"]
@@ -502,8 +511,6 @@ def _cmd_algebra_check(sub, values, dump) -> _Outputs:
 
 def _cmd_specfun(sub, values, dump) -> _Outputs:
     dim = values["dim"]
-    if dim < 3:
-        raise ConfigError(f"specfun table needs dim >= 3, got {dim}")
     direction = np.zeros(dim)
     direction[0] = 1.0
     rows = []
@@ -699,10 +706,9 @@ def _cmd_converge(sub, values, dump) -> _Outputs:
     fields = {name: values[key] for name, key in _RUN_SETTING.items()}
     cfg = RunConfig(mode=sub.fixed["mode"], **fields)
     report = convergence_run(cfg)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return _Outputs(
         {"report": (CSV_COLUMNS, report.rows)},
-        {**report.timing, "peak_rss_mb": peak_rss_mb},
+        report.timing,
         report.to_json_text(),
         {key: report.metadata[key] for key in ("test_function", "delta_u")},
         _dump_operators(cfg) if dump else {},
@@ -756,6 +762,7 @@ _SUBCOMMANDS = (
         "t={t}: A={A:.12g} B={B:.12g} C={C:.12g} "
         "m1par/t={m1_par_over_t:.12g} |m2|/t={m2_norm_over_t:.12g}",
         _settings(t_grid=(0.2, 0.1, 0.05, 0.02), sign=1, dim=3),
+        parsers={"dim": lambda text: _integer("dim", int(text), 3)},
     ),
     _Subcommand(
         "geometry-check",

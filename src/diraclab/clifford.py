@@ -77,10 +77,7 @@ class Multivector:
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_same(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) - c
-        return Multivector(self.d, out)
+        return self + -other
 
     def __neg__(self) -> "Multivector":
         return Multivector(self.d, {m: -c for m, c in self.coeffs.items()})

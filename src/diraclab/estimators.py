@@ -222,22 +222,33 @@ def polynomial_family(m: ManifoldModel, fp: FramedPoint) -> list:
 _AUTO = "auto"
 
 
+def _test_function_name(name: str) -> tuple:
+    """The (kind, k) of a test-function name, the one statement of their
+    grammar: ``auto`` and ``squared-radius`` (k None), ``linear-x<k>`` and
+    ``embedding-x<k>`` with k a decimal index >= 1.  Any other name is
+    unknown."""
+    if name in (_AUTO, "squared-radius"):
+        return name, None
+    kind, _, index = name.rpartition("-x")
+    if kind in ("linear", "embedding") and index.isdecimal() and int(index) >= 1:
+        return kind, int(index)
+    raise InvalidArgumentError(f"unknown test function {name!r}")
+
+
 def resolve_test_function(m: ManifoldModel, fp: FramedPoint, mode: str, name: str) -> TestFunction:
     """Look up a shipped test function by name, or pick the mode's default."""
-    if name == _AUTO:
+    kind, k = _test_function_name(name)
+    if kind == _AUTO:
         if mode == "laplace":
             return squared_radius_function(m, fp)
         if m.kind == "sphere":
             return embedding_coordinate_function(m, fp, 0)
         return linear_coordinate_function(m, fp, 1)
-    if name == "squared-radius":
+    if kind == "squared-radius":
         return squared_radius_function(m, fp)
-    kind, _, index = name.rpartition("-x")
-    if kind == "linear" and index.isdecimal():
-        return linear_coordinate_function(m, fp, int(index))
-    if kind == "embedding" and index.isdecimal():
-        return embedding_coordinate_function(m, fp, int(index) - 1)
-    raise InvalidArgumentError(f"unknown test function {name!r}")
+    if kind == "linear":
+        return linear_coordinate_function(m, fp, k)
+    return embedding_coordinate_function(m, fp, k - 1)
 
 
 def _coords(samples, tail: tuple) -> np.ndarray:
@@ -457,6 +468,7 @@ class RunConfig:
             raise InvalidArgumentError(f"manifold must be one of {_KINDS}, got {self.manifold!r}")
         if not isinstance(self.test_function, str):
             raise InvalidArgumentError(f"test_function must be a str, got {self.test_function!r}")
+        _test_function_name(self.test_function)
         if not isinstance(self.family_check, bool):
             raise InvalidArgumentError(f"family_check must be a bool, got {self.family_check!r}")
         _positive("alpha", self.alpha)

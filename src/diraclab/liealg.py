@@ -314,14 +314,21 @@ def _mat2_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _collected(
-    n_pairs: int, keys: np.ndarray, coeffs: np.ndarray, distinct: bool = False
+    n_pairs: int,
+    keys: np.ndarray,
+    coeffs: np.ndarray,
+    distinct: bool = False,
+    negate: np.ndarray | None = None,
 ) -> TensorElement:
     """Element summing the coefficients of equal word keys.
 
     Words keep the order of their first occurrence, each sum starts from the
     first coefficient and adds the later ones sequentially in input order,
     and words whose sum is all zero are dropped. ``distinct`` says the keys
-    are known to differ, so only the dropping is left to do.
+    are known to differ, so only the dropping is left to do. ``negate``, a
+    mask over the input words (only where ``distinct`` is false), says which
+    coefficients enter their sums negated; each is negated as it is gathered,
+    so ``coeffs`` is never copied whole.
     """
     if not distinct:
         _uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -331,17 +338,25 @@ def _collected(
         later = np.ones(keys.size, dtype=bool)
         later[first] = False
         later = np.flatnonzero(later)
-        sums = coeffs[first[order]]
+        sums = _gathered(coeffs, first[order], negate)
         # np.add.at keeps the input order of the sums: np.add.reduceat regroups
         # them (the half-reduction misses 0.0); a masked pass per rank is slower.
         for start in range(0, later.size, _BLOCK):
             rows = later[start : start + _BLOCK]
-            np.add.at(sums, slot[inverse[rows]], coeffs[rows])
+            np.add.at(sums, slot[inverse[rows]], _gathered(coeffs, rows, negate))
         keys, coeffs = keys[first[order]], sums
     keep = coeffs.any(axis=(1, 2))
     if not keep.all():
         keys, coeffs = keys[keep], coeffs[keep]
     return TensorElement._from_arrays(n_pairs, keys, coeffs)
+
+
+def _gathered(coeffs: np.ndarray, rows: np.ndarray, negate: np.ndarray | None) -> np.ndarray:
+    """The coefficients of ``rows``, as a fresh array, those ``negate`` marks negated."""
+    out = coeffs[rows]
+    if negate is not None:
+        np.negative(out, out=out, where=negate[rows][:, None, None])
+    return out
 
 
 class DiagonalObservable:
@@ -594,9 +609,7 @@ def psi_reduce(element: TensorElement) -> TensorElement:
     pair = keys > area
     flip = pair & (u >= v)
     reduced = np.where(pair & (u == v), 0, np.where(flip, 1 + area + v * area + u, keys))
-    coeffs = element._coeffs.copy()
-    np.negative(coeffs, out=coeffs, where=flip[:, None, None])
-    return _collected(element.n_pairs, reduced, coeffs)
+    return _collected(element.n_pairs, reduced, element._coeffs, negate=flip)
 
 
 def psi_map_to_clifford(

@@ -79,7 +79,7 @@ def test_algebra_check_timing_stages_and_counters(tmp_path, capsys):
     capsys.readouterr()
     rows = json.loads((out / "algebra_check.json").read_text())["rows"]
     timing = json.loads((out / "timing.json").read_text())
-    assert set(timing) == {"wall_time_s", "stages_s", "counters"}
+    assert set(timing) == {"wall_time_s", "stages_s", "counters", "peak_rss_mb"}
     assert list(timing["stages_s"]) == sorted(row["check"] for row in rows)
     assert all(s >= 0.0 for s in timing["stages_s"].values())
     assert sum(timing["stages_s"].values()) <= timing["wall_time_s"]
@@ -772,19 +772,65 @@ def test_bound_report_scales_past_a_thousand_copies(tmp_path, capsys):
     assert all(math.isfinite(row["rho"]) and math.isfinite(row["bound_ratio"]) for row in rows)
 
 
-def test_unknown_test_function_exits_with_runtime_failure(tmp_path, capsys):
+def test_unknown_test_function_is_a_config_error(tmp_path, capsys):
     code = run_cli([
         "dirac-converge", *SMALL, "--test-function", "nope", "--out", str(tmp_path / "x"),
     ])
-    assert code == 1
-    assert "unknown test function" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: --test-function: bad value for test_function: "
+        "unknown test function 'nope'\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["linear-xfoo", "embedding-x", "linear-x", "linear-x1.0"])
 def test_malformed_test_function_name_exits_with_one_line(tmp_path, capsys, name):
     args = ["--test-function", name, "--out", str(tmp_path / "x")]
-    assert run_cli(["dirac-converge", *SMALL, *args]) == 1
-    assert capsys.readouterr().err == f"error: unknown test function {name!r}\n"
+    assert run_cli(["dirac-converge", *SMALL, *args]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --test-function: bad value for test_function: "
+        f"unknown test function {name!r}\n"
+    )
+
+
+# Bad values that only a setting's parser rejects: a subcommand, the
+# setting, the value as text and as a manifest entry, and the rule's text.
+PARSER_ONLY_SETTINGS = (
+    *(
+        (
+            "dirac-converge", "test_function", name, name,
+            f"unknown test function {name!r}",
+        )
+        for name in ("linear-xfoo", "linear-x0", "embedding-x0", "linear-x1.0")
+    ),
+    ("specfun", "dim", "2", 2, "dim must be an integer >= 3, got 2"),
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, text, value, rule",
+    PARSER_ONLY_SETTINGS,
+    ids=[f"{case[1]}={case[2]}" for case in PARSER_ONLY_SETTINGS],
+)
+def test_bad_value_from_every_source_is_a_located_config_error(
+    tmp_path, capsys, subcommand, key, text, value, rule
+):
+    out = tmp_path / "x"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "artifact_version": ARTIFACT_VERSION, "subcommand": subcommand, "config": {key: value},
+    }))
+    flag = "--" + key.replace("_", "-")
+    for source, where in (
+        ([flag, text], flag),
+        (["--config", str(cfg)], f"{cfg}:1"),
+        (["--from-manifest", str(manifest)], f"manifest {manifest}"),
+    ):
+        assert run_cli([subcommand, *source, "--out", str(out)]) == 2, where
+        assert capsys.readouterr().err == f"config error: {where}: bad value for {key}: {rule}\n"
+        assert not out.exists()
 
 
 def test_specfun_quadrature_failures_exit_1(tmp_path, capsys, monkeypatch):

@@ -171,9 +171,10 @@ def test_resolve_test_function_named_forms():
     assert resolve_test_function(m, fp, "laplace", "squared-radius").name == "squared-radius"
     with pytest.raises(InvalidArgumentError):
         resolve_test_function(m, fp, "dirac", "mystery-function")
-    # An index suffix must be all decimal digits; anything else is an
-    # unknown name, not a parse error.
-    for name in ("linear-xfoo", "embedding-x", "linear-x", "linear-x1.0", "linear-x-1"):
+    # An index suffix must be all decimal digits and at least 1; anything
+    # else is an unknown name, not a parse error.
+    names = ("linear-xfoo", "embedding-x", "linear-x", "linear-x1.0", "linear-x-1")
+    for name in (*names, "linear-x0", "embedding-x0"):
         with pytest.raises(InvalidArgumentError, match="unknown test function"):
             resolve_test_function(m, fp, "dirac", name)
 
@@ -588,6 +589,13 @@ def test_run_config_rejects_a_family_check_that_is_not_a_bool():
     for value in ("no", 1, np.bool_(True)):
         with pytest.raises(InvalidArgumentError, match="family_check must be a bool"):
             RunConfig(n_grid=(50,), repeats=2, family_check=value)
+
+
+def test_run_config_rejects_an_unknown_test_function_name():
+    """The name's grammar is checked as the config is built, not when the
+    run starts."""
+    with pytest.raises(InvalidArgumentError, match="unknown test function 'linear-xfoo'"):
+        RunConfig(n_grid=(50,), repeats=2, test_function="linear-xfoo")
 
 
 def test_run_config_rejects_a_test_function_that_is_not_a_str():

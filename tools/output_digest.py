@@ -58,6 +58,7 @@ CONFIGS = {
         "grad_sup = 2.0\n"
     ),
     "specfun-bad-config": "t_grid = 0.2, 0\n",
+    "dirac-bad-function-config": "test_function = linear-xfoo\n",
 }
 
 # (case name, argv); output and dump directories are appended per run.
@@ -138,6 +139,13 @@ CASES = (
     # a config-file line.
     ("bound-bad-grad-sup", ["bound-report", "--grad-sup", "0"]),
     ("specfun-bad-config", ["specfun", "--config", "{config}"]),
+    # specfun's own bound on dim, and test-function indices below 1.
+    ("specfun-dim2", ["specfun", "--dim", "2"]),
+    (
+        "dirac-flat-embedding-x0",
+        ["dirac-converge", "--manifold", "flat", "--test-function", "embedding-x0"],
+    ),
+    ("dirac-bad-function-config", ["dirac-converge", "--config", "{config}"]),
 )
 
 
