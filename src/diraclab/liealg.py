@@ -13,6 +13,14 @@ float64 arithmetic and makes no BLAS call: a product of two 2x2 coefficients
 forms entry [p, q] as x_0 y_0 + x_1 y_1 with x_k = M1[p, k], y_k = M2[k, q],
 each complex product written out as (xr*yr - xi*yi) + i(xr*yi + xi*yr). Its
 bits are therefore the same on every BLAS build.
+
+The double commutator C * D - D * C matches no keys: C and D hold the same
+edge words, so word (s, t) of both products sits at the same place of one
+grid. C * D is written into the result and D * C subtracted from it a block
+of rows at a time, so its peak is about one result. When an all-zero product
+(which ``mul`` drops) or a hand-built operator's word list would break that
+alignment, the generic difference of the two products runs instead; both
+routes give the same bits.
 """
 
 from __future__ import annotations
@@ -570,9 +578,50 @@ def double_commutator_closed_form(
     The product is taken in the free word calculus, so the result carries
     squared words E_ij E_ij and mixed anticommutator pairs. Its half
     reduction under psi_reduce is the Laplacian closed form.
+
+    C and the symbolic D share their edge words, so C * D is written into
+    the result and D * C subtracted from it a block of rows at a time. The
+    generic ``C.mul(D) - D.mul(C)`` runs instead when the key lists differ
+    or are not one strictly increasing list of one-pair words (a hand-built
+    ``DiracOperator``), or when a product is all zero (alpha = 0 on an edge,
+    an underflow), which ``mul`` drops. Both routes give the same bits, word
+    order included.
     """
     comm = commutator_closed_form(dirac, obs)
-    return comm.mul(dirac.symbolic) - dirac.symbolic.mul(comm)
+    sym = dirac.symbolic
+    comm._check_same(sym)
+    keys = comm._keys
+    if (
+        keys.size
+        and np.array_equal(keys, sym._keys)
+        and keys[0] > 0
+        and keys[-1] <= comm.grid**2
+        and (np.diff(keys) > 0).all()
+    ):
+        aligned = _aligned_commutator(comm, sym)
+        if aligned is not None:
+            return aligned
+    return comm.mul(sym) - sym.mul(comm)
+
+
+def _aligned_commutator(a: TensorElement, b: TensorElement) -> TensorElement | None:
+    """a * b - b * a for two elements on one list of distinct one-pair words,
+    each entry one x - y as ``__sub__`` forms it; None when some product in
+    either order is all zero. b * a is formed ``_BLOCK`` products at a time.
+    """
+    count = a._keys.size
+    out = _mat2_products(a._coeffs, b._coeffs)
+    if not out.any(axis=(1, 2)).all():
+        return None
+    rows = max(1, _BLOCK // count)
+    for start in range(0, count, rows):
+        block = _mat2_products(b._coeffs[start : start + rows], a._coeffs)
+        if not block.any(axis=(1, 2)).all():
+            return None
+        part = out[start * count : start * count + block.shape[0]]
+        np.subtract(part, block, out=part)
+    keys = a._keys[:, None] * a.grid**2 + a._keys
+    return _collected(a.n_pairs, keys.ravel(), out, distinct=True)
 
 
 def laplacian_closed_form(

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from diraclab import (
     DiagonalObservable,
+    DiracOperator,
     InvalidArgumentError,
     InvalidGraphError,
     TensorElement,
@@ -32,6 +33,7 @@ from diraclab.liealg import (
     MAT_J,
     MAT_X,
     MAT_Y,
+    _aligned_commutator,
     _edge_element,
     _validated_weights,
     _weight_arrays,
@@ -481,8 +483,9 @@ def complete_operator(n_pairs: int):
 
 @pytest.mark.parametrize("n_pairs", [8, 12])
 def test_double_commutator_holds_a_few_results_at_its_peak(n_pairs):
-    # The free products C * D and D * C, their difference and a few blocks of
-    # temporaries: at most 5 results' coefficient bytes, plus a fixed share.
+    # C * D written into the result, D * C subtracted from it a block of rows
+    # at a time, the result's keys and a few blocks of temporaries: at most 2
+    # results' coefficient bytes, plus a fixed share.
     dirac, obs = complete_operator(n_pairs)
     double_commutator_closed_form(dirac, obs)
     tracemalloc.start()
@@ -493,7 +496,69 @@ def test_double_commutator_holds_a_few_results_at_its_peak(n_pairs):
         tracemalloc.stop()
     edges = len(dirac.weights)
     assert result._keys.size == edges * edges
-    assert peak <= 5 * result._coeffs.nbytes + 256 * 1024, peak / result._coeffs.nbytes
+    assert peak <= 2 * result._coeffs.nbytes + 256 * 1024, peak / result._coeffs.nbytes
+
+
+def generic_double_commutator(dirac, obs):
+    """The reference route: two full products and a matched difference."""
+    comm = commutator_closed_form(dirac, obs)
+    return comm.mul(dirac.symbolic) - dirac.symbolic.mul(comm)
+
+
+def assert_same_bits(element, expected):
+    assert element._keys.tobytes() == expected._keys.tobytes()
+    assert element._coeffs.tobytes() == expected._coeffs.tobytes()
+
+
+def test_double_commutator_matches_the_generic_difference_bit_for_bit():
+    rng = np.random.default_rng(97)
+    for _ in range(100):
+        n_pairs = int(rng.integers(1, 9))
+        dirac = random_dirac(rng, n_pairs, float(rng.uniform(0.1, 2.0)))
+        obs = DiagonalObservable(rng.uniform(-3, 3, size=2 * n_pairs))
+        expected = generic_double_commutator(dirac, obs)
+        assert expected._keys.size == len(dirac.weights) ** 2
+        assert_same_bits(double_commutator_closed_form(dirac, obs), expected)
+
+
+def _equal_values_on_an_edge(rng):
+    dirac = random_dirac(rng, 3, 0.5)
+    values = rng.uniform(-3, 3, size=6)
+    i, j = next(iter(dirac.weights))
+    values[j - 1] = values[i - 1]
+    return dirac, DiagonalObservable(values)
+
+
+def _underflowing_weights(rng):
+    # Coefficient products near 5e-324: some round to zero in one order only.
+    weights = {(i, j): float(rng.uniform(1.0, 2.0)) * 1e-162 for i in range(1, 7) for j in range(i + 1, 7)}
+    dirac = dirac_from_w(build_w(weights, s=2, n_pairs=3), 1.0)
+    return dirac, DiagonalObservable(rng.uniform(-3, 3, size=6))
+
+
+@pytest.mark.parametrize("case", [_equal_values_on_an_edge, _underflowing_weights])
+def test_double_commutator_with_vanishing_products_takes_the_generic_route(case):
+    # mul drops an all-zero product, so the difference appends D * C's word
+    # after C * D's: the aligned grid would order it differently.
+    dirac, obs = case(np.random.default_rng(11))
+    comm = commutator_closed_form(dirac, obs)
+    assert _aligned_commutator(comm, dirac.symbolic) is None
+    expected = generic_double_commutator(dirac, obs)
+    assert (np.diff(expected._keys) < 0).any()
+    assert_same_bits(double_commutator_closed_form(dirac, obs), expected)
+
+
+def test_double_commutator_of_a_hand_built_operator_takes_the_generic_route():
+    # The symbolic words in reverse order: C's key list no longer matches D's.
+    dirac = random_dirac(np.random.default_rng(13), 3, 0.5)
+    pairs, _w = _weight_arrays(dirac.weights)
+    symbolic = _edge_element(3, pairs[::-1], dirac.symbolic._coeffs[::-1])
+    assert not np.array_equal(symbolic._keys, dirac.symbolic._keys)
+    reordered = DiracOperator(3, 2, 0.5, dirac.weights, symbolic, dirac.concrete)
+    obs = DiagonalObservable(np.random.default_rng(14).uniform(-3, 3, size=6))
+    expected = generic_double_commutator(reordered, obs)
+    assert expected._keys.size == len(dirac.weights) ** 2
+    assert_same_bits(double_commutator_closed_form(reordered, obs), expected)
 
 
 # Signed zeros, subnormals, values whose products overflow, and ordinary doubles.

@@ -33,15 +33,16 @@ These rows carry their own unit:
   (2 E^2 for an operator of E edges);
 - ``liealg.psi_reduce``: ``psi_reduce`` on those 100 double commutators, in us
   per call;
-- ``liealg.double_commutator``: no timing, only peak memory (below).
+- ``liealg.double_commutator``: ``double_commutator_closed_form`` on those 100
+  instances, in us per call.
 
-The two timed ``liealg`` rows also hold ``peak_bytes``, the largest peak of
-one call over the 100 instances (``C * D`` for ``mul``), and
-``peak_over_coefficient_bytes``, that peak over the coefficient bytes of the
-call's result (``mul``) or input (``psi_reduce``).
-``liealg.double_commutator`` holds, for the complete operators on 4, 8 and 12
-pairs (every edge weighted), the peak of ``double_commutator_closed_form``
-over its result's coefficient bytes.
+The ``liealg.mul`` and ``liealg.psi_reduce`` rows also hold ``peak_bytes``,
+the largest peak of one call over the 100 instances (``C * D`` for ``mul``),
+and ``peak_over_coefficient_bytes``, that peak over the coefficient bytes of
+the call's result (``mul``) or input (``psi_reduce``).
+``liealg.double_commutator`` also holds ``peak_over_result_coefficient_bytes``:
+for the complete operators on 4, 8 and 12 pairs (every edge weighted), the
+peak of ``double_commutator_closed_form`` over its result's coefficient bytes.
 - ``import.diraclab_cli``: ``import diraclab.cli`` in a fresh interpreter, in
   ms, over 5 interpreters.
 
@@ -258,7 +259,12 @@ def main(argv=None) -> int:
         peak, k = max((_peak_bytes(lambda item=item: fn(item)), k) for k, item in enumerate(items))
         result[name]["peak_bytes"] = peak
         result[name]["peak_over_coefficient_bytes"] = round(peak / size(items[k]), 2)
-    result["liealg.double_commutator"] = {}
+    result["liealg.double_commutator"] = {
+        **_summary(_time(lambda: [double_commutator_closed_form(dirac, obs)
+                                  for dirac, obs in instances], REPEATS), len(instances), 1e6),
+        "unit": "us per call",
+    }
+    ratios = result["liealg.double_commutator"]["peak_over_result_coefficient_bytes"] = {}
     for n_pairs in COMPLETE_PAIRS:
         grid = 2 * n_pairs
         weights = {(i, j): 1.0 + 0.01 * (i + j) for i in range(1, grid + 1) for j in range(i + 1, grid + 1)}
@@ -268,8 +274,7 @@ def main(argv=None) -> int:
         obs = DiagonalObservable(np.sqrt(np.arange(1.0, grid + 1.0)))
         nbytes = double_commutator_closed_form(dirac, obs)._coeffs.nbytes
         peak = _peak_bytes(lambda: double_commutator_closed_form(dirac, obs))
-        result["liealg.double_commutator"][str(n_pairs)] = round(peak / nbytes, 2)
-    result["liealg.double_commutator"]["unit"] = "peak over result coefficient bytes"
+        ratios[str(n_pairs)] = round(peak / nbytes, 2)
     result["import.diraclab_cli"] = {
         **_summary(_import_seconds(os.path.abspath(args.src)), 1, 1e3),
         "unit": "ms",
