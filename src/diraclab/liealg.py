@@ -145,16 +145,15 @@ class TensorElement:
     The terms are stored as one integer key per word and one (T, 2, 2) complex
     coefficient array, in the order each word first appeared; ``terms`` is a
     read-only word -> coefficient view of them. Every element holds each word
-    at most once: the constructor reads a mapping, and every operation either
-    keeps its operand's words (``scale``), forms distinct ones (``mul`` when
-    no two products share a word) or collects equal ones. So a sum or
-    difference needs no re-collection: it matches the two key lists, combines
-    the coefficients of the shared words in place and appends the others.
-    Sums, products and the reduction add coefficients of equal words one at a
-    time in that order, so every result is bit-identical to accumulating the
-    terms in a dict. A product's coefficient has entries x_0 y_0 + x_1 y_1,
-    each complex product x y formed as (xr*yr - xi*yi) + i(xr*yi + xi*yr) in
-    float64 arithmetic; no operation on an element makes a BLAS call.
+    at most once: the constructor reads a mapping, ``scale`` keeps its
+    operand's words, and sums, differences, products and the reduction all
+    collect equal words in one routine, ``_collected``. It adds the
+    coefficients of equal words one at a time in first-occurrence order (a
+    difference adds ``other``'s negated), so every result is bit-identical to
+    accumulating the terms in a dict. A product's coefficient has entries
+    x_0 y_0 + x_1 y_1, each complex product x y formed as
+    (xr*yr - xi*yi) + i(xr*yi + xi*yr) in float64 arithmetic; no operation on
+    an element makes a BLAS call.
     """
 
     __slots__ = ("n_pairs", "_keys", "_coeffs", "_terms")
@@ -209,37 +208,22 @@ class TensorElement:
             )
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        return self._combined(other, np.add)
+        return self._joined(other, negate=False)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self._combined(other, np.subtract)
+        return self._joined(other, negate=True)
 
-    def _combined(self, other: "TensorElement", op) -> "TensorElement":
-        """self op other, op np.add or np.subtract, matching each word once.
-
-        A word of ``other`` meets at most one word of ``self``: their
-        coefficients combine in place, x op y rounded once as accumulating
-        the terms gives. The words ``other`` alone holds follow in its order,
-        negated for a difference.
-        """
+    def _joined(self, other: "TensorElement", negate: bool) -> "TensorElement":
+        """self + other, or self - other with ``other``'s terms negated: both
+        term lists collected as one, ``self``'s first."""
         self._check_same(other)
-        _common, mine, theirs = np.intersect1d(
-            self._keys, other._keys, assume_unique=True, return_indices=True
+        mask = np.repeat([False, True], [self._keys.size, other._keys.size]) if negate else None
+        return _collected(
+            self.n_pairs,
+            np.concatenate([self._keys, other._keys]),
+            np.concatenate([self._coeffs, other._coeffs]),
+            negate=mask,
         )
-        rest = np.ones(other._keys.size, dtype=bool)
-        rest[theirs] = False
-        count = self._keys.size
-        keys = self._keys
-        coeffs = np.empty((count + int(rest.sum()), 2, 2), dtype=complex)
-        coeffs[:count] = self._coeffs
-        if rest.any():
-            keys = np.concatenate([keys, other._keys[rest]])
-            extra = other._coeffs[rest]
-            coeffs[count:] = extra if op is np.add else -extra
-        for start in range(0, mine.size, _BLOCK):
-            rows = mine[start : start + _BLOCK]
-            coeffs[rows] = op(coeffs[rows], other._coeffs[theirs[start : start + _BLOCK]])
-        return _collected(self.n_pairs, keys, coeffs, distinct=True)
 
     def scale(self, value: complex) -> "TensorElement":
         return TensorElement._from_arrays(
@@ -257,23 +241,15 @@ class TensorElement:
         if not (self._keys.size and other._keys.size):
             return TensorElement(self.n_pairs)
         area = self.grid**2
-        deg1 = _degree(self._keys, area)
-        deg2 = _degree(other._keys, area)
-        if deg1.max() + deg2.max() > 2:
+        if _degree(self._keys, area).max() + _degree(other._keys, area).max() > 2:
             raise UnsupportedDegreeError(
                 "product would create a word with more than two pairs"
             )
         # The key of a product word is left * area + right (see _word_key),
         # and left itself when the right word is empty.
         keys = self._keys[:, None] * np.where(other._keys == 0, 1, area) + other._keys
-        # Two products can share a word only if word lengths vary in both
-        # factors, as in () * (p,) = (p,) * ().
-        distinct = deg1.min() == deg1.max() or deg2.min() == deg2.max()
         return _collected(
-            self.n_pairs,
-            keys.ravel(),
-            _mat2_products(self._coeffs, other._coeffs),
-            distinct=distinct,
+            self.n_pairs, keys.ravel(), _mat2_products(self._coeffs, other._coeffs)
         )
 
     def max_abs_diff(self, other: "TensorElement") -> float:
@@ -541,7 +517,9 @@ def commutator_concrete(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _closed_form_edges(dirac: DiracOperator, obs: DiagonalObservable):
     """Edge index pairs, weights w and differences alpha = a_i - a_j on which
     both closed forms are defined: operators of the second root family (whose
-    real part is X) and an observable on the same grid."""
+    real part is X) and an observable on the same grid. The weights pass the
+    check ``build_w`` runs, so the edges are distinct pairs i < j on the grid,
+    in increasing order."""
     if dirac.s != 2:
         raise InvalidArgumentError(
             f"closed form requires the second root family, got s={dirac.s}"
@@ -550,7 +528,7 @@ def _closed_form_edges(dirac: DiracOperator, obs: DiagonalObservable):
         raise InvalidArgumentError(
             f"observable has {obs.grid} values, grid needs {dirac.n_pairs * 2}"
         )
-    pairs, w = _weight_arrays(dirac.weights)
+    pairs, w = _weight_arrays(_validated_weights(dirac.weights, obs.grid))
     alpha = obs.values[pairs[:, 0] - 1] - obs.values[pairs[:, 1] - 1]
     return pairs, w, alpha
 
@@ -580,24 +558,18 @@ def double_commutator_closed_form(
     reduction under psi_reduce is the Laplacian closed form.
 
     C and the symbolic D share their edge words, so C * D is written into
-    the result and D * C subtracted from it a block of rows at a time. The
-    generic ``C.mul(D) - D.mul(C)`` runs instead when the key lists differ
-    or are not one strictly increasing list of one-pair words (a hand-built
-    ``DiracOperator``), or when a product is all zero (alpha = 0 on an edge,
-    an underflow), which ``mul`` drops. Both routes give the same bits, word
-    order included.
+    the result and D * C subtracted from it a block of rows at a time. C's
+    words are distinct one-pair words by construction, so D's key list
+    equalling C's is all that alignment needs. The generic
+    ``C.mul(D) - D.mul(C)`` runs instead when the key lists differ (a
+    hand-built ``DiracOperator``), or when a product is all zero (alpha = 0
+    on an edge, an underflow), which ``mul`` drops. Both routes give the same
+    bits, word order included.
     """
     comm = commutator_closed_form(dirac, obs)
     sym = dirac.symbolic
     comm._check_same(sym)
-    keys = comm._keys
-    if (
-        keys.size
-        and np.array_equal(keys, sym._keys)
-        and keys[0] > 0
-        and keys[-1] <= comm.grid**2
-        and (np.diff(keys) > 0).all()
-    ):
+    if comm._keys.size and np.array_equal(comm._keys, sym._keys):
         aligned = _aligned_commutator(comm, sym)
         if aligned is not None:
             return aligned
@@ -606,8 +578,9 @@ def double_commutator_closed_form(
 
 def _aligned_commutator(a: TensorElement, b: TensorElement) -> TensorElement | None:
     """a * b - b * a for two elements on one list of distinct one-pair words,
-    each entry one x - y as ``__sub__`` forms it; None when some product in
-    either order is all zero. b * a is formed ``_BLOCK`` products at a time.
+    each entry one x - y, which IEEE rounds as the x + (-y) that ``__sub__``
+    forms; None when some product in either order is all zero. b * a is
+    formed ``_BLOCK`` products at a time.
     """
     count = a._keys.size
     out = _mat2_products(a._coeffs, b._coeffs)

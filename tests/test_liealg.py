@@ -444,8 +444,8 @@ def assert_distinct_words(element):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_element_holds_each_word_once(data):
-    # Sums match the two key lists instead of re-collecting equal words, so
-    # they rest on every constructor and operation yielding distinct words.
+    # The aligned double commutator and the closed forms collect with
+    # distinct=True, which rests on their operands holding distinct words.
     n_pairs = data.draw(st.integers(1, 2))
     grid = 2 * n_pairs
     a = TensorElement(n_pairs, data.draw(raw_terms(grid)))
@@ -545,7 +545,25 @@ def test_double_commutator_with_vanishing_products_takes_the_generic_route(case)
     assert _aligned_commutator(comm, dirac.symbolic) is None
     expected = generic_double_commutator(dirac, obs)
     assert (np.diff(expected._keys) < 0).any()
-    assert_same_bits(double_commutator_closed_form(dirac, obs), expected)
+    result = double_commutator_closed_form(dirac, obs)
+    assert_same_bits(result, expected)
+    c, d = comm.terms, dirac.symbolic.terms
+    assert_same_terms(result, ref_sub(ref_mul(c, d), ref_mul(d, c)))
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 1)])
+def test_closed_forms_check_the_weights_as_build_w_does(pair):
+    # Unchecked, index 0 would wrap to the observable's last value, and either
+    # pair would key the edge as another word.
+    weights = {pair: 1.0}
+    with pytest.raises(InvalidArgumentError) as built:
+        build_w(weights, s=2, n_pairs=1)
+    dirac = DiracOperator(1, 2, 0.5, weights, TensorElement(1), np.zeros((4, 4), dtype=complex))
+    obs = DiagonalObservable([1.0, 3.0])
+    for closed_form in (commutator_closed_form, double_commutator_closed_form, laplacian_closed_form):
+        with pytest.raises(InvalidArgumentError) as raised:
+            closed_form(dirac, obs)
+        assert str(raised.value) == str(built.value)
 
 
 def test_double_commutator_of_a_hand_built_operator_takes_the_generic_route():

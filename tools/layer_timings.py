@@ -27,19 +27,14 @@ These rows carry their own unit:
 - ``specfun.bessel_i_scaled``: ``bessel_i_scaled(0.5, x)`` on the 384
   Gauss-Legendre nodes (the radial ladder's level 3) scaled to [0, 10], in ns
   per value;
-- ``liealg.mul``: ``TensorElement.mul`` on the 100 double commutators of a
-  default ``algebra-check`` (``C * D`` and ``D * C`` with C the closed-form
-  commutator of the Dirac operator D), in ns per coefficient product
-  (2 E^2 for an operator of E edges);
-- ``liealg.psi_reduce``: ``psi_reduce`` on those 100 double commutators, in us
-  per call;
+- ``liealg.psi_reduce``: ``psi_reduce`` on the 100 double commutators of a
+  default ``algebra-check``, in us per call;
 - ``liealg.double_commutator``: ``double_commutator_closed_form`` on those 100
   instances, in us per call.
 
-The ``liealg.mul`` and ``liealg.psi_reduce`` rows also hold ``peak_bytes``,
-the largest peak of one call over the 100 instances (``C * D`` for ``mul``),
-and ``peak_over_coefficient_bytes``, that peak over the coefficient bytes of
-the call's result (``mul``) or input (``psi_reduce``).
+The ``liealg.psi_reduce`` row also holds ``peak_bytes``, the largest peak of
+one call over the 100 instances, and ``peak_over_coefficient_bytes``, that
+peak over the coefficient bytes of the call's input.
 ``liealg.double_commutator`` also holds ``peak_over_result_coefficient_bytes``:
 for the complete operators on 4, 8 and 12 pairs (every edge weighted), the
 peak of ``double_commutator_closed_form`` over its result's coefficient bytes.
@@ -148,7 +143,6 @@ def main(argv=None) -> int:
     from diraclab.liealg import (
         DiagonalObservable,
         build_w,
-        commutator_closed_form,
         dirac_from_w,
         double_commutator_closed_form,
         psi_reduce,
@@ -239,26 +233,16 @@ def main(argv=None) -> int:
     # 100 whose double commutators it reduces.
     rng = np.random.default_rng(np.random.SeedSequence([DEFAULT_MASTER_SEED, 1]))
     instances = [_random_instance(rng) for _ in range(300)][200:]
-    factors = [(commutator_closed_form(dirac, obs), dirac.symbolic) for dirac, obs in instances]
-    products = sum(2 * len(dirac.weights) ** 2 for dirac, _obs in instances)
-    result["liealg.mul"] = {
-        **_summary(_time(lambda: [(c.mul(d), d.mul(c)) for c, d in factors], REPEATS), products),
-        "unit": "ns per product",
-        "products": products,
-    }
     doubles = [double_commutator_closed_form(dirac, obs) for dirac, obs in instances]
     result["liealg.psi_reduce"] = {
         **_summary(_time(lambda: [psi_reduce(x) for x in doubles], REPEATS), len(doubles), 1e6),
         "unit": "us per call",
     }
-    for name, fn, items, size in (
-        ("liealg.mul", lambda cd: cd[0].mul(cd[1]), factors,
-         lambda cd: 64 * cd[0]._keys.size * cd[1]._keys.size),
-        ("liealg.psi_reduce", psi_reduce, doubles, lambda x: x._coeffs.nbytes),
-    ):
-        peak, k = max((_peak_bytes(lambda item=item: fn(item)), k) for k, item in enumerate(items))
-        result[name]["peak_bytes"] = peak
-        result[name]["peak_over_coefficient_bytes"] = round(peak / size(items[k]), 2)
+    peak, k = max((_peak_bytes(lambda x=x: psi_reduce(x)), k) for k, x in enumerate(doubles))
+    result["liealg.psi_reduce"]["peak_bytes"] = peak
+    result["liealg.psi_reduce"]["peak_over_coefficient_bytes"] = round(
+        peak / doubles[k]._coeffs.nbytes, 2
+    )
     result["liealg.double_commutator"] = {
         **_summary(_time(lambda: [double_commutator_closed_form(dirac, obs)
                                   for dirac, obs in instances], REPEATS), len(instances), 1e6),
