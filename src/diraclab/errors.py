@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and its three argument rules.
+"""Exception types shared across the package, and its four argument rules.
 
-Every public entry point checks its scalar arguments by one of three rules,
-each of which returns the checked value as a plain ``int`` or ``float``:
+Every public entry point checks its scalar arguments by one of the first three
+rules, each of which returns the checked value as a plain ``int`` or ``float``,
+and its real-valued arrays and values by the fourth:
 
 - ``_integer(name, value, low, high=None)``: a dimension, size, index or seed
   is an ``int`` or numpy integer, never a bool, with ``low <= value`` and,
@@ -9,11 +10,18 @@ each of which returns the checked value as a plain ``int`` or ``float``:
 - ``_positive(name, value)``: a scale (hbar, t, beta = 1/hbar, a radius) is a
   finite real number > 0 (an ``int``, ``float`` or numpy real), never a bool;
 - ``_sign(value)``: the sign sigma of the concentration kernel is the integer
-  +1 or -1.
+  +1 or -1;
+- ``_reals(name, values, shape=None)``: an observable's values, a point, a
+  frame, tangent vectors, a direction or a Bessel order or argument is read by
+  ``np.asarray`` as integers or floats (not bools, strings, complex numbers or
+  objects), every entry is finite and, when ``shape`` is given, the array has
+  exactly that shape; it is returned as a float array.
 
-A value that breaks its rule raises ``InvalidArgumentError``.  The rules test
-``type(value) is int``, which leaves out bool, an int subclass; numpy's bool
-is neither a numpy integer nor a numpy float.
+A value that breaks its rule raises ``InvalidArgumentError``.  The scalar
+rules test ``type(value) is int``, which leaves out bool, an int subclass;
+numpy's bool is neither a numpy integer nor a numpy float.  An array-like is
+judged by the dtype numpy reads it with, so a list mixing bools with floats
+reads as floats and passes ``_reals``.
 """
 
 from __future__ import annotations
@@ -95,3 +103,17 @@ def _sign(value) -> int:
     if (type(value) is int or isinstance(value, np.integer)) and value in (1, -1):
         return int(value)
     raise InvalidArgumentError(f"sign must be +1 or -1, got {value!r}")
+
+
+def _reals(name: str, values, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float array, if numpy reads it as integers or floats
+    (not bools), every entry is finite and, when given, its shape is ``shape``.
+
+    For every input it accepts, the result is ``np.asarray(values, dtype=float)``.
+    """
+    arr = np.asarray(values)
+    if shape is not None and arr.shape != shape:
+        raise InvalidArgumentError(f"{name} must have shape {shape}, got {arr.shape}")
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} must be finite real numbers, got {arr!r}")
+    return arr.astype(float, copy=False)

@@ -348,22 +348,18 @@ def _estimate(m, samples, funcs, fp, hbar, sigma, mix, power) -> np.ndarray:
 def dirac_estimate(
     m: ManifoldModel,
     samples,
-    a,
+    a: TestFunction,
     fp: FramedPoint,
     hbar: float,
     sigma: int = 1,
 ) -> np.ndarray:
-    """Estimate the frame gradient of ``a`` at the base point from star samples.
+    """Estimate the frame gradient (d,) of ``a`` at the base point from star samples.
 
     ``samples`` has shape (n, d+1, d): n star copies, the log coordinates of
     one sampled neighbour per anchor slot.  Component j is the weighted mean
     of column j rescaled by Vol(U_p) / hbar, i.e. s_jn on that column.
-    ``a`` is one test function, giving the (d,) components, or a sequence of
-    them, giving one row per function; the weights are computed once.
     """
-    one = isinstance(a, TestFunction)
-    rows = _estimate(m, samples, [a] if one else a, fp, hbar, sigma, *_estimator("dirac", m.d))
-    return rows[0] if one else rows
+    return _estimate(m, samples, [a], fp, hbar, sigma, *_estimator("dirac", m.d))[0]
 
 
 def laplace_estimate(

@@ -3,9 +3,9 @@
 Every sampled point is joined to the same base vertex, so a batch of star
 copies (d+1 sampled neighbours each) is a single star: base vertex id 0 and
 leaf ids 1..N, where copy k, slot j gets id 1 + k*(d+1) + j.  Each leaf
-carries one concentration weight (``star_weights``, the only place the
-weights are computed).  The operator is realized over a two-block vertex
-space,
+carries one concentration weight (``_weights``, the one kernel that computes
+the weights; ``star_weights`` is its checked entry point).  The operator is
+realized over a two-block vertex space,
 
     D = (i/hbar) [[0, B], [-B^T, 0]],
 
@@ -29,6 +29,7 @@ from .errors import (
     NumericFailureError,
     OutOfNeighbourhoodError,
     _positive,
+    _reals,
     _sign,
 )
 # log_coords is not used here; it stays importable from this module because
@@ -159,13 +160,7 @@ def pf_bound_report(dirac: WeightedGraphDirac, a_values, grad_sup: float) -> dic
     Returns the spectral radius of [D, a], in closed form, and its ratio to
     the gradient sup bound.
     """
-    vals = np.asarray(a_values, dtype=float)
-    if vals.shape != (dirac.n_vertices,):
-        raise InvalidArgumentError(
-            f"need one observable value per vertex ({dirac.n_vertices}), got {vals.shape}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise InvalidArgumentError("observable values must be finite")
+    vals = _reals("observable values", a_values, (dirac.n_vertices,))
     grad_sup = _positive("gradient bound", grad_sup)
     rho = float(np.linalg.norm(dirac.weights * (vals[1:] - vals[0]))) / dirac.hbar
     if not math.isfinite(rho):

@@ -39,6 +39,7 @@ from .errors import (
     UnsupportedDegreeError,
     _integer,
     _positive,
+    _reals,
 )
 
 __all__ = [
@@ -353,13 +354,11 @@ class DiagonalObservable:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[float]):
-        arr = np.asarray(list(values), dtype=float)
+        arr = _reals("observable values", list(values))
         if arr.ndim != 1 or arr.size < 2 or arr.size % 2:
             raise InvalidArgumentError(
                 f"need an even number (>= 2) of values, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("observable values must be finite")
         self.values = arr
 
     @property

@@ -20,6 +20,7 @@ from .errors import (
     SamplingFailureError,
     _integer,
     _positive,
+    _reals,
 )
 from .specfun import _gauss_legendre
 
@@ -87,9 +88,9 @@ def default_frame(m: ManifoldModel, p: np.ndarray) -> np.ndarray:
     orthonormalized, skipping directions that project to (near) zero; at the
     default pole this reproduces the first d coordinate directions.
     """
+    p = _reals("point", p)
     if m.kind == "flat":
         return np.eye(m.d)
-    p = np.asarray(p, dtype=float)
     rows = []
     for k in range(m.embedding_dim):
         v = np.zeros(m.embedding_dim)
@@ -135,20 +136,10 @@ def framed_point(
 
     Default radius: min(0.9 * injectivity radius, 1.0).
     """
-    p = default_base_point(m) if point is None else np.asarray(point, dtype=float)
-    if p.shape != (m.embedding_dim,):
-        raise InvalidArgumentError(
-            f"point must have shape ({m.embedding_dim},), got {p.shape}"
-        )
-    if not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("point must be finite")
+    p = default_base_point(m) if point is None else _reals("point", point, (m.embedding_dim,))
     if m.kind == "sphere" and abs(np.linalg.norm(p) - 1.0) > 1e-9:
         raise InvalidArgumentError("sphere point must have unit norm")
-    f = default_frame(m, p) if frame is None else np.asarray(frame, dtype=float)
-    if f.shape != (m.d, m.embedding_dim):
-        raise InvalidArgumentError(
-            f"frame must have shape ({m.d}, {m.embedding_dim}), got {f.shape}"
-        )
+    f = default_frame(m, p) if frame is None else _reals("frame", frame, (m.d, m.embedding_dim))
     gram = f @ f.T
     if not np.allclose(gram, np.eye(m.d), atol=1e-12):
         raise InvalidArgumentError("frame rows must be orthonormal (tol 1e-12)")
@@ -196,14 +187,12 @@ def exp_map(m: ManifoldModel, p: np.ndarray, v) -> np.ndarray:
 
     Tangent norms must stay strictly below the injectivity radius.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    p = _reals("point", p)
+    v = _reals("tangent vectors", v)
     if v.shape[-1] != m.embedding_dim:
         raise InvalidArgumentError(
             f"tangent vectors must have last axis {m.embedding_dim}, got {v.shape}"
         )
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("tangent vectors must be finite")
     r = _norms(v)
     if np.any(r >= m.injectivity_radius):
         raise OutOfInjectivityError(
@@ -243,14 +232,12 @@ def exp_axis(m: ManifoldModel, fp: FramedPoint, v, axis: int) -> np.ndarray:
 
 def log_map(m: ManifoldModel, p: np.ndarray, q) -> np.ndarray:
     """Inverse of exp_map at p, for points q strictly inside the injectivity ball."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = _reals("point", p)
+    q = _reals("points", q)
     if q.shape[-1] != m.embedding_dim:
         raise InvalidArgumentError(
             f"points must have last axis {m.embedding_dim}, got {q.shape}"
         )
-    if not np.all(np.isfinite(q)):
-        raise InvalidArgumentError("points must be finite")
     if m.kind == "flat":
         return q - p
     norms = _norms(q)
@@ -267,8 +254,7 @@ def log_map(m: ManifoldModel, p: np.ndarray, q) -> np.ndarray:
 
 def vol_density(m: ManifoldModel, p: np.ndarray, v) -> np.ndarray:
     """Volume density of exp_map at p in the direction v: flat 1, sphere (sin r / r)^(d-1)."""
-    v = np.asarray(v, dtype=float)
-    r = _norms(v)
+    r = _norms(_reals("tangent vectors", v))
     if np.any(r >= m.injectivity_radius):
         raise OutOfInjectivityError("tangent norm exceeds the injectivity radius")
     return _radial_density(m, r)
@@ -492,8 +478,8 @@ def jacobi_expansion_check(
     cubic term carries the curvature).  The differential is formed by central
     differences.
     """
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
+    p = _reals("point", p)
+    w = _reals("direction w", w)
     if abs(np.linalg.norm(w) - 1.0) > 1e-9:
         raise InvalidArgumentError("direction w must be a unit vector")
     if m.kind == "sphere" and abs(np.dot(w, p)) > 1e-9:

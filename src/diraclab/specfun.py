@@ -15,7 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidArgumentError, NumericFailureError, _integer, _positive, _sign
+from .errors import InvalidArgumentError, NumericFailureError, _integer, _positive, _reals, _sign
 
 __all__ = [
     "bessel_i_scaled",
@@ -28,22 +28,19 @@ __all__ = [
 def bessel_i_scaled(nu: float, x) -> float | np.ndarray:
     """Exponentially scaled modified Bessel function exp(-x) I_nu(x).
 
-    The order is one finite scalar; orders down to -1/2 are accepted, and the
-    negative half-integer order backs the one-dimensional normalizer that
-    ratio integrands occasionally need.  At x = 0 the value is 1 for nu = 0,
-    0 for nu > 0 and +inf (the limit) for nu = -1/2.  Scalar in, scalar out;
-    ndarray in, ndarray out.
+    The order is one finite real number and the argument one or an array of
+    them (integers or floats, not bools or strings); orders down to -1/2 are
+    accepted, and the negative half-integer order backs the one-dimensional
+    normalizer that ratio integrands occasionally need.  At x = 0 the value is
+    1 for nu = 0, 0 for nu > 0 and +inf (the limit) for nu = -1/2.  Scalar in,
+    scalar out; ndarray in, ndarray out.
     """
-    if np.ndim(nu) != 0:
-        raise InvalidArgumentError(f"bessel order must be a scalar, got shape {np.shape(nu)}")
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise InvalidArgumentError("bessel order must be finite")
+    nu = float(_reals("bessel order", nu, ()))
     if nu < -0.5:
         raise InvalidArgumentError(f"bessel order must be >= -1/2, got {nu}")
-    x_val = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_val)):
-        raise InvalidArgumentError("bessel argument must be finite")
+    x_val = _reals("bessel argument", x)
+    if x_val.ndim == 0:
+        x_val = float(x_val)
     if np.any(x_val < 0.0):
         raise InvalidArgumentError(f"bessel argument must be >= 0, got {x}")
     return _ive(nu, x_val)
@@ -369,11 +366,7 @@ def vmf_moments(d: int, s, t: float, sigma: int = 1):
     eigenvector structure span{s} plus its orthogonal complement.
     """
     d = _integer("dimension", d, 2)
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.shape != (d,):
-        raise InvalidArgumentError(f"direction must have shape ({d},), got {s_arr.shape}")
-    if not np.all(np.isfinite(s_arr)):
-        raise InvalidArgumentError("direction must be finite")
+    s_arr = _reals("direction", s, (d,))
     norm = float(np.linalg.norm(s_arr))
     if abs(norm - 1.0) > 1e-8:
         raise InvalidArgumentError(f"direction must be a unit vector, |s| = {norm!r}")

@@ -43,7 +43,14 @@ from diraclab import (
     vol_density,
 )
 from diraclab import specfun
-from diraclab.estimators import _COPIES, CSV_COLUMNS, _repeat_stars, table_texts
+from diraclab.estimators import (
+    _COPIES,
+    CSV_COLUMNS,
+    _estimate,
+    _estimator,
+    _repeat_stars,
+    table_texts,
+)
 from diraclab.liealg import MAT_Y
 
 
@@ -251,7 +258,7 @@ def test_dirac_estimate_components_match_column_estimators(kind):
         funcs = [resolve_test_function(m, fp, "dirac", "auto")] + [
             embedding_coordinate_function(m, fp, axis) for axis in range(m.embedding_dim)
         ]
-        rows = dirac_estimate(m, samples, funcs, fp, hbar)
+        rows = _estimate(m, samples, funcs, fp, hbar, 1, *_estimator("dirac", m.d))
         for f, row in zip(funcs, rows):
             terms = w * (f.evaluate(samples) - f.evaluate(np.zeros(2)))
             est = dirac_estimate(m, samples, f, fp, hbar)
@@ -754,7 +761,7 @@ def test_fused_route_matches_embedded_reference(kind):
 
     # The family check: one weight computation shared by ten polynomials.
     family = polynomial_family(m, fp)
-    rows = dirac_estimate(m, v, family, fp, hbar, sigma)
+    rows = _estimate(m, v, family, fp, hbar, sigma, *_estimator("dirac", m.d))
     assert rows.shape == (10, 2)
     for f, row in zip(family, rows):
         fw = w * (f.evaluate(logc) - f.evaluate(np.zeros(2)))
@@ -839,7 +846,8 @@ def test_blocked_reduction_matches_the_whole_array_mean(kind, d):
         v = star_samples(m, fp, n, seed=seed)
         for hbar, sigma in ((0.3, 1), (0.15, -1)):
             ref = whole_array_estimate(m, v, funcs, fp, hbar, sigma, np.eye(d, d + 1), 1)
-            assert np.array_equal(dirac_estimate(m, v, funcs, fp, hbar, sigma), ref)
+            got = _estimate(m, v, funcs, fp, hbar, sigma, *_estimator("dirac", m.d))
+            assert np.array_equal(got, ref)
             for power in (1, 2):
                 ref = whole_array_estimate(m, v, funcs, fp, hbar, sigma, lams[None] ** power, 2)
                 got = [laplace_estimate(m, v, f, fp, hbar, sigma, power) for f in funcs]

@@ -335,6 +335,8 @@ def test_pf_bound_report_fields():
         pf_bound_report(dirac, a_values, grad_sup=0.0)
     with pytest.raises(InvalidArgumentError):
         pf_bound_report(dirac, a_values[1:], grad_sup=1.0)
+    with pytest.raises(InvalidArgumentError):
+        pf_bound_report(dirac, a_values > 0.0, grad_sup=1.0)
 
 
 def test_pf_commutator_vanishes_for_constant_observable():

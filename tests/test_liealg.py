@@ -168,6 +168,14 @@ def test_commutator_closed_form_matches_concrete():
     assert worst <= 1e-12
 
 
+def test_observable_takes_finite_real_values():
+    # A float conversion would read the strings and bools as numbers;
+    # complex values are not real.
+    for values in (["1", "3"], [True, False], [1 + 1j, 2.0]):
+        with pytest.raises(InvalidArgumentError):
+            DiagonalObservable(values)
+
+
 def test_commutator_requires_second_family():
     dirac = dirac_from_w(build_w({(1, 2): 1.0}, s=1, n_pairs=1), 1.0)
     with pytest.raises(InvalidArgumentError):

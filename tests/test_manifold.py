@@ -106,6 +106,17 @@ def test_exp_rejects_radius_beyond_injectivity():
         exp_map(m, p, v)
 
 
+def test_exp_map_and_vol_density_take_finite_real_tangents():
+    # A float conversion reads bools as 0 and 1, and a NaN tangent would
+    # give a NaN density.
+    m = make_manifold("sphere", 2)
+    p = default_base_point(m)
+    with pytest.raises(InvalidArgumentError):
+        exp_map(m, p, np.array([[True, False, False]]))
+    with pytest.raises(InvalidArgumentError):
+        vol_density(m, p, np.array([[np.nan, 0.0, 0.0]]))
+
+
 def test_log_rejects_antipode():
     m = make_manifold("sphere", 2)
     p = default_base_point(m)
@@ -153,6 +164,8 @@ def test_framed_point_validation():
     frame = default_frame(m, p)
     with pytest.raises(InvalidArgumentError):
         framed_point(m, point=np.array([0.0, 0.0, 2.0]))
+    with pytest.raises(InvalidArgumentError):
+        framed_point(m, point=["0", "0", "1"])
     with pytest.raises(InvalidArgumentError):
         framed_point(m, point=p, frame=2.0 * frame)
     with pytest.raises(InvalidArgumentError):
@@ -584,3 +597,5 @@ def test_jacobi_rejects_non_unit_direction():
     m = make_manifold("flat", 2)
     with pytest.raises(InvalidArgumentError):
         jacobi_expansion_check(m, default_base_point(m), np.array([2.0, 0.0]), (0.1,))
+    with pytest.raises(InvalidArgumentError):
+        jacobi_expansion_check(m, [np.nan, 0.0], np.array([1.0, 0.0]), (0.1,))

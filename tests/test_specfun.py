@@ -175,6 +175,10 @@ def test_bessel_rejects_bad_inputs():
         bessel_i_scaled(0.5, -1.0)
     with pytest.raises(InvalidArgumentError):
         bessel_i_scaled(0.5, np.inf)
+    with pytest.raises(InvalidArgumentError):
+        bessel_i_scaled(True, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        bessel_i_scaled(0.5, "1.0")
 
 
 def test_log_c3_pinned_value():
@@ -455,5 +459,7 @@ def test_vmf_moments_validation():
         vmf_moments(3, np.array([0.0, 0.0, 2.0]), 0.1)
     with pytest.raises(InvalidArgumentError):
         vmf_moments(3, np.array([0.0, 1.0]), 0.1)
+    with pytest.raises(InvalidArgumentError):
+        vmf_moments(3, [False, False, True], 0.1)
     with pytest.raises(InvalidArgumentError):
         vmf_moments(3, np.array([0.0, 0.0, 1.0]), 0.1, sigma=2)
